@@ -11,7 +11,7 @@
 # GROUP selects a stage group so the GitHub workflow can run (and time out)
 # each one as its own step; the default runs everything in order:
 #
-#   static   cargo fmt --check, clippy -D warnings
+#   static   cargo fmt --check, clippy -D warnings, one-listener grep
 #   build    cargo build --release
 #   tests    full test suite at GRAPHAUG_THREADS={1,3,4} and GRAPHAUG_SIMD=0
 #   bench    bench harness smoke run (tiny budget)
@@ -22,6 +22,10 @@
 #            ingestion (stream PUTs, fine-tune + hot reload, replay the
 #            log from scratch and require hex-identical rankings)
 #            (all boot real binaries)
+#   e2e      the end-to-end benchmark package (benchmark/): its unit
+#            tests, then `run.sh --quick` — every workload's output
+#            checks, un-gated timings — and a guard that neither left
+#            benchmark/ (its lockfile above all) modified
 #   gates    recorded perf-trajectory gate, dependency hermeticity
 #
 # The `tests`/`bench`/`process` groups expect `build` to have run first in
@@ -130,6 +134,18 @@ group_static() {
 
     stage "cargo clippy -- -D warnings"
     cargo clippy --workspace --all-targets --offline -- -D warnings
+
+    stage "one listener: accept loops and BufWriters only in net.rs / client.rs"
+    # Every TCP endpoint is `graphaug_ingest::net::listen` plus verb
+    # handlers (DESIGN.md, "One line server"); a second accept loop or a
+    # reply path of its own is how the Nagle stall got copied three times.
+    if grep -rnE 'listener\.incoming\(\)|BufWriter' \
+        crates/serve/src crates/ingest/src crates/router/src \
+        | grep -vE '^crates/(ingest/src/net|serve/src/client)\.rs:'; then
+        echo "ERROR: connection plumbing outside net.rs / client.rs" >&2
+        exit 1
+    fi
+    echo "ok: one accept loop, one reply path"
 }
 
 group_build() {
@@ -509,6 +525,27 @@ group_process() {
     stage_online
 }
 
+group_e2e() {
+    stage "benchmark package unit tests"
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+    stage "benchmark/run.sh --quick (all four workloads, every output check)"
+    # Not a measurement (2 s windows, un-gated): it proves the library
+    # entry points the benchmark boots still build, serve and pass their
+    # hex-parity / routed ≡ direct / PUT-offset checks.
+    bash benchmark/run.sh --quick
+
+    stage "benchmark/ untouched by its own build and run"
+    # benchmark/Cargo.lock is committed; a library change that adds a
+    # dependency edge would rewrite it here.
+    if [[ -n "$(git status --porcelain benchmark/)" ]]; then
+        echo "ERROR: building or running the benchmark modified benchmark/:" >&2
+        git status --porcelain benchmark/ >&2
+        exit 1
+    fi
+    echo "ok: benchmark/ clean"
+}
+
 group_gates() {
     stage "perf trajectory gate (BENCH_pr10 vs BENCH_pr9)"
     # The recorded PR 10 trajectory point must hold a ≤10% median regression
@@ -543,6 +580,7 @@ case "$GROUP" in
     tests) group_tests ;;
     bench) group_bench ;;
     process) group_process ;;
+    e2e) group_e2e ;;
     gates) group_gates ;;
     all)
         group_static
@@ -550,11 +588,12 @@ case "$GROUP" in
         group_tests
         group_bench
         group_process
+        group_e2e
         group_gates
         printf '\nCI gate passed.\n'
         ;;
     *)
-        echo "unknown stage group '$GROUP' (static|build|tests|bench|process|gates|all)" >&2
+        echo "unknown stage group '$GROUP' (static|build|tests|bench|process|e2e|gates|all)" >&2
         exit 2
         ;;
 esac

@@ -15,6 +15,11 @@
 //!   with `parse_numeric_edge_list`-grade strictness; every accepted
 //!   interaction is durably appended before `OK off=<offset>` goes out.
 //!
+//! Beside them, [`net`] is the line-server scaffold (accept loop, bounded
+//! read-line, reply flushed per request line) that [`server`] and the serving tier's
+//! listeners are all built on; it lives here because this is the lowest
+//! crate that owns a listener.
+//!
 //! The contract that makes online learning reproducible: a log prefix
 //! `[0, w)` plus the training seed determines the graph, the sampler
 //! streams, and therefore the checkpoint bytes — replaying the same log
@@ -23,12 +28,13 @@
 pub mod delta;
 pub mod error;
 pub mod log;
+pub mod net;
 pub mod server;
 
 pub use delta::{apply_deltas, DeltaReport};
 pub use error::IngestError;
 pub use log::{
-    list_segments, log_len, read_range, segment_path, LogWriter, LOG_MAGIC, LOG_VERSION,
+    fnv1a64, list_segments, log_len, read_range, segment_path, LogWriter, LOG_MAGIC, LOG_VERSION,
     RECORD_BYTES, SEGMENT_HEADER_BYTES,
 };
 pub use server::{parse_put, start_ingest, IngestHandle, IngestStats, PutRefusal};

@@ -47,10 +47,11 @@ pub const SEGMENT_HEADER_BYTES: u64 = 20;
 /// Fixed record size: user + item + checksum.
 pub const RECORD_BYTES: u64 = 16;
 
-/// FNV-1a-64 (same parameters as the checkpoint frame in
-/// `graphaug-runtime::snapshot`, re-stated here so the log layer stays
-/// dependency-free).
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit checksum — tiny, dependency-free, and plenty to catch the
+/// torn writes and flipped bytes the log records and the checkpoint frame
+/// (`graphaug-runtime::snapshot` re-exports this function) defend against;
+/// it is not a cryptographic integrity guarantee.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= b as u64;
@@ -333,6 +334,14 @@ mod tests {
             std::env::temp_dir().join(format!("graphaug_ingest_{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn fnv1a64_is_pinned() {
+        // Both frame formats (`GAUGILOG` records, `GAUGCKPT` frames) hash
+        // with this function; files on disk break if its output changes.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The TCP ingestion listener.
 //!
-//! Line-oriented, same shape as the serving tier's server: one accept
-//! loop, one thread per connection. Verbs:
+//! Line-oriented, on the shared [`crate::net`] scaffold (DESIGN.md, "One
+//! line server"); this module is only the verbs:
 //!
 //! ```text
 //! PUT <user> <item>   → OK off=<offset>      (durably logged before OK)
@@ -16,13 +16,11 @@
 //! reaches the log. The log writer is shared behind a mutex with the
 //! fine-tuning loop, which polls [`crate::log_len`] for fresh windows.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::error::IngestError;
 use crate::log::LogWriter;
+use crate::net::{listen, ListenerHandle, Next, Reply};
 
 /// Why a `PUT` line was refused (nothing was logged).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,39 +96,9 @@ pub fn stats(log: &Mutex<LogWriter>) -> IngestStats {
     }
 }
 
-/// A running ingestion listener; dropping (or [`IngestHandle::stop`])
-/// shuts the accept loop down.
-pub struct IngestHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl IngestHandle {
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting new connections and joins the accept loop.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for IngestHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
+/// A running ingestion listener; dropping (or `stop()`) shuts the accept
+/// loop down.
+pub type IngestHandle = ListenerHandle;
 
 /// Binds `addr` and serves `PUT`s into `log`. Ids are validated against
 /// `n_users`/`n_items` — the universe the downstream model was sized for.
@@ -140,61 +108,21 @@ pub fn start_ingest(
     n_items: usize,
     addr: &str,
 ) -> Result<IngestHandle, IngestError> {
-    let listener = TcpListener::bind(addr).map_err(|e| IngestError::Io(e.to_string()))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| IngestError::Io(e.to_string()))?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = stop.clone();
-    let accept_thread = std::thread::Builder::new()
-        .name("graphaug-ingest-accept".into())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                if stop_flag.load(Ordering::Relaxed) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let log = log.clone();
-                let _ = std::thread::Builder::new()
-                    .name("graphaug-ingest-conn".into())
-                    .spawn(move || handle_connection(&log, n_users, n_items, stream));
-            }
-        })
-        .map_err(|e| IngestError::Io(e.to_string()))?;
-    Ok(IngestHandle {
-        addr: local,
-        stop,
-        accept_thread: Some(accept_thread),
+    listen(addr, "graphaug-ingest", move || {
+        let log = log.clone();
+        move |line: &str, reply: &mut Reply| respond(&log, n_users, n_items, line, reply)
     })
+    .map_err(|e| IngestError::Io(e.to_string()))
 }
 
-fn handle_connection(log: &Mutex<LogWriter>, n_users: usize, n_items: usize, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let done = respond(log, n_users, n_items, &line, &mut writer).is_err();
-        if writer.flush().is_err() || done {
-            break;
-        }
-    }
-}
-
-/// Writes the response for one request; `Err(())` closes the connection.
+/// Appends the response for one request line.
 fn respond(
     log: &Mutex<LogWriter>,
     n_users: usize,
     n_items: usize,
     line: &str,
-    w: &mut impl Write,
-) -> Result<(), ()> {
-    let put = |w: &mut dyn Write, s: &str| -> Result<(), ()> { writeln!(w, "{s}").map_err(|_| ()) };
+    reply: &mut Reply,
+) -> Next {
     let line = line.trim();
     let (verb, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
     match verb {
@@ -202,32 +130,34 @@ fn respond(
             Ok((user, item)) => {
                 let appended = log.lock().expect("ingest log lock").append(user, item);
                 match appended {
-                    Ok(offset) => put(w, &format!("OK off={offset}")),
-                    Err(e) => put(w, &format!("ERR log append: {e}")),
+                    Ok(offset) => reply.line(format_args!("OK off={offset}")),
+                    Err(e) => reply.line(format_args!("ERR log append: {e}")),
                 }
             }
-            Err(refusal) => put(w, &format!("ERR {refusal}")),
+            Err(refusal) => reply.line(format_args!("ERR {refusal}")),
         },
         "STATS" => {
             let s = stats(log);
-            put(
-                w,
-                &format!("STATS ingested={} log_offset={}", s.ingested, s.log_offset),
-            )
+            reply.line(format_args!(
+                "STATS ingested={} log_offset={}",
+                s.ingested, s.log_offset
+            ));
         }
-        "PING" => put(w, "PONG"),
+        "PING" => reply.line("PONG"),
         "QUIT" => {
-            put(w, "BYE")?;
-            Err(())
+            reply.line("BYE");
+            return Next::Close;
         }
-        _ => put(w, &format!("ERR unknown verb {verb:?}")),
+        _ => reply.line(format_args!("ERR unknown verb {verb:?}")),
     }
+    Next::Continue
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufRead;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
 
     #[test]
     fn put_parsing_is_strict() {

@@ -14,13 +14,12 @@
 //! delay, which is how supervisor tests get a replica that reliably
 //! "crashes" without reaching for `kill`.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use graphaug_serve::net::{listen, Next, Reply};
 use graphaug_serve::proto::{parse_request, Request};
 
 struct Args {
@@ -75,50 +74,27 @@ fn rec_line(gen: u64, user: u32, k: usize) -> String {
     format!("OK gen={gen} user={user} k={k} items={items} bits={bits}")
 }
 
-fn handle(stream: TcpStream, gen: u64, users: u32, requests: &AtomicU64) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let reader = BufReader::new(read_half);
-    let mut w = BufWriter::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+/// Appends the response line(s) for one request.
+fn respond(line: &str, reply: &mut Reply, gen: u64, users: u32, requests: &AtomicU64) -> Next {
+    match parse_request(line) {
+        Ok(Request::Rec { users: us, k, .. }) => {
+            requests.fetch_add(us.len() as u64, Ordering::Relaxed);
+            for u in us {
+                reply.line(rec_line(gen, u, k));
+            }
         }
-        let done = match parse_request(&line) {
-            Ok(Request::Rec { users: us, k, .. }) => {
-                requests.fetch_add(us.len() as u64, Ordering::Relaxed);
-                for u in us {
-                    let _ = writeln!(w, "{}", rec_line(gen, u, k));
-                }
-                false
-            }
-            Ok(Request::Stats) => {
-                let _ = writeln!(
-                    w,
-                    "STATS gen={gen} users={users} items=100000 table_bytes=0 requests={}",
-                    requests.load(Ordering::Relaxed)
-                );
-                false
-            }
-            Ok(Request::Ping) => {
-                let _ = writeln!(w, "PONG");
-                false
-            }
-            Ok(Request::Quit) => {
-                let _ = writeln!(w, "BYE");
-                true
-            }
-            Err(msg) => {
-                let _ = writeln!(w, "ERR {msg}");
-                false
-            }
-        };
-        if w.flush().is_err() || done {
-            break;
+        Ok(Request::Stats) => reply.line(format_args!(
+            "STATS gen={gen} users={users} items=100000 table_bytes=0 requests={}",
+            requests.load(Ordering::Relaxed)
+        )),
+        Ok(Request::Ping) => reply.line("PONG"),
+        Ok(Request::Quit) => {
+            reply.line("BYE");
+            return Next::Close;
         }
+        Err(msg) => reply.line(format_args!("ERR {msg}")),
     }
+    Next::Continue
 }
 
 fn main() -> ExitCode {
@@ -130,30 +106,29 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let listener = match TcpListener::bind("127.0.0.1:0") {
+    let requests = Arc::new(AtomicU64::new(0));
+    let (gen, users) = (args.gen, args.users);
+    let listener = listen("127.0.0.1:0", "mock-replica", move || {
+        let requests = requests.clone();
+        move |line: &str, reply: &mut Reply| respond(line, reply, gen, users, &requests)
+    });
+    let listener = match listener {
         Ok(l) => l,
         Err(e) => {
             eprintln!("mock_replica: bind: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let addr = listener.local_addr().expect("bound");
-    println!("READY addr={addr} gen={}", args.gen);
+    println!("READY addr={} gen={gen}", listener.addr());
 
-    if let Some(ms) = args.die_ms {
-        std::thread::spawn(move || {
+    match args.die_ms {
+        Some(ms) => {
             std::thread::sleep(Duration::from_millis(ms));
             // A deliberate crash, distinguishable from a clean exit.
-            std::process::exit(3);
-        });
+            std::process::exit(3)
+        }
+        None => loop {
+            std::thread::park();
+        },
     }
-
-    let requests = Arc::new(AtomicU64::new(0));
-    for conn in listener.incoming() {
-        let Ok(stream) = conn else { continue };
-        let requests = requests.clone();
-        let (gen, users) = (args.gen, args.users);
-        std::thread::spawn(move || handle(stream, gen, users, &requests));
-    }
-    ExitCode::SUCCESS
 }

@@ -56,12 +56,13 @@
 //! the serving tier. On the public port the verb answers a typed
 //! `ERR admin …` and touches nothing.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use graphaug_serve::net::{listen, ListenerHandle, Next, Reply};
 use graphaug_serve::proto::{parse_request, Request};
 use graphaug_serve::{stats_field, ServeClient};
 
@@ -598,138 +599,78 @@ fn handle_replace(router: &Router, rest: &str) -> String {
     }
 }
 
-/// Writes the response line(s) for one request. `Err(())` means the
-/// connection should close (QUIT or a write failure). `admin` selects the
+/// Appends the response line(s) for one request. `admin` selects the
 /// surface: `REPLACE` is honored only on the admin listener and answers a
 /// typed `ERR admin …` on the public port.
 fn respond(
     router: &Router,
     down: &mut Downstream,
     line: &str,
-    w: &mut impl Write,
+    reply: &mut Reply,
     admin: bool,
-) -> Result<(), ()> {
-    let put = |w: &mut dyn Write, s: &str| -> Result<(), ()> { writeln!(w, "{s}").map_err(|_| ()) };
+) -> Next {
     if let Some(rest) = line.strip_prefix("REPLACE") {
-        if !admin {
-            return put(
-                w,
-                "ERR admin REPLACE is admin-only (connect to the admin listener)",
-            );
+        if admin {
+            reply.line(handle_replace(router, rest));
+        } else {
+            reply.line("ERR admin REPLACE is admin-only (connect to the admin listener)");
         }
-        return put(w, &handle_replace(router, rest));
+        return Next::Continue;
     }
     match parse_request(line) {
         Ok(Request::Rec { users, k, exact }) => {
-            for reply in route_rec(router, down, &users, k, exact) {
-                put(w, &reply)?;
+            for routed in route_rec(router, down, &users, k, exact) {
+                reply.line(routed);
             }
-            Ok(())
         }
-        Ok(Request::Stats) => put(w, &route_stats(router, down)),
-        Ok(Request::Ping) => put(w, "PONG"),
+        Ok(Request::Stats) => reply.line(route_stats(router, down)),
+        Ok(Request::Ping) => reply.line("PONG"),
         Ok(Request::Quit) => {
-            put(w, "BYE")?;
-            Err(())
+            reply.line("BYE");
+            return Next::Close;
         }
-        Err(msg) => put(w, &format!("ERR {msg}")),
+        Err(msg) => reply.line(format_args!("ERR {msg}")),
     }
-}
-
-fn handle_connection(router: &Router, stream: TcpStream, admin: bool) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let mut down = Downstream::new(&router.cfg);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let done = respond(router, &mut down, &line, &mut writer, admin).is_err();
-        if writer.flush().is_err() || done {
-            break;
-        }
-    }
+    Next::Continue
 }
 
 /// A running router; dropping (or calling [`RouterHandle::stop`]) shuts
-/// both accept loops and the prober down. Open connections finish on
-/// their own threads.
+/// both accept loops and the prober down, in that order. Open connections
+/// finish on their own threads.
 pub struct RouterHandle {
-    addr: SocketAddr,
-    admin_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    admin_thread: Option<std::thread::JoinHandle<()>>,
-    prober: Option<Prober>,
+    public: ListenerHandle,
+    admin: ListenerHandle,
+    _prober: Prober,
 }
 
 impl RouterHandle {
     /// The bound public (serving) address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.public.addr()
     }
 
     /// The bound admin address — loopback, `REPLACE` lives here.
     pub fn admin_addr(&self) -> SocketAddr {
-        self.admin_addr
+        self.admin.addr()
     }
 
     /// Stops accepting, joins both accept loops, and stops the prober.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect(self.addr);
-        let _ = TcpStream::connect(self.admin_addr);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.admin_thread.take() {
-            let _ = h.join();
-        }
-        if let Some(p) = self.prober.take() {
-            p.stop();
-        }
-    }
+    pub fn stop(self) {}
 }
 
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn spawn_accept_loop(
+/// One listener of the router: each connection gets its own [`Downstream`]
+/// cache, so replica connections are never shared between clients.
+fn listen_surface(
     router: Arc<Router>,
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
+    addr: &str,
+    thread_name: &str,
     admin: bool,
-) -> io::Result<std::thread::JoinHandle<()>> {
-    let name = if admin {
-        "graphaug-router-admin"
-    } else {
-        "graphaug-router-accept"
-    };
-    std::thread::Builder::new()
-        .name(name.into())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let router = router.clone();
-                let _ = std::thread::Builder::new()
-                    .name("graphaug-router-conn".into())
-                    .spawn(move || handle_connection(&router, stream, admin));
-            }
-        })
+) -> io::Result<ListenerHandle> {
+    listen(addr, thread_name, move || {
+        let router = router.clone();
+        let mut down = Downstream::new(&router.cfg);
+        move |line: &str, reply: &mut Reply| respond(&router, &mut down, line, reply, admin)
+    })
 }
 
 /// Binds `addr` (e.g. `127.0.0.1:0`) and serves `router` until the handle
@@ -740,39 +681,31 @@ pub fn start(router: Arc<Router>, addr: &str) -> io::Result<RouterHandle> {
 }
 
 /// Binds the public listener on `addr` and the admin listener on
-/// `admin_addr` — which **must** resolve to a loopback interface: the
+/// `admin_addr` — which **must** resolve to loopback addresses only: the
 /// admin surface can re-point shards, so exposing it beyond the box that
-/// runs the router is refused outright rather than merely discouraged.
-/// One accept loop per listener, one thread per connection, plus the
-/// background health prober.
+/// runs the router is refused outright (before anything is bound) rather
+/// than merely discouraged. Two listeners plus the background health
+/// prober.
 pub fn start_with_admin(
     router: Arc<Router>,
     addr: &str,
     admin_addr: &str,
 ) -> io::Result<RouterHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let admin_listener = TcpListener::bind(admin_addr)?;
-    let admin_local = admin_listener.local_addr()?;
-    if !admin_local.ip().is_loopback() {
+    if !admin_addr.to_socket_addrs()?.all(|a| a.ip().is_loopback()) {
         return Err(io::Error::other(format!(
-            "admin listener must bind a loopback address, got {admin_local}"
+            "admin listener must bind a loopback address, got {admin_addr}"
         )));
     }
-    let stop = Arc::new(AtomicBool::new(false));
+    let public = listen_surface(router.clone(), addr, "graphaug-router", false)?;
+    let admin = listen_surface(router.clone(), admin_addr, "graphaug-router-admin", true)?;
     let prober = spawn_prober(
         router.health.clone(),
         router.cfg.probe_period,
         router.cfg.connect_timeout,
     );
-    let accept_thread = spawn_accept_loop(router.clone(), listener, stop.clone(), false)?;
-    let admin_thread = spawn_accept_loop(router, admin_listener, stop.clone(), true)?;
     Ok(RouterHandle {
-        addr: local,
-        admin_addr: admin_local,
-        stop,
-        accept_thread: Some(accept_thread),
-        admin_thread: Some(admin_thread),
-        prober: Some(prober),
+        public,
+        admin,
+        _prober: prober,
     })
 }

@@ -687,3 +687,12 @@ fn mid_response_death_fails_over_instead_of_relaying_truncation() {
     handle.stop();
     real.stop();
 }
+
+#[test]
+fn a_non_loopback_admin_address_is_refused() {
+    let router = Router::new(RouterConfig::new(vec!["127.0.0.1:1".to_string()]));
+    let err = graphaug_router::start_with_admin(router, "127.0.0.1:0", "0.0.0.0:0")
+        .err()
+        .expect("an admin listener on every interface must be refused");
+    assert!(err.to_string().contains("loopback"), "{err}");
+}

@@ -17,6 +17,9 @@
 //! mismatches with a typed [`SnapshotError`] — a torn or bit-flipped
 //! checkpoint must *never* be half-loaded into a training run.
 
+/// The frame checksum: the one FNV-1a-64 the ingestion log's records use.
+pub use graphaug_ingest::fnv1a64;
+
 /// File magic identifying a GraphAug checkpoint.
 pub const MAGIC: &[u8; 8] = b"GAUGCKPT";
 
@@ -81,18 +84,6 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
-
-/// FNV-1a 64-bit checksum — tiny, dependency-free, and plenty to catch the
-/// torn writes and flipped bytes this layer defends against (it is not a
-/// cryptographic integrity guarantee).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Wraps a payload in the checksummed snapshot frame.
 pub fn frame(payload: &[u8]) -> Vec<u8> {

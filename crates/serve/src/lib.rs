@@ -78,6 +78,10 @@ pub mod server;
 pub mod tables;
 pub mod workload;
 
+/// The line-server scaffold [`serve`] runs on, re-exported for the crates
+/// above this one (the router, `mock_replica`).
+pub use graphaug_ingest::net;
+
 pub use ann::{IvfIndex, IvfParams};
 pub use cache::LruCache;
 pub use client::{percentile, resolve_addr, stats_field, LatencySummary, ServeClient};

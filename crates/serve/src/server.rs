@@ -1,167 +1,102 @@
-//! A dependency-free blocking TCP server for the serving engine.
-//!
-//! One accept loop in a background thread, one thread per connection,
-//! line-buffered I/O — deliberately boring: the interesting guarantees
-//! (atomic table swaps, batch consistency, cache correctness) live in the
-//! [`crate::engine`] layer, and this layer only moves lines.
+//! The serving engine's TCP verbs, on the shared line-server scaffold
+//! ([`crate::net`]; DESIGN.md, "One line server"). Deliberately boring: the
+//! interesting guarantees (atomic table swaps, batch consistency, cache
+//! correctness) live in the [`crate::engine`] layer, and this layer only
+//! moves lines.
 //!
 //! A `REC` request with multiple users is served through
 //! [`crate::Engine::recommend_batch`], so the whole batch is answered from
 //! one table snapshot (one generation) and fans out over `graphaug-par`.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::engine::Engine;
+use crate::net::{listen, ListenerHandle, Next, Reply};
 use crate::proto::{ok_line, parse_request, Request};
 use crate::tables::ServeError;
 
-/// A running server; dropping (or calling [`ServerHandle::stop`]) shuts
-/// the accept loop down. Already-open connections finish on their own
-/// threads.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting new connections and joins the accept loop.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Unblock the accept() call with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
+/// A running server; dropping (or calling `stop()`) shuts the accept loop
+/// down. Already-open connections finish on their own threads.
+pub type ServerHandle = ListenerHandle;
 
 /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and serves
 /// `engine` until the handle is stopped.
 pub fn serve(engine: Arc<Engine>, addr: &str) -> Result<ServerHandle, ServeError> {
-    let listener = TcpListener::bind(addr).map_err(|e| ServeError::Io(e.to_string()))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| ServeError::Io(e.to_string()))?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = stop.clone();
-    let accept_thread = std::thread::Builder::new()
-        .name("graphaug-serve-accept".into())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                if stop_flag.load(Ordering::Relaxed) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let engine = engine.clone();
-                let _ = std::thread::Builder::new()
-                    .name("graphaug-serve-conn".into())
-                    .spawn(move || handle_connection(&engine, stream));
-            }
-        })
-        .map_err(|e| ServeError::Io(e.to_string()))?;
-    Ok(ServerHandle {
-        addr: local,
-        stop,
-        accept_thread: Some(accept_thread),
+    listen(addr, "graphaug-serve", move || {
+        let engine = engine.clone();
+        move |line: &str, reply: &mut Reply| respond(&engine, line, reply)
     })
+    .map_err(|e| ServeError::Io(e.to_string()))
 }
 
-fn handle_connection(engine: &Engine, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let done = respond(engine, &line, &mut writer).is_err();
-        if writer.flush().is_err() || done {
-            break;
-        }
-    }
-}
-
-/// Writes the response line(s) for one request. `Err(())` means the
-/// connection should close (QUIT or a write failure).
-fn respond(engine: &Engine, line: &str, w: &mut impl Write) -> Result<(), ()> {
-    let put = |w: &mut dyn Write, s: &str| -> Result<(), ()> { writeln!(w, "{s}").map_err(|_| ()) };
+/// Appends the response line(s) for one request.
+fn respond(engine: &Engine, line: &str, reply: &mut Reply) -> Next {
     match parse_request(line) {
         Ok(Request::Rec { users, k, exact }) => {
             let requests: Vec<(u32, usize)> = users.into_iter().map(|u| (u, k)).collect();
             for result in engine.recommend_batch_mode(&requests, exact) {
                 match result {
-                    Ok(rec) => put(w, &ok_line(&rec))?,
-                    Err(e) => put(w, &format!("ERR {e}"))?,
+                    Ok(rec) => reply.line(ok_line(&rec)),
+                    Err(e) => reply.line(format_args!("ERR {e}")),
                 }
             }
-            Ok(())
         }
         Ok(Request::Stats) => {
             let s = engine.stats();
             let tables = engine.tables();
-            put(
-                w,
-                &format!(
-                    "STATS gen={} users={} items={} requests={} cache_hits={} \
+            reply.line(format_args!(
+                "STATS gen={} users={} items={} requests={} cache_hits={} \
                      cache_misses={} reloads={} reload_errors={} ann={} \
                      ann_probes={} ann_cands={} exact_fallbacks={} recall_sampled={} \
                      quant={} table_bytes={} quant_served={} drift_sampled={} \
                      reload_skips={} ingested={} log_offset={} finetunes={}",
-                    s.generation,
-                    tables.n_users(),
-                    tables.n_items(),
-                    s.requests,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.reloads,
-                    s.reload_errors,
-                    if s.ann_on { "on" } else { "off" },
-                    s.ann_probes,
-                    s.ann_cands,
-                    s.exact_fallbacks,
-                    // `-` until the self-audit has sampled anything, so the
-                    // field is always present and splittable.
-                    s.recall_sampled
-                        .map_or_else(|| "-".to_string(), |r| format!("{r:.4}")),
-                    if s.quant_on { "on" } else { "off" },
-                    s.table_bytes,
-                    s.quant_served,
-                    s.drift_sampled
-                        .map_or_else(|| "-".to_string(), |r| format!("{r:.4}")),
-                    s.reload_skips,
-                    s.ingested,
-                    s.log_offset,
-                    s.finetunes,
-                ),
-            )
+                s.generation,
+                tables.n_users(),
+                tables.n_items(),
+                s.requests,
+                s.cache_hits,
+                s.cache_misses,
+                s.reloads,
+                s.reload_errors,
+                if s.ann_on { "on" } else { "off" },
+                s.ann_probes,
+                s.ann_cands,
+                s.exact_fallbacks,
+                // `-` until the self-audit has sampled anything, so the
+                // field is always present and splittable.
+                s.recall_sampled
+                    .map_or_else(|| "-".to_string(), |r| format!("{r:.4}")),
+                if s.quant_on { "on" } else { "off" },
+                s.table_bytes,
+                s.quant_served,
+                s.drift_sampled
+                    .map_or_else(|| "-".to_string(), |r| format!("{r:.4}")),
+                s.reload_skips,
+                s.ingested,
+                s.log_offset,
+                s.finetunes,
+            ));
         }
-        Ok(Request::Ping) => put(w, "PONG"),
+        Ok(Request::Ping) => reply.line("PONG"),
         Ok(Request::Quit) => {
-            put(w, "BYE")?;
-            Err(())
+            reply.line("BYE");
+            return Next::Close;
         }
-        Err(msg) => put(w, &format!("ERR {msg}")),
+        Err(msg) => reply.line(format_args!("ERR {msg}")),
+    }
+    Next::Continue
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::net::MAX_LINE_BYTES;
+    use crate::proto::{parse_request, MAX_K, MAX_REC_USERS};
+
+    #[test]
+    fn the_longest_legal_request_fits_under_the_line_cap() {
+        let users = vec![u32::MAX.to_string(); MAX_REC_USERS].join(",");
+        let line = format!("RECX {users} {MAX_K}");
+        assert!(parse_request(&line).is_ok());
+        assert!(line.len() < MAX_LINE_BYTES, "{} bytes", line.len());
     }
 }
