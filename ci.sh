@@ -60,7 +60,7 @@ cleanup() {
         [[ -n "$pid" ]] && wait "$pid" 2>/dev/null || true
     done
     for dir in "${CLEANUP_DIRS[@]:-}"; do
-        [[ -n "$dir" ]] && rm -rf "$dir"
+        [[ -n "$dir" ]] && rm -rf "$dir" || true
     done
 }
 trap cleanup EXIT
@@ -182,6 +182,19 @@ group_bench() {
         cargo run --release --offline -q -p graphaug-bench --bin bench_baseline smoke
     cargo run --release --offline -q -p graphaug-bench --bin bench_compare -- \
         /tmp/graphaug_bench_smoke.json /tmp/graphaug_bench_smoke.json
+
+    stage "bench smoke: the backward kernels are on the ledger"
+    # The training step is mostly `Graph::backward`, and for nine PRs no
+    # recorded line timed any of it; a line that drops out of the recorder
+    # is a kernel nobody may claim to have sped up (ROADMAP needle 1).
+    local line
+    for line in 'matmul_nt/' 'spmm_ew_dw' 'edge_mlp_forward_backward'; do
+        if ! grep -q "\"name\": \"$line" /tmp/graphaug_bench_smoke.json; then
+            echo "ERROR: no '$line' line in the bench smoke report" >&2
+            exit 1
+        fi
+    done
+    echo "ok: matmul_nt/, spmm_ew_dw, edge_mlp_forward_backward recorded"
 }
 
 stage_kill_resume() {

@@ -1,5 +1,6 @@
 //! Records the perf-trajectory baseline: the spmm, matmul, mixhop_forward,
-//! sampling, top-K evaluation, and augmentor workloads in one process,
+//! sampling, training-step, top-K evaluation, and augmentor workloads, then
+//! the checkpoint, serving, router and ingestion suites, in one process,
 //! written as `BENCH_seed.json` so future PRs have a stable comparison
 //! point (run from the repo root:
 //! `cargo run --release --offline -p graphaug-bench --bin bench_baseline`).
@@ -16,6 +17,7 @@ fn main() {
     perf::matmul(&mut h);
     perf::mixhop_forward(&mut h);
     perf::sampling(&mut h);
+    perf::autodiff_epoch(&mut h);
     perf::topk_eval(&mut h);
     perf::augmentor(&mut h);
     perf::checkpoint(&mut h);

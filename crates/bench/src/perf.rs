@@ -10,7 +10,7 @@ use graphaug_core::augmentor::{
 };
 use graphaug_core::mixhop::{encode_mixhop, encode_vanilla, mixing_row_shape};
 use graphaug_core::{GraphAug, GraphAugConfig};
-use graphaug_data::{generate, SyntheticConfig};
+use graphaug_data::{generate, Dataset, SyntheticConfig};
 use graphaug_eval::{evaluate, topk_indices};
 use graphaug_graph::TripletSampler;
 use graphaug_router::{shard_of, spawn_ready, start as start_router, Router, RouterConfig};
@@ -49,6 +49,33 @@ pub fn spmm(h: &mut Harness) {
                 black_box(&out);
             },
         );
+
+        // The two backward kernels of the edge-weighted product over the
+        // same pattern (`Op::SpmmEw`): one dot product per stored entry,
+        // and the transposed-plan accumulation into the dense gradient.
+        let dy: Vec<f32> = (0..adj.n_rows() * d)
+            .map(|i| (i as f32 * 0.53).cos())
+            .collect();
+        let mut dw = vec![0f32; adj.nnz()];
+        h.bench_throughput(
+            &format!("spmm_ew_dw/d32/{label}"),
+            edges,
+            "Medges/s",
+            || {
+                adj.spmm_ew_dw_into(black_box(&dense), black_box(&dy), d, &mut dw);
+                black_box(&dw);
+            },
+        );
+        let mut dh = vec![0f32; adj.n_cols() * d];
+        h.bench_throughput(
+            &format!("spmm_ew_dh/d32/{label}"),
+            edges,
+            "Medges/s",
+            || {
+                adj.spmm_ew_dh_acc_into(black_box(adj.data()), black_box(&dy), d, &mut dh);
+                black_box(&dh);
+            },
+        );
     }
 }
 
@@ -71,6 +98,34 @@ pub fn matmul(h: &mut Harness) {
             black_box(black_box(&a).matmul_tn(black_box(&c)).as_slice()[0]);
         });
     }
+
+    // The backward shapes of the same step: `Op::MatMul`'s input gradient
+    // `g × wᵀ` for both edge-MLP layers, its weight gradient for the
+    // one-column output layer, and the InfoNCE similarity block
+    // (`Op::MatMulNT` forward). Labels read n×k×m for an n×k by (m×k)ᵀ
+    // product.
+    for (label, n, k, m) in [
+        ("edge_mlp_grad_8000x16x64", 8000usize, 16usize, 64usize),
+        ("mlp_out_grad_8000x1x16", 8000, 1, 16),
+        ("infonce_256x32x256", 256, 32, 256),
+    ] {
+        let a = xavier_uniform(n, k, &mut rng);
+        let b = xavier_uniform(m, k, &mut rng);
+        let flops = 2.0 * n as f64 * k as f64 * m as f64;
+        h.bench_throughput(&format!("matmul_nt/{label}"), flops, "GFLOP/s", || {
+            black_box(black_box(&a).matmul_nt(black_box(&b)).as_slice()[0]);
+        });
+    }
+    let hidden = xavier_uniform(8000, 16, &mut rng);
+    let g = xavier_uniform(8000, 1, &mut rng);
+    h.bench_throughput(
+        "matmul_tn/mlp_out_8000x16x1",
+        2.0 * 8000.0 * 16.0,
+        "GFLOP/s",
+        || {
+            black_box(black_box(&hidden).matmul_tn(black_box(&g)).as_slice()[0]);
+        },
+    );
 }
 
 /// Mixhop encoder forward pass vs the vanilla-GCN ablation — the ablation
@@ -126,6 +181,17 @@ pub fn autodiff_epoch(h: &mut Harness) {
     let mut sampler = TripletSampler::new(&train, 5);
     h.bench("graphaug_train_step_bpr_only", || {
         black_box(base.train_step(&mut sampler).loss);
+    });
+
+    // The step the end-to-end `train_gowalla` workload times: the Gowalla
+    // preset's train split (~15k edges over ~1.7k nodes), where the
+    // per-edge augmentor terms weigh what they do in the paper's setting —
+    // the 6k-edge graph above under-weights every E-proportional term.
+    let train = split_graph(&Dataset::Gowalla.load()).train;
+    let mut model = GraphAug::new(GraphAugConfig::new().seed(3), &train);
+    let mut sampler = TripletSampler::new(&train, 5);
+    h.bench("graphaug_train_step_gowalla_preset", || {
+        black_box(model.train_step(&mut sampler).loss);
     });
 }
 
@@ -213,7 +279,8 @@ pub fn augmentor(h: &mut Harness) {
         leaky_slope: 0.5,
     };
 
-    h.bench("edge_logits_8k_edges", || {
+    // Records the scorer on a fresh tape: parameters, then Eq. 4's logits.
+    let record = || {
         let mut g = Graph::new();
         let hb = g.constant(h_bar.clone());
         let mlp = AugmentorNodes {
@@ -223,20 +290,26 @@ pub fn augmentor(h: &mut Harness) {
             b2: g.constant(Mat::zeros(1, 1)),
         };
         let mut r = seeded_rng(3);
-        let l = edge_logits(&mut g, hb, &idx, &mlp, &settings, &mut r);
+        let logits = edge_logits(&mut g, hb, &idx, &mlp, &settings, &mut r);
+        (g, mlp, logits, r)
+    };
+
+    h.bench("edge_logits_8k_edges", || {
+        let (g, _, l, _) = record();
         black_box(g.value(l).as_slice()[0]);
     });
 
-    let mut g = Graph::new();
-    let hb = g.constant(h_bar.clone());
-    let mlp = AugmentorNodes {
-        w1: g.constant(w1.clone()),
-        b1: g.constant(Mat::zeros(1, hidden)),
-        w2: g.constant(w2.clone()),
-        b2: g.constant(Mat::zeros(1, 1)),
-    };
-    let mut r = seeded_rng(3);
-    let logits = edge_logits(&mut g, hb, &idx, &mlp, &settings, &mut r);
+    // The same scorer with its reverse pass — `Op::MatMul`'s `matmul_nt`
+    // input gradients and `matmul_tn` weight gradients over every edge,
+    // which a training step pays on top of the forward above.
+    h.bench("edge_mlp_forward_backward_8k_edges", || {
+        let (mut g, mlp, l, _) = record();
+        let loss = g.sum_all(l);
+        g.backward(loss);
+        black_box(g.grad(mlp.w1).expect("w1 is on the loss path").as_slice()[0]);
+    });
+
+    let (mut g, _, logits, mut r) = record();
     // Rewind the tape each draw — otherwise the warmup window alone grows
     // the tape by hundreds of live view buffers and the bench measures
     // allocator pressure instead of sampling cost.

@@ -65,6 +65,25 @@ impl Gen {
     pub fn vec_of<T>(&mut self, n: usize, mut f: impl FnMut(&mut Gen) -> T) -> Vec<T> {
         (0..n).map(|_| f(self)).collect()
     }
+
+    /// `n` floats in `(-2, 2)` salted with `+0.0`, `-0.0` and exactly
+    /// cancelling neighbours — the input of the bit-for-bit kernel specs:
+    /// signed zeros and zero partial sums are where a changed association
+    /// or a dropped `0.0 + x` step shows in the output bits without any
+    /// rounding having to differ.
+    pub fn signed_zero_f32s(&mut self, n: usize) -> Vec<f32> {
+        let mut v = self.vec_of(n, |g| match g.random_range(0u32..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => g.random_range(-2.0f32..2.0),
+        });
+        for i in 1..n {
+            if self.random_range(0u32..6) == 0 {
+                v[i] = -v[i - 1];
+            }
+        }
+        v
+    }
 }
 
 // Value draws go straight through to the RNG (`g.random_range(-2.0..2.0)`),

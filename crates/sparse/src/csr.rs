@@ -10,8 +10,11 @@
 //! compiled through `simd_dispatch!` into an AVX2 build and a scalar build
 //! of the same fixed-order source — the two are bit-identical, so
 //! `GRAPHAUG_SIMD` is purely a performance knob. The `spmm_ew` weight
-//! gradient reduces per-entry dot products through [`dot8`]'s fixed lane
-//! tree (shared with `matmul_nt`).
+//! gradient is one [`dot8`] per stored entry (the reduction order it shares
+//! with `matmul_nt`), but at those widths it is not evaluated one entry at
+//! a time: a row's entries go eight per pass, `dot8`'s pair tree applied
+//! across the eight lane vectors instead of collapsing each on its own —
+//! same bits, no horizontal reduction (see `spmm_dw_span`).
 
 use graphaug_par::{dot8, simd_dispatch, F32x8};
 use std::sync::OnceLock;
@@ -554,22 +557,96 @@ fn spmm_span_generic(
 }
 
 simd_dispatch! {
-    /// Span kernel of the `spmm_ew` weight gradient: one [`dot8`] per
-    /// stored entry of the rows in `rr_start..rr_end`, written to the
-    /// chunk's disjoint `dw` span.
+    /// Span kernel of the `spmm_ew` weight gradient: `dw[e] = dot8(dY[r],
+    /// H[col(e)])`, bit for bit, for every stored entry of the rows
+    /// `rr_start..rr_end`, written to the chunk's disjoint `dw` span. The
+    /// embedding widths the workspace uses take a row's entries eight at a
+    /// time ([`spmm_dw_row_lanes`]); leftover entries and every other
+    /// width call `dot8` per entry ([`spmm_dw_entries`]).
     #[allow(clippy::too_many_arguments)]
     fn spmm_dw_span(indptr: &[usize], indices: &[u32], h: &[f32], dy: &[f32], d: usize, rr_start: usize, rr_end: usize, dws: &mut [f32]) {
-        let mut k = 0usize;
+        let base = indptr[rr_start];
         for r in rr_start..rr_end {
-            let cols = &indices[indptr[r]..indptr[r + 1]];
+            let (s, e) = (indptr[r], indptr[r + 1]);
+            let (cols, out) = (&indices[s..e], &mut dws[s - base..e - base]);
             let grow = &dy[r * d..r * d + d];
-            for &c in cols {
-                let hrow = &h[c as usize * d..c as usize * d + d];
-                dws[k] = dot8(grow, hrow);
-                k += 1;
+            match d {
+                8 => spmm_dw_row_lanes::<1>(cols, h, grow, out),
+                16 => spmm_dw_row_lanes::<2>(cols, h, grow, out),
+                32 => spmm_dw_row_lanes::<4>(cols, h, grow, out),
+                64 => spmm_dw_row_lanes::<8>(cols, h, grow, out),
+                _ => spmm_dw_entries(cols, h, grow, out),
             }
         }
     }
+}
+
+/// The per-entry form of the weight gradient: one [`dot8`] for each of
+/// `cols` against the upstream-gradient row `grow`.
+#[inline(always)]
+fn spmm_dw_entries(cols: &[u32], h: &[f32], grow: &[f32], out: &mut [f32]) {
+    let d = grow.len();
+    for (o, &c) in out.iter_mut().zip(cols) {
+        *o = dot8(grow, &h[c as usize * d..c as usize * d + d]);
+    }
+}
+
+/// One row of the weight gradient at a width of `NL` 8-wide lanes, eight
+/// entries per pass. The `dY[r]` lanes are loaded once per row; each entry
+/// then forms `dot8`'s `acc0 + acc1` lane vector ([`dot8_lanes`]), and
+/// [`F32x8::hsum`]'s pair tree is applied across the 8 × 8 block — lane
+/// position by lane position over eight entries — instead of collapsing
+/// each vector on its own. Per entry the multiplies, adds and association
+/// are `dot8`'s (a width of whole 8-blocks has no scalar tail, so its
+/// `+ tail` is `+ 0.0`); entries past the last full eight call `dot8`.
+#[inline(always)]
+fn spmm_dw_row_lanes<const NL: usize>(cols: &[u32], h: &[f32], grow: &[f32], out: &mut [f32]) {
+    let d = NL * 8;
+    let mut g = [F32x8::zero(); NL];
+    for (l, g) in g.iter_mut().enumerate() {
+        *g = F32x8::load(&grow[l * 8..]);
+    }
+    let full = cols.len() - cols.len() % 8;
+    for (cols, out) in cols[..full]
+        .chunks_exact(8)
+        .zip(out[..full].chunks_exact_mut(8))
+    {
+        let mut v = [F32x8::zero(); 8];
+        for (v, &c) in v.iter_mut().zip(cols) {
+            *v = dot8_lanes(&g, &h[c as usize * d..c as usize * d + d]);
+        }
+        // s[l] holds lane `l` of the eight entries' vectors.
+        let mut s = [F32x8::zero(); 8];
+        for (l, s) in s.iter_mut().enumerate() {
+            for (u, v) in v.iter().enumerate() {
+                s.0[u] = v.0[l];
+            }
+        }
+        let lo = s[0].add(s[1]).add(s[2].add(s[3]));
+        let hi = s[4].add(s[5]).add(s[6].add(s[7]));
+        lo.add(hi).add(F32x8::zero()).store(out);
+    }
+    spmm_dw_entries(&cols[full..], h, grow, &mut out[full..]);
+}
+
+/// [`dot8`]'s two accumulators over a row of `NL` whole 8-blocks, merged:
+/// even blocks into `acc0`, odd blocks into `acc1`, each from `0.0` in
+/// ascending order, then `acc0 + acc1` — everything `dot8` does before its
+/// horizontal sum.
+#[inline(always)]
+fn dot8_lanes<const NL: usize>(g: &[F32x8; NL], hrow: &[f32]) -> F32x8 {
+    let mut acc0 = F32x8::zero();
+    let mut acc1 = F32x8::zero();
+    let mut l = 0usize;
+    while l + 2 <= NL {
+        acc0 = acc0.mul_acc(g[l], F32x8::load(&hrow[l * 8..]));
+        acc1 = acc1.mul_acc(g[l + 1], F32x8::load(&hrow[l * 8 + 8..]));
+        l += 2;
+    }
+    if l < NL {
+        acc0 = acc0.mul_acc(g[l], F32x8::load(&hrow[l * 8..]));
+    }
+    acc0.add(acc1)
 }
 
 simd_dispatch! {

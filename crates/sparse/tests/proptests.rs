@@ -208,3 +208,55 @@ fn spmm_wide_operands_match_dense_reference() {
         Ok(())
     });
 }
+
+/// The definition of the `spmm_ew` weight gradient, kept only here: one
+/// `dot8(dY[row], H[col])` per stored entry. The kernel takes a row's
+/// entries eight at a time at the lane widths; this fails if that ever
+/// changes a multiply, an add or their association. Row lengths cover no
+/// entries, leftovers only (1, 7), exactly one eight, eights plus leftovers
+/// (9, 17) and several eights (40); the inputs are
+/// `Gen::signed_zero_f32s`.
+#[test]
+fn spmm_ew_dw_is_dot8_per_entry_bit_for_bit() {
+    check("spmm_ew_dw_is_dot8_per_entry_bit_for_bit", 6, |g| {
+        let row_lens = [0usize, 1, 7, 8, 9, 17, 40];
+        let n_cols = 53usize;
+        // 70 rows span two parallel chunks; lengths cycle through the list.
+        let n_rows = 70usize;
+        let mut triplets = Vec::new();
+        for r in 0..n_rows {
+            let len = row_lens[r % row_lens.len()];
+            let stride = 1 + g.random_range(0..(n_cols / len.max(1)).max(1) as u32);
+            let first = g.random_range(0..n_cols as u32);
+            for t in 0..len as u32 {
+                triplets.push((r as u32, (first + t * stride) % n_cols as u32, 1.0));
+            }
+        }
+        let m = Csr::from_coo(n_rows, n_cols, triplets);
+        for r in 0..n_rows {
+            prop_assert_eq!(m.row(r).0.len(), row_lens[r % row_lens.len()]);
+        }
+        for d in [7usize, 8, 16, 32, 64] {
+            let h = g.signed_zero_f32s(n_cols * d);
+            let dy = g.signed_zero_f32s(n_rows * d);
+            let mut dw = vec![f32::NAN; m.nnz()];
+            m.spmm_ew_dw_into(&h, &dy, d, &mut dw);
+            for (e, (r, c, _)) in m.to_coo().iter().enumerate() {
+                let (r, c) = (*r as usize, *c as usize);
+                let want = graphaug_par::dot8(&dy[r * d..(r + 1) * d], &h[c * d..(c + 1) * d]);
+                prop_assert!(
+                    dw[e].to_bits() == want.to_bits(),
+                    "d={} entry {} ({},{}) of a {}-entry row: kernel {:e} vs dot8 {:e}",
+                    d,
+                    e,
+                    r,
+                    c,
+                    m.row(r).0.len(),
+                    dw[e],
+                    want
+                );
+            }
+        }
+        Ok(())
+    });
+}

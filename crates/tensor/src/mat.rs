@@ -11,14 +11,22 @@
 //! slice, with the k-reduction order fixed inside the kernel — so results
 //! are bit-identical under any `GRAPHAUG_THREADS`. Each span kernel is
 //! compiled twice from one fixed-order body — an AVX2 lane build and a
-//! scalar fallback — and dispatched at runtime (`graphaug_par::simd`);
-//! because the lane ops are explicit [`F32x8`] arithmetic with fixed
-//! reduction trees and no FMA, the two builds are bit-identical too.
-//! `matmul` (widths > 1) and `matmul_tn` keep the pre-lane ascending-k
-//! per-element order; `matmul_nt` and the width-1 `matmul` column reduce
-//! through [`graphaug_par::dot8`]'s fixed lane tree.
+//! scalar fallback — and dispatched at runtime (`graphaug_par::simd`). The
+//! bodies are either explicit [`F32x8`] arithmetic with fixed reduction
+//! trees, or plain loops over contiguous slices that the compiler
+//! vectorises across *outputs*; there is no FMA and no fast-math flag, so
+//! nothing may be fused or reassociated and the two builds are
+//! bit-identical too.
+//!
+//! Per-element orders: `matmul` (widths > 1) accumulates in ascending k, and
+//! so does `matmul_tn` (its lane widths per 256-step block — see
+//! `matmul_tn_span`). The width-1 `matmul` column and every element of
+//! `matmul_nt` are [`graphaug_par::dot8`]: the column calls it, `matmul_nt`
+//! evaluates its partial sums and its tree across output columns instead of
+//! once per element (`matmul_nt_span`), which leaves no horizontal
+//! reduction in the training step's largest backward product.
 
-use graphaug_par::{dot8, simd_dispatch, F32x8};
+use graphaug_par::{dot8, dot8_combine, dot8_partial, simd_dispatch, F32x8, DOT8_PARTIALS};
 
 /// A dense `rows × cols` matrix stored in row-major order.
 ///
@@ -210,15 +218,20 @@ impl Mat {
         out
     }
 
-    /// `self × otherᵀ` — rows of both operands are contiguous, so this is a
-    /// row-dot-row kernel, parallel over fixed chunks of output rows.
+    /// `self × otherᵀ`, parallel over fixed chunks of output rows. Every
+    /// output element is the row-dot-row `dot8(self.row(i), other.row(j))`,
+    /// bit for bit; `other` is transposed once per call (at most 32 KB at
+    /// every training shape, and not once per span) so that the span kernel
+    /// can evaluate that reduction across output columns — term `i` of
+    /// consecutive columns is then one contiguous load.
     pub fn matmul_nt(&self, other: &Mat) -> Mat {
         assert_eq!(self.cols, other.cols, "matmul_nt inner dimension mismatch");
         let (n, k, m) = (self.rows, self.cols, other.rows);
         let mut out = Mat::zeros(n, m);
         if m > 0 {
+            let bt = other.transpose();
             graphaug_par::parallel_rows(out.as_mut_slice(), m, |row0, rows| {
-                matmul_nt_span(&self.data, &other.data, k, m, row0, rows);
+                matmul_nt_span(&self.data, &other.data, &bt.data, k, m, row0, rows);
             });
         }
         out
@@ -295,14 +308,68 @@ simd_dispatch! {
     }
 }
 
+/// Column-tile width of [`matmul_nt_span`]: its 17 partial-sum rows of this
+/// many floats (4.3 KB) stay L1-resident next to the `Bᵀ` rows they sweep.
+const NT_TILE: usize = 64;
+
 simd_dispatch! {
-    /// Span kernel of `A × Bᵀ`: every output element is a row-dot-row
-    /// reduced through [`dot8`]'s fixed lane tree.
-    fn matmul_nt_span(a: &[f32], b: &[f32], k: usize, m: usize, row0: usize, rows: &mut [f32]) {
-        for (i, orow) in rows.chunks_exact_mut(m).enumerate() {
-            let arow = &a[(row0 + i) * k..(row0 + i) * k + k];
-            for (j, o) in orow.iter_mut().enumerate() {
-                *o = dot8(arow, &b[j * k..j * k + k]);
+    /// Span kernel of `A × Bᵀ`: every output element is the row-dot-row
+    /// `dot8(a_row, b_row)`, bit for bit, but no element is reduced on its
+    /// own. `dot8` is 17 partial sums — lane `l` of its two accumulators and
+    /// the tail, each started at `0.0` and fed its terms in ascending order
+    /// ([`dot8_partial`]) — and a fixed tree over them ([`dot8_combine`]).
+    /// Here each partial sum is a row of up to [`NT_TILE`] output columns:
+    /// term `i` is one `x · Bᵀ[i]` sweep into the row `dot8_partial(i, k)`
+    /// names (its first term written as `0.0 + x·b`, which is what an add
+    /// into a zeroed accumulator computes and what makes `-0.0` come out
+    /// `+0.0`), and the tree then adds whole rows. Same multiplies, same
+    /// adds, same association per element; the loops are plain column
+    /// sweeps, so neither the lane nor the scalar build has a horizontal
+    /// reduction left. The `m % 8` leftover columns — too few for a sweep
+    /// to pay — call `dot8` on the rows of `b` themselves.
+    #[allow(clippy::too_many_arguments)]
+    fn matmul_nt_span(a: &[f32], b: &[f32], bt: &[f32], k: usize, m: usize, row0: usize, rows: &mut [f32]) {
+        let (k8, m8) = (k - k % 8, m - m % 8);
+        // Rows `dot8` never feeds at this `k` are never written and stay 0.0.
+        let mut part = [[0f32; NT_TILE]; DOT8_PARTIALS];
+        for (r, orow) in rows.chunks_exact_mut(m).enumerate() {
+            let arow = &a[(row0 + r) * k..(row0 + r) * k + k];
+            for (t, out) in orow[..m8].chunks_mut(NT_TILE).enumerate() {
+                let w = out.len();
+                for (i, &x) in arow.iter().enumerate() {
+                    let bcol = &bt[i * m + t * NT_TILE..][..w];
+                    // Below one whole 8-block every lane sum is `0.0`, so is
+                    // their tree, and `dot8` returns `0.0 + tail` — which is
+                    // `tail`, bit for bit: a sum that began `0.0 + x` is
+                    // never `-0.0`. The tail is then accumulated in place.
+                    let p = if k8 == 0 {
+                        &mut *out
+                    } else {
+                        &mut part[dot8_partial(i, k)][..w]
+                    };
+                    // The first term of a lane sum, or of the tail.
+                    if i < k8.min(16) || i == k8 {
+                        for (p, &bv) in p.iter_mut().zip(bcol) {
+                            *p = 0.0 + x * bv;
+                        }
+                    } else {
+                        for (p, &bv) in p.iter_mut().zip(bcol) {
+                            *p += x * bv;
+                        }
+                    }
+                }
+                if k8 > 0 {
+                    for (j, o) in out.iter_mut().enumerate() {
+                        let mut p = [0f32; DOT8_PARTIALS];
+                        for (p, row) in p.iter_mut().zip(&part) {
+                            *p = row[j];
+                        }
+                        *o = dot8_combine(&p);
+                    }
+                }
+            }
+            for j in m8..m {
+                orow[j] = dot8(arow, &b[j * k..j * k + k]);
             }
         }
     }
@@ -314,9 +381,28 @@ simd_dispatch! {
     /// dimension: for each kk-block, row groups of the output accumulate in
     /// registers across the whole block (see [`matmul_tn_rows_lanes`]) and
     /// flush to memory once, keeping both operand streams cache-resident and
-    /// the output traffic negligible. Per output element the reduction is
-    /// pure ascending-k for every width path, thread count, and the
-    /// lane/scalar builds.
+    /// the output traffic negligible.
+    ///
+    /// Three paths by output width `m`, every output row on exactly one of
+    /// them as a function of the shape alone (the chunking never depends on
+    /// the thread count), so results are bit-identical across thread counts
+    /// and the lane/scalar builds:
+    ///
+    /// * 8/16/32/64 columns — the lane kernel, for the whole row groups of
+    ///   the span: per element, each kk-block is summed from `0.0` in
+    ///   ascending k and the block sums are added to the output in
+    ///   ascending block order.
+    /// * below 8 columns — [`matmul_tn_narrow`]: there is no 8-wide lane
+    ///   along so short a row, so the lanes run down the span's output rows
+    ///   instead; per element one ascending-k chain from the zeroed output.
+    /// * every other width, and the rows a lane width's row grouping leaves
+    ///   over — the scalar row-at-a-time loop at the bottom, the same
+    ///   ascending-k chain into the output.
+    ///
+    /// Up to `k = 256` (one block) the three orders are one and the same: a
+    /// lane element is `0.0 + (its chain from 0.0)`, and such a chain is
+    /// never `-0.0`, the only value `0.0 +` would change. Longer `k` gives
+    /// the lane rows per-block partial sums, the other two one chain.
     fn matmul_tn_span(a: &[f32], b: &[f32], k: usize, n: usize, m: usize, row0: usize, rows: &mut [f32]) {
         let span = rows.len() / m;
         // 256 k-steps × span columns of `A` stay L1/L2-resident across the
@@ -324,6 +410,7 @@ simd_dispatch! {
         let mut kkb = 0usize;
         while kkb < k {
             let kb = (k - kkb).min(256);
+            // First output row of the span not yet covered for this block.
             let mut i0 = 0usize;
             match m {
                 8 => {
@@ -350,10 +437,13 @@ simd_dispatch! {
                         i0 += 1;
                     }
                 }
+                1..=7 => {
+                    matmul_tn_narrow(a, b, n, m, row0, kkb, kb, rows);
+                    i0 = span;
+                }
+                // No lane kernel at this width: every row goes below.
                 _ => {}
             }
-            // Leftover rows of a lane width, and every row of a generic
-            // width: one row at a time, scalar, same ascending-k order.
             for ii in i0..span {
                 let orow = &mut rows[ii * m..ii * m + m];
                 for kk in kkb..kkb + kb {
@@ -365,6 +455,43 @@ simd_dispatch! {
                 }
             }
             kkb += kb;
+        }
+    }
+}
+
+/// One kk-block of `Aᵀ × B` for fewer than eight output columns (the edge
+/// MLP's output layer is `hiddenᵀ × g` with one). The k-loop is outermost
+/// and each step sweeps the span's output rows, which read one contiguous
+/// stretch of `A`'s row `kk` — scaled by the single `b[kk]` when `m == 1`,
+/// where the sweep is a plain `axpy` down the output column. Every element
+/// still receives its terms one at a time in ascending k.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn matmul_tn_narrow(
+    a: &[f32],
+    b: &[f32],
+    n: usize,
+    m: usize,
+    col0: usize,
+    kk0: usize,
+    kb: usize,
+    rows: &mut [f32],
+) {
+    let span = rows.len() / m;
+    for kk in kk0..kk0 + kb {
+        let arow = &a[kk * n + col0..kk * n + col0 + span];
+        let brow = &b[kk * m..kk * m + m];
+        if m == 1 {
+            let bv = brow[0];
+            for (o, &x) in rows.iter_mut().zip(arow) {
+                *o += x * bv;
+            }
+        } else {
+            for (orow, &x) in rows.chunks_exact_mut(m).zip(arow) {
+                for (o, &bv) in orow.iter_mut().zip(brow) {
+                    *o += x * bv;
+                }
+            }
         }
     }
 }

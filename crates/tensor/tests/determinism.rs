@@ -77,58 +77,86 @@ fn test_csr(n_rows: usize, n_cols: usize) -> Csr {
     Csr::from_coo(n_rows, n_cols, triplets)
 }
 
+/// A denser pattern whose row lengths cycle through 0, 3, 8, 13, 21 and 40
+/// entries, so `spmm_ew_dw`'s eight-entries-at-a-time passes run — once,
+/// several times, with and without leftover entries — which the ~6-entry
+/// rows of [`test_csr`] never reach.
+fn dense_rows_csr(n_rows: usize, n_cols: usize) -> Csr {
+    assert!(n_cols > 40, "rows of 40 distinct columns");
+    let mut triplets = Vec::new();
+    for r in 0..n_rows as u32 {
+        let len = [0u32, 3, 8, 13, 21, 40][r as usize % 6];
+        for k in 0..len {
+            let c = (r * 11 + k * (n_cols as u32 / len)) % n_cols as u32;
+            triplets.push((r, c, ((r + 3 * k) as f32 * 0.17).sin()));
+        }
+    }
+    Csr::from_coo(n_rows, n_cols, triplets)
+}
+
 /// Every output width class of the dense kernels: the dot8 column (m = 1),
-/// each lane-specialized width (8/16/32/64), and the generic fallback (61).
-/// `k = 300 > 256` additionally exercises `matmul_tn`'s kk-blocking.
+/// each lane-specialized width (8/16/32/64), and the generic fallback (61);
+/// `m = 1` is also `matmul_tn`'s narrow path and `m = 61` gives `matmul_nt`
+/// leftover columns. The inner dimensions are the ones training uses — 1
+/// and 16 (the edge MLP's two layers), 32 (the embedding width) — plus 24
+/// (an odd count of 8-blocks) and `k = 300 > 256`, which also exercises
+/// `matmul_tn`'s kk-blocking and `matmul_nt`'s scalar tail.
 #[test]
 fn matmul_family_is_config_invariant() {
     let _g = lock();
-    let k = 300usize;
     let n = 193usize;
-    let a = Mat::from_vec(n, k, fill(n * k, 1.3));
-    let tall = Mat::from_vec(k, n, fill(k * n, 0.7));
-    for m in [1usize, 8, 16, 32, 64, 61] {
-        let b = Mat::from_vec(k, m, fill(k * m, 0.9));
-        let bt = Mat::from_vec(m, k, fill(m * k, 1.1));
-        assert_config_invariant(&format!("matmul m={m}"), || vec![a.matmul(&b).into_vec()]);
-        assert_config_invariant(&format!("matmul_nt m={m}"), || {
-            vec![a.matmul_nt(&bt).into_vec()]
-        });
-        assert_config_invariant(&format!("matmul_tn m={m}"), || {
-            vec![tall.matmul_tn(&b).into_vec()]
-        });
+    for k in [1usize, 16, 24, 32, 300] {
+        let a = Mat::from_vec(n, k, fill(n * k, 1.3));
+        let tall = Mat::from_vec(k, n, fill(k * n, 0.7));
+        for m in [1usize, 8, 16, 32, 64, 61] {
+            let b = Mat::from_vec(k, m, fill(k * m, 0.9));
+            let bt = Mat::from_vec(m, k, fill(m * k, 1.1));
+            assert_config_invariant(&format!("matmul k={k} m={m}"), || {
+                vec![a.matmul(&b).into_vec()]
+            });
+            assert_config_invariant(&format!("matmul_nt k={k} m={m}"), || {
+                vec![a.matmul_nt(&bt).into_vec()]
+            });
+            assert_config_invariant(&format!("matmul_tn k={k} m={m}"), || {
+                vec![tall.matmul_tn(&b).into_vec()]
+            });
+        }
     }
 }
 
 #[test]
 fn spmm_kernels_are_config_invariant() {
     let _g = lock();
-    let m = test_csr(517, 301);
-    // d = 8/16/32/64 exercise the width-specialized kernels, d = 7 the
-    // generic one.
-    for d in [8usize, 16, 32, 64, 7] {
-        let dense = fill(301 * d, 1.7);
-        let w = fill(m.nnz(), 0.8);
-        let dy = fill(517 * d, 1.2);
-        assert_config_invariant(&format!("spmm_into d={d}"), || {
-            let mut out = vec![0f32; 517 * d];
-            m.spmm_into(&dense, d, &mut out);
-            let mut acc = out.clone();
-            m.spmm_acc_into(&dense, d, &mut acc);
-            vec![out, acc]
-        });
-        assert_config_invariant(&format!("spmm_ew_into d={d}"), || {
-            let mut out = vec![0f32; 517 * d];
-            m.spmm_ew_into(&w, &dense, d, &mut out);
-            vec![out]
-        });
-        assert_config_invariant(&format!("spmm_ew_grads d={d}"), || {
-            let mut dw = vec![0f32; m.nnz()];
-            m.spmm_ew_dw_into(&dense, &dy, d, &mut dw);
-            let mut dh = vec![0f32; 301 * d];
-            m.spmm_ew_dh_acc_into(&w, &dy, d, &mut dh);
-            vec![dw, dh]
-        });
+    for (pattern, m) in [
+        ("~6 a row", test_csr(517, 301)),
+        ("0..40 a row", dense_rows_csr(517, 301)),
+    ] {
+        // d = 8/16/32/64 exercise the width-specialized kernels, d = 7 the
+        // generic one.
+        for d in [8usize, 16, 32, 64, 7] {
+            let dense = fill(301 * d, 1.7);
+            let w = fill(m.nnz(), 0.8);
+            let dy = fill(517 * d, 1.2);
+            assert_config_invariant(&format!("spmm_into d={d}, {pattern}"), || {
+                let mut out = vec![0f32; 517 * d];
+                m.spmm_into(&dense, d, &mut out);
+                let mut acc = out.clone();
+                m.spmm_acc_into(&dense, d, &mut acc);
+                vec![out, acc]
+            });
+            assert_config_invariant(&format!("spmm_ew_into d={d}, {pattern}"), || {
+                let mut out = vec![0f32; 517 * d];
+                m.spmm_ew_into(&w, &dense, d, &mut out);
+                vec![out]
+            });
+            assert_config_invariant(&format!("spmm_ew_grads d={d}, {pattern}"), || {
+                let mut dw = vec![0f32; m.nnz()];
+                m.spmm_ew_dw_into(&dense, &dy, d, &mut dw);
+                let mut dh = vec![0f32; 301 * d];
+                m.spmm_ew_dh_acc_into(&w, &dy, d, &mut dh);
+                vec![dw, dh]
+            });
+        }
     }
 }
 

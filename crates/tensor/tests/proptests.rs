@@ -246,3 +246,93 @@ fn matmul_family_matches_serial_reference() {
         },
     );
 }
+
+/// A `rows × cols` matrix of [`Gen::signed_zero_f32s`].
+fn signed_zero_mat(g: &mut Gen, rows: usize, cols: usize) -> Mat {
+    Mat::from_vec(rows, cols, g.signed_zero_f32s(rows * cols))
+}
+
+/// The definition of `matmul_nt`, kept only here: one `dot8` per output
+/// element. The kernel computes columns eight and more at a time; this
+/// fails if that ever changes a multiply, an add or their association.
+/// `k` walks every block shape of `dot8` (tail only, one 8-block, odd and
+/// even 16-block counts, with and without a tail), `m` every column split
+/// (leftover columns only, whole tiles, tiles plus leftovers, several
+/// tiles), and 70 rows span two parallel chunks.
+#[test]
+fn matmul_nt_is_dot8_per_element_bit_for_bit() {
+    check("matmul_nt_is_dot8_per_element_bit_for_bit", 3, |g| {
+        for k in [1usize, 7, 8, 9, 15, 16, 17, 24, 31, 32, 40, 64, 300] {
+            for m in [1usize, 7, 8, 9, 16, 61, 64, 256] {
+                let n = if k == 16 && m == 64 { 70 } else { 3 };
+                let mut a = signed_zero_mat(g, n, k);
+                let mut b = signed_zero_mat(g, m, k);
+                // One product whose every term is `-0.0`: `dot8` answers
+                // `+0.0` only because each partial sum starts as `0.0 + x`,
+                // so a kernel that writes the first term bare is caught
+                // here (wherever `k` leaves a scalar tail to carry the sign).
+                a.row_mut(0).fill(-0.0);
+                b.row_mut(0).iter_mut().for_each(|v| *v = v.abs());
+                let got = a.matmul_nt(&b);
+                for i in 0..n {
+                    for j in 0..m {
+                        let want = graphaug_tensor::dot8(a.row(i), b.row(j));
+                        prop_assert!(
+                            got.get(i, j).to_bits() == want.to_bits(),
+                            "k={} m={} [{},{}]: kernel {:e} vs dot8 {:e}",
+                            k,
+                            m,
+                            i,
+                            j,
+                            got.get(i, j),
+                            want
+                        );
+                    }
+                }
+            }
+        }
+        Ok(())
+    });
+}
+
+/// `matmul_tn` below eight output columns: every element is the serial
+/// ascending-k `f32` sum started at `0.0`, bit for bit — across the 256-step
+/// k-blocking too.
+#[test]
+fn narrow_matmul_tn_is_the_serial_ascending_k_sum_bit_for_bit() {
+    check(
+        "narrow_matmul_tn_is_the_serial_ascending_k_sum_bit_for_bit",
+        3,
+        |g| {
+            for m in [1usize, 3] {
+                for k in [1usize, 5, 256, 257, 300, 1000] {
+                    for n in [1usize, 7, 16, 70] {
+                        let a = signed_zero_mat(g, k, n);
+                        let b = signed_zero_mat(g, k, m);
+                        let got = a.matmul_tn(&b);
+                        for i in 0..n {
+                            for j in 0..m {
+                                let mut want = 0f32;
+                                for kk in 0..k {
+                                    want += a.get(kk, i) * b.get(kk, j);
+                                }
+                                prop_assert!(
+                                    got.get(i, j).to_bits() == want.to_bits(),
+                                    "k={} n={} m={} [{},{}]: kernel {:e} vs serial {:e}",
+                                    k,
+                                    n,
+                                    m,
+                                    i,
+                                    j,
+                                    got.get(i, j),
+                                    want
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+}
