@@ -11,7 +11,8 @@
 # GROUP selects a stage group so the GitHub workflow can run (and time out)
 # each one as its own step; the default runs everything in order:
 #
-#   static   cargo fmt --check, clippy -D warnings, one-listener grep
+#   static   cargo fmt --check, clippy -D warnings, one-listener grep,
+#            one-probe-loop guard
 #   build    cargo build --release
 #   tests    full test suite at GRAPHAUG_THREADS={1,3,4} and GRAPHAUG_SIMD=0
 #   bench    bench harness smoke run (tiny budget)
@@ -27,6 +28,9 @@
 #            checks, un-gated timings — and a guard that neither left
 #            benchmark/ (its lockfile above all) modified
 #   gates    recorded perf-trajectory gate, dependency hermeticity
+#   lines    non-test and code line counts per crates/*/src (the table
+#            ROADMAP item 4 wants in CHANGES.md); reports, gates nothing,
+#            and is not part of the default run
 #
 # The `tests`/`bench`/`process` groups expect `build` to have run first in
 # the same workspace (they use target/release binaries).
@@ -146,6 +150,20 @@ group_static() {
         exit 1
     fi
     echo "ok: one accept loop, one reply path"
+
+    stage "one probe loop: topk_pairs only in ann.rs, one IVF struct"
+    # Both approximate tiers are `Ivf<R>` and rank candidates inside
+    # `Ivf::search` (DESIGN.md, "IVF index"); a second candidate loop or a
+    # second index struct is the copy ROADMAP 4(d) removed.
+    if grep -rn 'topk_pairs' crates/serve/src | grep -v '^crates/serve/src/ann.rs:'; then
+        echo "ERROR: a candidate loop outside serve::ann" >&2
+        exit 1
+    fi
+    if grep -rnE 'struct (IvfIndex|QuantIvf)\b' crates/serve/src; then
+        echo "ERROR: IvfIndex / QuantIvf must stay aliases of Ivf<R>" >&2
+        exit 1
+    fi
+    echo "ok: one IVF struct, one candidate loop"
 }
 
 group_build() {
@@ -308,7 +326,7 @@ stage_quant() {
     # oracle cleanly. The int8 kernel's integer accumulation is exact, so
     # the gate outcome and the served bits cannot flap with the thread
     # count or the scalar fallback build.
-    local threads qdir quant_addr
+    local threads qdir quant_addr bad rc
     for threads in 1 4; do
         qdir="$(tmp_dir quant_smoke)"
         boot_bin "quant_serve_t$threads" "READY addr=" \
@@ -325,6 +343,18 @@ stage_quant() {
             echo "ERROR: loadgen accepted --quant-parity 0" >&2
             exit 1
         fi
+        # So must serve_main a tier flag without its switch: it used to
+        # parse cleanly and serve f32 without a word (exit 2 = usage error;
+        # the timeout only bounds a regression that boots the service).
+        for bad in "--ann-nlists 6 --ann-floor 0.95" "--quant-floor 0.95"; do
+            rc=0
+            # shellcheck disable=SC2086
+            timeout 30 target/release/serve_main "$qdir/ck" $bad >/dev/null 2>&1 || rc=$?
+            if [[ $rc -ne 2 ]]; then
+                echo "ERROR: serve_main did not reject '$bad' without its switch (exit $rc)" >&2
+                exit 1
+            fi
+        done
         GRAPHAUG_THREADS=$threads target/release/loadgen "$quant_addr" --quant-parity 32
         GRAPHAUG_SIMD=0 GRAPHAUG_THREADS=$threads target/release/loadgen "$quant_addr" --quant-parity 16 --seed 3
         echo "ok: threads=$threads drift gate passed, quant-parity sweep clean"
@@ -582,6 +612,23 @@ group_gates() {
     echo "ok: all dependencies are local path crates"
 }
 
+group_lines() {
+    stage "lines per crates/*/src (non-test, of which code)"
+    # Non-test: everything before a file's first `#[cfg(test)]`. Code: the
+    # non-test lines that are neither blank nor a `//` comment.
+    local dir
+    printf '%-22s %9s %9s\n' dir non-test code
+    for dir in crates/*/src; do
+        find "$dir" -name '*.rs' -print0 | sort -z | xargs -0 awk -v dir="$dir" '
+            FNR == 1 { in_tests = 0 }
+            /#\[cfg\(test\)\]/ { in_tests = 1 }
+            in_tests { next }
+            { lines++ }
+            !/^[[:space:]]*($|\/\/)/ { code++ }
+            END { printf "%-22s %9d %9d\n", dir, lines, code }'
+    done
+}
+
 # ---------------------------------------------------------------------------
 # Dispatch.
 # ---------------------------------------------------------------------------
@@ -595,6 +642,7 @@ case "$GROUP" in
     process) group_process ;;
     e2e) group_e2e ;;
     gates) group_gates ;;
+    lines) group_lines ;;
     all)
         group_static
         group_build
@@ -606,7 +654,7 @@ case "$GROUP" in
         printf '\nCI gate passed.\n'
         ;;
     *)
-        echo "unknown stage group '$GROUP' (static|build|tests|bench|process|e2e|gates|all)" >&2
+        echo "unknown stage group '$GROUP' (static|build|tests|bench|process|e2e|gates|lines|all)" >&2
         exit 2
         ;;
 esac

@@ -1,16 +1,16 @@
 //! Records the perf-trajectory baseline: the spmm, matmul, mixhop_forward,
 //! sampling, training-step, top-K evaluation, and augmentor workloads, then
 //! the checkpoint, serving, router and ingestion suites, in one process,
-//! written as `BENCH_seed.json` so future PRs have a stable comparison
-//! point (run from the repo root:
-//! `cargo run --release --offline -p graphaug-bench --bin bench_baseline`).
+//! written as `BENCH_<suite>.json` (`BENCH_pr9.json` and `BENCH_pr10.json`
+//! are the recorded pair `ci.sh gates` compares) — run from the repo root:
+//! `cargo run --release --offline -p graphaug-bench --bin bench_baseline pr10`.
 
 use graphaug_bench::harness::Harness;
 use graphaug_bench::perf;
 
 fn main() {
-    // Optional suite label (default "seed") so later PRs can record their
-    // own trajectory point: `bench_baseline pr2` → BENCH_pr2.json.
+    // Optional suite label (default "seed") so each PR can record its own
+    // trajectory point: `bench_baseline pr10` → BENCH_pr10.json.
     let suite = std::env::args().nth(1).unwrap_or_else(|| "seed".into());
     let mut h = Harness::new(&suite);
     perf::spmm(&mut h);

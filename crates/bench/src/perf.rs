@@ -406,8 +406,8 @@ pub fn serving(h: &mut Harness) {
 /// catalogs, and a batched fan-out through the engine's ANN path. The
 /// catalogs are clustered mixtures of Gaussians — the embedding geometry a
 /// trained recommender produces — and the build-time recall@20 estimate of
-/// each index is recorded as a `metric` line so BENCH_pr7.json carries the
-/// quality alongside the speedup.
+/// each index is recorded as a `metric` line so the recorded point carries
+/// the quality alongside the speedup.
 pub fn ann(h: &mut Harness) {
     /// `n` points around `k` shared Gaussian centers in `dim` dims.
     fn clustered(n: usize, k: usize, dim: usize, seed: u64) -> Mat {

@@ -7,6 +7,11 @@
 //! embeddings into `nlists` inverted lists at table-build time, and a
 //! query only scores the items in its `nprobe` best-matching lists.
 //!
+//! There is one index, [`Ivf<R>`], over a row representation `R:`
+//! [`IvfRows`]: [`IvfIndex`] packs bit-exact f32 rows ([`Mat`]), the
+//! quantized index (`crate::quant::QuantIvf`) packs int8 rows and per-row
+//! scales — the build, the probe and the candidate loop are written once.
+//!
 //! # Determinism contract
 //!
 //! The index build is **bit-deterministic** for any `GRAPHAUG_THREADS` and
@@ -23,18 +28,25 @@
 //!
 //! # Exact-parity contract
 //!
-//! Candidate scoring happens *outside* this module (in
-//! [`crate::tables::ModelTables`]) in the exact scorer's summation order,
-//! and the final selection is `graphaug_eval::topk_pairs`, which shares the
-//! exact path's total-order tie-break. Since every item lives in exactly
-//! one inverted list, probing **all** lists (`nprobe = nlists`) visits the
-//! full catalog and reproduces the exact ranking hex-exactly — the
-//! degenerate configuration the parity proptests pin.
+//! Two rules make full probe ≡ full scan for *any* `R`. A candidate's
+//! score is [`IvfRows::scores`] — the representation's own full-scan
+//! formula over bit-exact packed copies of the source rows — and the final
+//! selection is `graphaug_eval::topk_pairs`, which shares the full scan's
+//! total-order tie-break. Since every item lives in exactly one inverted
+//! list, probing **all** lists (`nprobe = nlists`) visits the full catalog
+//! and reproduces the full-scan ranking hex-exactly — the degenerate
+//! configuration the parity proptests pin.
+
+use std::borrow::Cow;
 
 use graphaug_eval::topk_pairs;
 use graphaug_par::{dot8, l2sq8};
 use graphaug_rng::StdRng;
 use graphaug_tensor::Mat;
+
+/// Fixed k-means iteration count (no data-dependent early exit — part of
+/// the determinism contract).
+const KMEANS_ITERS: usize = 8;
 
 /// Build/search parameters for the IVF index, plus the serving-side
 /// gate/audit knobs that travel with it.
@@ -46,23 +58,13 @@ pub struct IvfParams {
     /// Lists probed per query. `0` = auto: `max(1, nlists / 8)`. Clamped to
     /// `[1, nlists]` at build time.
     pub nprobe: usize,
-    /// Fixed k-means iteration count (no data-dependent early exit — part
-    /// of the determinism contract).
-    pub kmeans_iters: usize,
-    /// k-means training-sample cap. `0` = auto: `max(32 · nlists, 4096)`,
-    /// clamped to `n_items`.
-    pub sample: usize,
     /// Seed for the `graphaug-rng` streams (sample shuffle, centroid
     /// seeding, probe-set draw).
     pub seed: u64,
-    /// Build-time recall gate: sampled recall@`probe_k` vs the exact oracle
-    /// must reach this floor or the ANN path stays disabled (serving falls
-    /// back to exact, loudly).
+    /// Build-time recall gate: sampled recall@20 vs the exact oracle must
+    /// reach this floor or the ANN path stays disabled (serving falls back
+    /// to exact, loudly).
     pub recall_floor: f64,
-    /// Number of seeded probe users for the build-time recall estimate.
-    pub probe_users: usize,
-    /// Cutoff for the build-time recall estimate and the online self-audit.
-    pub probe_k: usize,
     /// Online self-audit cadence: every `audit_every`-th ANN-served list is
     /// also ranked exactly and folded into the running recall estimate.
     /// `0` disables the audit.
@@ -74,12 +76,8 @@ impl Default for IvfParams {
         IvfParams {
             nlists: 0,
             nprobe: 0,
-            kmeans_iters: 8,
-            sample: 0,
             seed: 0x1f51,
             recall_floor: 0.9,
-            probe_users: 64,
-            probe_k: 20,
             audit_every: 64,
         }
     }
@@ -140,7 +138,7 @@ impl IvfParams {
 }
 
 /// Incremental FNV-1a 64 over little-endian `u32` words — the shared
-/// fingerprint accumulator of the index builds (f32 and quantized), so
+/// fingerprint accumulator of the index build and the quantized tables, so
 /// determinism assertions hash both through one code path.
 pub(crate) struct Fnv(pub u64);
 
@@ -157,29 +155,26 @@ impl Fnv {
     }
 }
 
-/// The storage-agnostic half of an IVF index: coarse centroids plus the
-/// CSR inverted-list *membership* (which item belongs to which list), with
-/// no embedding payload. [`IvfIndex`] packs bit-exact f32 rows next to it;
-/// the quantized index (`crate::quant::QuantIvf`) packs int8 rows and
-/// per-row scales instead — both share this partition and its probe, so
-/// the determinism contract is proven once.
+/// The storage-agnostic half of an [`Ivf`]: coarse centroids plus the CSR
+/// inverted-list *membership* (which item belongs to which list), with no
+/// embedding payload.
 #[derive(Clone)]
-pub(crate) struct CoarsePartition {
-    pub dim: usize,
-    pub nlists: usize,
+struct CoarsePartition {
+    dim: usize,
+    nlists: usize,
     /// Row-major centroid matrix, `nlists × dim`.
-    pub centroids: Vec<f32>,
+    centroids: Vec<f32>,
     /// `nlists + 1` offsets into `list_items`.
-    pub list_offsets: Vec<u32>,
+    list_offsets: Vec<u32>,
     /// Item ids grouped by owning list, ascending within each list.
-    pub list_items: Vec<u32>,
+    list_items: Vec<u32>,
 }
 
 impl CoarsePartition {
     /// Seeded, fixed-iteration k-means over `items`, then a CSR pack of
     /// the final full-catalog assignment. Bit-deterministic for any thread
     /// count (see the module docs for the contract).
-    pub fn build(items: &Mat, params: &IvfParams) -> CoarsePartition {
+    fn build(items: &Mat, params: &IvfParams) -> CoarsePartition {
         let n = items.rows();
         let dim = items.cols();
         assert!(n > 0, "cannot index an empty catalog");
@@ -187,13 +182,8 @@ impl CoarsePartition {
 
         // Seeded training sample: a partial Fisher–Yates over item ids from
         // stream 0. The shuffled head doubles as the (distinct) initial
-        // centroid picks.
-        let sample_cap = if params.sample == 0 {
-            (32 * nlists).max(4096)
-        } else {
-            params.sample
-        };
-        let m = sample_cap.min(n);
+        // centroid picks — `m >= nlists`, so every list is seeded.
+        let m = (32 * nlists).max(4096).min(n);
         let mut ids: Vec<u32> = (0..n as u32).collect();
         let mut rng = StdRng::stream(params.seed, 0);
         for i in 0..m {
@@ -211,7 +201,7 @@ impl CoarsePartition {
         // parallel (slot-per-point); the centroid update is a single
         // ascending-order pass, so the reduction order never moves.
         let mut assign = vec![0u32; m];
-        for _ in 0..params.kmeans_iters {
+        for _ in 0..KMEANS_ITERS {
             assign_points(items, sample, &centroids, nlists, dim, &mut assign);
             let mut sums = vec![0f32; nlists * dim];
             let mut counts = vec![0u32; nlists];
@@ -268,83 +258,97 @@ impl CoarsePartition {
         }
     }
 
-    /// The item ids of inverted list `l` (ascending).
-    #[inline]
-    pub fn list(&self, l: usize) -> &[u32] {
-        &self.list_items[self.list_offsets[l] as usize..self.list_offsets[l + 1] as usize]
-    }
-
     /// The `(lo, hi)` entry range of list `l` in packed-slot order.
     #[inline]
-    pub fn list_range(&self, l: usize) -> (usize, usize) {
+    fn list_range(&self, l: usize) -> (usize, usize) {
         (
             self.list_offsets[l] as usize,
             self.list_offsets[l + 1] as usize,
         )
     }
+}
 
-    /// The `nprobe` list ids best matching `query` by descending centroid
-    /// inner product (ties toward the lower list id — the [`topk_pairs`]
-    /// contract).
-    pub fn probe(&self, query: &[f32], nprobe: usize) -> Vec<u32> {
-        let scored = (0..self.nlists as u32)
-            .map(|c| (c, dot8(query, &self.centroids[c as usize * self.dim..])));
-        topk_pairs(scored, nprobe.clamp(1, self.nlists))
-            .into_iter()
-            .map(|(c, _)| c)
-            .collect()
+/// What an [`Ivf`] needs from a row representation: the matrix to cluster,
+/// a packed copy in list order, and the representation's own scorer.
+pub trait IvfRows: Sized {
+    /// One user's row in this representation — what [`Self::scores`] ranks
+    /// the packed rows against.
+    type Query<'a>: Copy
+    where
+        Self: 'a;
+
+    /// The f32 matrix this representation effectively serves — what the
+    /// coarse quantizer trains on.
+    fn served(&self) -> Cow<'_, Mat>;
+
+    /// Bit-exact copies of rows `order[0], order[1], …`, packed in that
+    /// order.
+    fn gather(&self, order: &[u32]) -> Self;
+
+    /// The scores of rows `lo..hi` against `query`, in row order, by this
+    /// representation's **full-scan** formula — so a row scores the same
+    /// bits from a packed list as from the source table.
+    fn scores<'a>(
+        &'a self,
+        lo: usize,
+        hi: usize,
+        query: Self::Query<'a>,
+    ) -> impl Iterator<Item = f32>;
+}
+
+/// Bit-exact f32 rows, scored with the exact scorer's summation
+/// (`Σ item[d]·user[d]` in ascending dimension order, the
+/// `Recommender::score_items` default) — **not** the SIMD dot — so
+/// full-probe output is bit-identical to the dense path.
+impl IvfRows for Mat {
+    type Query<'a> = &'a [f32];
+
+    fn served(&self) -> Cow<'_, Mat> {
+        Cow::Borrowed(self)
     }
 
-    /// Bytes of the membership payload (centroids + offsets + ids).
-    pub fn resident_bytes(&self) -> usize {
-        self.centroids.len() * 4 + self.list_offsets.len() * 4 + self.list_items.len() * 4
+    fn gather(&self, order: &[u32]) -> Mat {
+        let mut data = Vec::with_capacity(order.len() * self.cols());
+        for &r in order {
+            data.extend_from_slice(self.row(r as usize));
+        }
+        Mat::from_vec(order.len(), self.cols(), data)
     }
 
-    /// Folds the partition (shape, centroid bit patterns, offsets, list
-    /// membership) into `h`.
-    pub fn fingerprint_into(&self, h: &mut Fnv) {
-        h.eat(self.nlists as u32);
-        h.eat(self.dim as u32);
-        for &c in &self.centroids {
-            h.eat(c.to_bits());
-        }
-        for &o in &self.list_offsets {
-            h.eat(o);
-        }
-        for &i in &self.list_items {
-            h.eat(i);
-        }
+    fn scores<'a>(&'a self, lo: usize, hi: usize, query: &'a [f32]) -> impl Iterator<Item = f32> {
+        let dim = self.cols();
+        self.as_slice()[lo * dim..hi * dim]
+            .chunks_exact(dim)
+            .map(move |row| row.iter().zip(query).map(|(a, b)| a * b).sum())
     }
 }
 
-/// An immutable IVF-flat index over one frozen item-embedding matrix: a
-/// [`CoarsePartition`] plus bit-exact copies of each member's embedding
-/// row packed in list order (the "flat" in IVF-flat). The packed rows make
-/// candidate scoring stream sequentially instead of gathering scattered
-/// `item_emb` rows — without them the cache misses eat most of the
-/// sublinear-candidate advantage. Built once per table swap; shared
-/// read-only by every request thread.
+/// An immutable IVF-flat index over one frozen item table: a coarse
+/// partition plus bit-exact copies of each member's row packed in list
+/// order (the "flat" in IVF-flat). The packed rows make candidate scoring
+/// stream sequentially instead of gathering scattered catalog rows —
+/// without them the cache misses eat most of the sublinear-candidate
+/// advantage. Built once per table swap; shared read-only by every request
+/// thread.
 #[derive(Clone)]
-pub struct IvfIndex {
+pub struct Ivf<R> {
     part: CoarsePartition,
-    /// The embedding row of each entry in `part.list_items`, packed in the
-    /// same order (`list_items.len() × dim`). Bit-exact copies of the
-    /// source matrix rows, so scoring from here preserves hex parity.
-    list_vecs: Vec<f32>,
+    /// Row `s` is the source row of item `part.list_items[s]`.
+    rows: R,
 }
 
-impl IvfIndex {
-    /// Builds the index over `items` (one embedding row per item) with a
-    /// seeded, fixed-iteration k-means quantizer. Bit-deterministic for any
+/// The f32 index: packed rows are `4·dim` bytes per entry.
+pub type IvfIndex = Ivf<Mat>;
+
+impl<R: IvfRows> Ivf<R> {
+    /// Builds the index over `items` (one row per item): a seeded,
+    /// fixed-iteration k-means quantizer trained on the rows `items`
+    /// actually serves, then the packed copy. Bit-deterministic for any
     /// thread count (see the module docs for the contract).
-    pub fn build(items: &Mat, params: &IvfParams) -> IvfIndex {
-        let part = CoarsePartition::build(items, params);
-        let dim = part.dim;
-        let mut list_vecs = vec![0f32; part.list_items.len() * dim];
-        for (slot, &item) in part.list_items.iter().enumerate() {
-            list_vecs[slot * dim..(slot + 1) * dim].copy_from_slice(items.row(item as usize));
-        }
-        IvfIndex { part, list_vecs }
+    pub fn build(items: &R, params: &IvfParams) -> Ivf<R> {
+        let part = CoarsePartition::build(&items.served(), params);
+        let rows = items.gather(&part.list_items);
+        Ivf { part, rows }
     }
 
     /// Number of inverted lists.
@@ -353,28 +357,11 @@ impl IvfIndex {
         self.part.nlists
     }
 
-    /// Embedding dimensionality the index was built over.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.part.dim
-    }
-
     /// The item ids of inverted list `l` (ascending).
     #[inline]
     pub fn list(&self, l: usize) -> &[u32] {
-        self.part.list(l)
-    }
-
-    /// The item ids of inverted list `l` together with their packed
-    /// embedding rows (`ids.len() × dim`, same order) — the
-    /// sequential-scan form the scoring hot loop wants.
-    #[inline]
-    pub fn list_entries(&self, l: usize) -> (&[u32], &[f32]) {
         let (lo, hi) = self.part.list_range(l);
-        (
-            &self.part.list_items[lo..hi],
-            &self.list_vecs[lo * self.part.dim..hi * self.part.dim],
-        )
+        &self.part.list_items[lo..hi]
     }
 
     /// Total indexed items (= catalog size: every item is in exactly one
@@ -388,26 +375,72 @@ impl IvfIndex {
         self.part.list_items.is_empty()
     }
 
-    /// The `nprobe` list ids best matching `query`, ranked by descending
-    /// centroid inner product (ties toward the lower list id — the
-    /// [`topk_pairs`] contract). Inner-product probing matches the serving
-    /// objective (max dot-product), and `dot8` keeps it lane/scalar
-    /// bit-identical.
+    /// The `nprobe` list ids best matching the f32 `query` row, ranked by
+    /// descending centroid inner product (ties toward the lower list id —
+    /// the [`topk_pairs`] contract). Inner-product probing matches the
+    /// serving objective (max dot-product), `dot8` keeps it lane/scalar
+    /// bit-identical, and it stays f32 for every `R`: it is
+    /// `O(nlists · dim)`, off the bandwidth-critical scan.
     pub fn probe(&self, query: &[f32], nprobe: usize) -> Vec<u32> {
-        self.part.probe(query, nprobe)
+        let part = &self.part;
+        let scored = (0..part.nlists as u32)
+            .map(|c| (c, dot8(query, &part.centroids[c as usize * part.dim..])));
+        topk_pairs(scored, nprobe.clamp(1, part.nlists))
+            .into_iter()
+            .map(|(c, _)| c)
+            .collect()
     }
 
-    /// Resident bytes of the index payload (centroids + lists + packed
-    /// rows) — the extra memory a table swap pays for the ANN fast path.
-    pub fn resident_bytes(&self) -> usize {
-        self.part.resident_bytes() + self.list_vecs.len() * 4
+    /// Top-`k` over the items in the `nprobe` lists best matching `urow`,
+    /// each scored against `query` (the same user in `R`'s representation);
+    /// also returns the candidate count. Items in `seen` (ascending) stay
+    /// *in* the candidate set masked to `-inf`, so they surface at the tail
+    /// when `k` exceeds the unseen count, exactly like a masked full scan.
+    pub fn search<'a>(
+        &'a self,
+        urow: &[f32],
+        nprobe: usize,
+        query: R::Query<'a>,
+        seen: &[u32],
+        k: usize,
+    ) -> (Vec<(u32, f32)>, u32) {
+        let lists = self.probe(urow, nprobe);
+        let cands = lists
+            .iter()
+            .map(|&l| self.list(l as usize).len())
+            .sum::<usize>() as u32;
+        let candidates = lists
+            .iter()
+            .flat_map(|&l| {
+                let (lo, hi) = self.part.list_range(l as usize);
+                self.part.list_items[lo..hi]
+                    .iter()
+                    .zip(self.rows.scores(lo, hi, query))
+            })
+            .map(|(&v, score)| match seen.binary_search(&v) {
+                Ok(_) => (v, f32::NEG_INFINITY),
+                Err(_) => (v, score),
+            });
+        (topk_pairs(candidates, k), cands)
     }
 
-    /// A stable fingerprint of the whole index (centroid bit patterns,
-    /// offsets, and list membership) for bit-determinism assertions.
+    /// A stable fingerprint of the partition (centroid bit patterns,
+    /// offsets, and list membership) for bit-determinism assertions. The
+    /// packed rows are [`IvfRows::gather`] of the source by construction.
     pub fn fingerprint(&self) -> u64 {
+        let part = &self.part;
         let mut h = Fnv::new();
-        self.part.fingerprint_into(&mut h);
+        h.eat(part.nlists as u32);
+        h.eat(part.dim as u32);
+        for &c in &part.centroids {
+            h.eat(c.to_bits());
+        }
+        for &o in &part.list_offsets {
+            h.eat(o);
+        }
+        for &i in &part.list_items {
+            h.eat(i);
+        }
         h.0
     }
 }
@@ -445,6 +478,36 @@ fn assign_points(
     });
 }
 
+/// The layout check both representations' tests run: every row of
+/// `source` sits in exactly one list (ascending within it), and packed slot
+/// `s` is `same_row` as the source row of the item listed at `s`.
+#[cfg(test)]
+pub(crate) fn assert_packed_in_list_order<R: IvfRows>(
+    source: &R,
+    idx: &Ivf<R>,
+    same_row: impl Fn(&R, usize, &R, usize) -> bool,
+) {
+    let n = idx.len();
+    let mut seen = vec![false; n];
+    let mut slot = 0;
+    for l in 0..idx.nlists() {
+        let mut prev = None;
+        for &item in idx.list(l) {
+            assert!(!seen[item as usize], "item {item} in two lists");
+            seen[item as usize] = true;
+            assert!(prev.is_none_or(|p| p < item), "list not ascending");
+            prev = Some(item);
+            assert!(
+                same_row(&idx.rows, slot, source, item as usize),
+                "packed slot {slot} differs from source row {item}"
+            );
+            slot += 1;
+        }
+    }
+    assert_eq!(slot, n, "lists tile the packed rows");
+    assert!(seen.iter().all(|&s| s), "item missing from all lists");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,17 +529,10 @@ mod tests {
         let idx = IvfIndex::build(&items, &IvfParams::new().nlists(13));
         assert_eq!(idx.nlists(), 13);
         assert_eq!(idx.len(), 500);
-        let mut seen = vec![false; 500];
-        for l in 0..idx.nlists() {
-            let mut prev = None;
-            for &item in idx.list(l) {
-                assert!(!seen[item as usize], "item {item} in two lists");
-                seen[item as usize] = true;
-                assert!(prev.is_none_or(|p| p < item), "list not ascending");
-                prev = Some(item);
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "item missing from all lists");
+        let bits = |row: &[f32]| row.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        assert_packed_in_list_order(&items, &idx, |packed, s, source, r| {
+            bits(packed.row(s)) == bits(source.row(r))
+        });
     }
 
     #[test]

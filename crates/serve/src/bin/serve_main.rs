@@ -29,7 +29,8 @@
 //!    reload watcher, then serves until killed.
 //!
 //! `--addr 127.0.0.1:0` (the default) binds an ephemeral loopback port so
-//! smoke tests can run concurrently.
+//! smoke tests can run concurrently. An `--ann-*` / `--quant-*` flag
+//! without its `--ann` / `--quant` switch is a usage error (exit 2).
 //!
 //! `--log-dir PATH` attaches the interaction log an `ingestd` process
 //! appends to: checkpoints fine-tuned past the base graph (nonzero
@@ -179,7 +180,15 @@ fn parse_args() -> Result<Args, String> {
         quant_audit: 64,
         log_dir: None,
     };
+    // The first `--ann-*` / `--quant-*` flag seen: each only means something
+    // beside its tier's switch, so alone it is rejected, not dropped.
+    let (mut ann_flag, mut quant_flag) = (None, None);
     while let Some(flag) = args.next() {
+        if flag.starts_with("--ann-") {
+            ann_flag.get_or_insert(flag.clone());
+        } else if flag.starts_with("--quant-") {
+            quant_flag.get_or_insert(flag.clone());
+        }
         let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
         match flag.as_str() {
             "--addr" => out.addr = value("--addr")?,
@@ -229,7 +238,14 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    Ok(out)
+    match (
+        ann_flag.filter(|_| !out.ann),
+        quant_flag.filter(|_| !out.quant),
+    ) {
+        (Some(flag), _) => Err(format!("{flag} needs --ann")),
+        (_, Some(flag)) => Err(format!("{flag} needs --quant")),
+        _ => Ok(out),
+    }
 }
 
 fn main() -> ExitCode {

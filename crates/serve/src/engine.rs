@@ -55,7 +55,7 @@ use std::time::Duration;
 use graphaug_runtime::checkpoint;
 
 use crate::cache::LruCache;
-use crate::tables::{ModelSource, ModelTables, ScoredItem, ServeError};
+use crate::tables::{overlap, ModelSource, ModelTables, ScoredItem, ServeError};
 
 /// Default response-cache capacity (entries).
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
@@ -120,9 +120,10 @@ pub struct EngineStats {
     /// True when the serving tables carry an *enabled* IVF index (built,
     /// and its build-time recall cleared the floor).
     pub ann_on: bool,
-    /// Total inverted lists probed by ANN-served requests.
+    /// Total inverted lists probed by index-served requests (the f32 IVF
+    /// tier and the int8 IVF tier alike).
     pub ann_probes: u64,
-    /// Total candidate items scored by ANN-served requests.
+    /// Total candidate items scored by ANN- or quantized-served requests.
     pub ann_cands: u64,
     /// Non-exact requests that were nevertheless answered by the exact
     /// scorer (no index configured, or the recall gate disabled it).
@@ -156,6 +157,46 @@ pub struct EngineStats {
     pub finetunes: u64,
 }
 
+/// One tier's online self-audit: every Nth approximately-computed list is
+/// also ranked through the exact f32 scorer, and the top-K overlap feeds a
+/// running recall estimate — a live quality meter on real traffic, not
+/// just the build-time probe set. Relaxed atomics: the counters race
+/// across workers but only feed diagnostics.
+#[derive(Default)]
+struct Audit {
+    /// Ticks once per list the tier computed.
+    ticker: AtomicU64,
+    hits: AtomicU64,
+    total: AtomicU64,
+}
+
+impl Audit {
+    /// Counts one `approx` list for `(user, k)`; every `every`-th one
+    /// (`0` = never) pays an exact scan and is folded into the estimate.
+    fn sample(&self, tables: &ModelTables, every: u64, user: u32, k: usize, approx: &[ScoredItem]) {
+        if every == 0 {
+            return;
+        }
+        let tick = self.ticker.fetch_add(1, Ordering::Relaxed);
+        if !tick.is_multiple_of(every) {
+            return;
+        }
+        let Ok(exact) = tables.top_k(user, k) else {
+            return;
+        };
+        self.hits
+            .fetch_add(overlap(approx, &exact) as u64, Ordering::Relaxed);
+        self.total.fetch_add(exact.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Of the exact top-K items audited so far, the fraction the sampled
+    /// lists also returned. `None` until the first audited request.
+    fn estimate(&self) -> Option<f64> {
+        let total = self.total.load(Ordering::Relaxed);
+        (total > 0).then(|| self.hits.load(Ordering::Relaxed) as f64 / total as f64)
+    }
+}
+
 /// The online serving engine. Cheap to share (`Arc<Engine>`); all methods
 /// take `&self`.
 pub struct Engine {
@@ -176,17 +217,11 @@ pub struct Engine {
     ann_probes: AtomicU64,
     ann_cands: AtomicU64,
     exact_fallbacks: AtomicU64,
-    /// Ticks once per ANN-computed list; every `audit_every`-th tick
-    /// triggers the exact re-rank.
-    audit_ticker: AtomicU64,
-    recall_hits: AtomicU64,
-    recall_total: AtomicU64,
     quant_served: AtomicU64,
-    /// Ticks once per quantized-computed list; every `audit_every`-th tick
-    /// triggers the f32-oracle re-rank.
-    drift_ticker: AtomicU64,
-    drift_hits: AtomicU64,
-    drift_total: AtomicU64,
+    /// ANN-computed lists vs exact: [`EngineStats::recall_sampled`].
+    recall: Audit,
+    /// Quantized-computed lists vs exact: [`EngineStats::drift_sampled`].
+    drift: Audit,
     /// Serializes reloads so two watchers (or a watcher plus an explicit
     /// reload call) never build the same generation twice concurrently.
     reload_lock: Mutex<()>,
@@ -239,13 +274,9 @@ impl Engine {
             ann_probes: AtomicU64::new(0),
             ann_cands: AtomicU64::new(0),
             exact_fallbacks: AtomicU64::new(0),
-            audit_ticker: AtomicU64::new(0),
-            recall_hits: AtomicU64::new(0),
-            recall_total: AtomicU64::new(0),
             quant_served: AtomicU64::new(0),
-            drift_ticker: AtomicU64::new(0),
-            drift_hits: AtomicU64::new(0),
-            drift_total: AtomicU64::new(0),
+            recall: Audit::default(),
+            drift: Audit::default(),
             reload_lock: Mutex::new(()),
         })
     }
@@ -265,8 +296,6 @@ impl Engine {
     /// Current serving counters.
     pub fn stats(&self) -> EngineStats {
         let tables = self.tables();
-        let total = self.recall_total.load(Ordering::Relaxed);
-        let drift_total = self.drift_total.load(Ordering::Relaxed);
         EngineStats {
             generation: self.generation.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
@@ -279,13 +308,11 @@ impl Engine {
             ann_probes: self.ann_probes.load(Ordering::Relaxed),
             ann_cands: self.ann_cands.load(Ordering::Relaxed),
             exact_fallbacks: self.exact_fallbacks.load(Ordering::Relaxed),
-            recall_sampled: (total > 0)
-                .then(|| self.recall_hits.load(Ordering::Relaxed) as f64 / total as f64),
+            recall_sampled: self.recall.estimate(),
             quant_on: tables.quant().is_some_and(|q| q.enabled()),
             table_bytes: tables.table_bytes() as u64,
             quant_served: self.quant_served.load(Ordering::Relaxed),
-            drift_sampled: (drift_total > 0)
-                .then(|| self.drift_hits.load(Ordering::Relaxed) as f64 / drift_total as f64),
+            drift_sampled: self.drift.estimate(),
             ingested: self
                 .source
                 .log_dir
@@ -406,36 +433,20 @@ impl Engine {
                         // Falls through quant → ANN → exact, whichever is
                         // attached and enabled.
                         tables.top_k_quant(user, k).map(|(items, how)| {
-                            if how.used_quant {
+                            let (audit, every) = if how.used_quant {
                                 self.quant_served.fetch_add(1, Ordering::Relaxed);
-                                self.ann_probes
-                                    .fetch_add(how.probes as u64, Ordering::Relaxed);
-                                self.ann_cands
-                                    .fetch_add(how.cands as u64, Ordering::Relaxed);
-                                self.audit(
-                                    tables,
-                                    quant_audit_every,
-                                    user,
-                                    k,
-                                    &items,
-                                    (&self.drift_ticker, &self.drift_hits, &self.drift_total),
-                                );
+                                (&self.drift, quant_audit_every)
                             } else if how.used_ann {
-                                self.ann_probes
-                                    .fetch_add(how.probes as u64, Ordering::Relaxed);
-                                self.ann_cands
-                                    .fetch_add(how.cands as u64, Ordering::Relaxed);
-                                self.audit(
-                                    tables,
-                                    ann_audit_every,
-                                    user,
-                                    k,
-                                    &items,
-                                    (&self.audit_ticker, &self.recall_hits, &self.recall_total),
-                                );
+                                (&self.recall, ann_audit_every)
                             } else {
                                 self.exact_fallbacks.fetch_add(1, Ordering::Relaxed);
-                            }
+                                return items;
+                            };
+                            self.ann_probes
+                                .fetch_add(how.probes as u64, Ordering::Relaxed);
+                            self.ann_cands
+                                .fetch_add(how.cands as u64, Ordering::Relaxed);
+                            audit.sample(tables, every, user, k, &items);
                             items
                         })
                     });
@@ -473,38 +484,6 @@ impl Engine {
         out.into_iter()
             .map(|r| r.expect("every request slot is filled"))
             .collect()
-    }
-
-    /// Online self-audit: every `audit_every`-th approximately-computed
-    /// list is also ranked through the exact f32 scorer, and the top-K
-    /// overlap feeds the running estimate behind the `(ticker, hits,
-    /// total)` counters — [`EngineStats::recall_sampled`] for ANN lists,
-    /// [`EngineStats::drift_sampled`] for quantized ones. Costs one exact
-    /// scan per sampled request — cadence bounds the overhead.
-    fn audit(
-        &self,
-        tables: &ModelTables,
-        audit_every: u64,
-        user: u32,
-        k: usize,
-        approx: &[ScoredItem],
-        (ticker, hits_ctr, total_ctr): (&AtomicU64, &AtomicU64, &AtomicU64),
-    ) {
-        if audit_every == 0 {
-            return;
-        }
-        let tick = ticker.fetch_add(1, Ordering::Relaxed);
-        if !tick.is_multiple_of(audit_every) {
-            return;
-        }
-        let Ok(exact) = tables.top_k(user, k) else {
-            return;
-        };
-        let exact_items: Vec<u32> = exact.iter().map(|s| s.item).collect();
-        let approx_items: Vec<u32> = approx.iter().map(|s| s.item).collect();
-        let hits = graphaug_eval::overlap_count(&approx_items, &exact_items);
-        hits_ctr.fetch_add(hits as u64, Ordering::Relaxed);
-        total_ctr.fetch_add(exact.len() as u64, Ordering::Relaxed);
     }
 
     /// Checks the checkpoint directory for a generation newer than the one

@@ -22,7 +22,7 @@
 //! ```text
 //! OK gen=<g> user=<u> k=<k> items=<i1,i2,...> bits=<hex32,hex32,...>
 //! ERR <message>
-//! STATS gen=<g> users=<n> items=<n> requests=<n> cache_hits=<n> cache_misses=<n> reloads=<n> reload_errors=<n> ann=<on|off> ann_probes=<n> ann_cands=<n> exact_fallbacks=<n> recall_sampled=<r|-> quant=<on|off> table_bytes=<n> quant_served=<n> drift_sampled=<r|->
+//! STATS gen=<g> users=<n> items=<n> requests=<n> cache_hits=<n> cache_misses=<n> reloads=<n> reload_errors=<n> ann=<on|off> ann_probes=<n> ann_cands=<n> exact_fallbacks=<n> recall_sampled=<r|-> quant=<on|off> table_bytes=<n> quant_served=<n> drift_sampled=<r|-> reload_skips=<n> ingested=<n> log_offset=<n> finetunes=<n>
 //! PONG
 //! BYE
 //! ```

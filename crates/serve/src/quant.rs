@@ -33,41 +33,33 @@
 //! vs the f32 oracle is attributable to quantization alone. That drift is
 //! what the serving-side gate (`crate::tables`) samples and bounds.
 
+use std::borrow::Cow;
+
 use graphaug_par::{dot8_i8, parallel_spans, SendMutPtr};
 use graphaug_tensor::Mat;
 
-use crate::ann::{CoarsePartition, Fnv, IvfParams};
+use crate::ann::{Fnv, Ivf, IvfRows};
 
 /// Serving-side knobs for quantized tables: the drift gate and the online
-/// self-audit. (Index geometry still comes from [`IvfParams`] — the
-/// quantized index reuses the ANN coarse partition parameters.)
+/// self-audit. (Index geometry still comes from [`crate::ann::IvfParams`] —
+/// the quantized index reuses the ANN coarse partition parameters.)
 #[derive(Clone, Debug)]
 pub struct QuantParams {
-    /// Build-time drift gate: sampled recall@`probe_k` of the quantized
-    /// ranking vs the f32 oracle must reach this floor or quantized
-    /// serving stays disabled (requests fall back to the f32 path,
-    /// loudly).
+    /// Build-time drift gate: sampled recall@20 of the quantized ranking
+    /// vs the f32 oracle must reach this floor or quantized serving stays
+    /// disabled (requests fall back to the f32 path, loudly).
     pub drift_floor: f64,
-    /// Number of seeded probe users for the build-time drift estimate.
-    pub probe_users: usize,
-    /// Cutoff for the build-time drift estimate and the online self-audit.
-    pub probe_k: usize,
     /// Online self-audit cadence: every `audit_every`-th quantized-served
     /// list is also ranked through the f32 oracle and folded into the
     /// running drift estimate. `0` disables the audit.
     pub audit_every: u64,
-    /// Seed for the drift-probe user draw.
-    pub seed: u64,
 }
 
 impl Default for QuantParams {
     fn default() -> Self {
         QuantParams {
             drift_floor: 0.9,
-            probe_users: 64,
-            probe_k: 20,
             audit_every: 64,
-            seed: 0x9a17,
         }
     }
 }
@@ -87,12 +79,6 @@ impl QuantParams {
     /// Sets the online self-audit cadence (`0` = off).
     pub fn audit_every(mut self, n: u64) -> Self {
         self.audit_every = n;
-        self
-    }
-
-    /// Sets the drift-probe seed.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
         self
     }
 }
@@ -217,108 +203,54 @@ impl QuantRows {
     }
 }
 
-/// The quantized IVF-flat index: the shared [`CoarsePartition`] (f32
-/// centroids, probed with the f32 user row) plus each member's **int8**
-/// row and scale packed in list order. Compared to [`crate::ann::IvfIndex`]
-/// the packed payload is `dim + 4` bytes per entry instead of `4·dim` —
-/// PR 7's sequential-scan win and the 4× shrink compound.
-#[derive(Clone)]
-pub struct QuantIvf {
-    part: CoarsePartition,
-    /// The quantized row of each entry in the partition's `list_items`,
-    /// packed in the same order (`list_items.len() × dim`).
-    list_q: Vec<i8>,
-    /// The scale of each packed entry (`list_items.len()`).
-    list_scales: Vec<f32>,
-}
+/// The quantized IVF-flat index: the one [`Ivf`] (f32 centroids trained on
+/// the *dequantized* rows — what scoring actually serves — and probed with
+/// the f32 user row) whose packed payload is a [`QuantRows`] in list
+/// order. Compared to [`crate::ann::IvfIndex`] that is `dim + 4` bytes per
+/// entry instead of `4·dim` — PR 7's sequential-scan win and the 4× shrink
+/// compound.
+pub type QuantIvf = Ivf<QuantRows>;
 
-impl QuantIvf {
-    /// Builds the index over the quantized catalog: the coarse quantizer
-    /// is trained on the *dequantized* rows (`q · scale` — what scoring
-    /// actually serves), then each inverted-list entry packs its int8 row
-    /// and scale. Bit-deterministic for any thread count, like the f32
-    /// build.
-    pub fn build(items: &QuantRows, params: &IvfParams) -> QuantIvf {
-        let served = items.dequantize();
-        let part = CoarsePartition::build(&served, params);
-        let dim = part.dim;
-        let mut list_q = vec![0i8; part.list_items.len() * dim];
-        let mut list_scales = vec![0f32; part.list_items.len()];
-        for (slot, &item) in part.list_items.iter().enumerate() {
-            list_q[slot * dim..(slot + 1) * dim].copy_from_slice(items.row(item as usize));
-            list_scales[slot] = items.scale(item as usize);
+impl IvfRows for QuantRows {
+    /// A user's int8 row and its scale.
+    type Query<'a> = (&'a [i8], f32);
+
+    fn served(&self) -> Cow<'_, Mat> {
+        Cow::Owned(self.dequantize())
+    }
+
+    fn gather(&self, order: &[u32]) -> QuantRows {
+        let mut q = Vec::with_capacity(order.len() * self.dim);
+        let mut scales = Vec::with_capacity(order.len());
+        for &r in order {
+            q.extend_from_slice(self.row(r as usize));
+            scales.push(self.scale(r as usize));
         }
-        QuantIvf {
-            part,
-            list_q,
-            list_scales,
+        QuantRows {
+            rows: order.len(),
+            dim: self.dim,
+            q,
+            scales,
         }
     }
 
-    /// Number of inverted lists.
-    pub fn nlists(&self) -> usize {
-        self.part.nlists
-    }
-
-    /// Embedding dimensionality the index was built over.
-    pub fn dim(&self) -> usize {
-        self.part.dim
-    }
-
-    /// The item ids of inverted list `l` (ascending).
-    pub fn list(&self, l: usize) -> &[u32] {
-        self.part.list(l)
-    }
-
-    /// The item ids of inverted list `l` with their packed int8 rows
-    /// (`ids.len() × dim`) and per-entry scales (`ids.len()`), all in the
-    /// same order — the sequential-scan form of the quantized hot loop.
-    pub fn list_entries(&self, l: usize) -> (&[u32], &[i8], &[f32]) {
-        let (lo, hi) = self.part.list_range(l);
-        (
-            &self.part.list_items[lo..hi],
-            &self.list_q[lo * self.part.dim..hi * self.part.dim],
-            &self.list_scales[lo..hi],
-        )
-    }
-
-    /// The `nprobe` list ids best matching the (f32) `query` row. Probing
-    /// stays in f32 — it is `O(nlists · dim)`, off the bandwidth-critical
-    /// scan, and reusing the f32 centroids keeps list ranking identical to
-    /// an f32 index built over the same served rows.
-    pub fn probe(&self, query: &[f32], nprobe: usize) -> Vec<u32> {
-        self.part.probe(query, nprobe)
-    }
-
-    /// Resident bytes of the index payload (centroids + lists + packed
-    /// int8 rows + scales).
-    pub fn resident_bytes(&self) -> usize {
-        self.part.resident_bytes() + self.list_q.len() + self.list_scales.len() * 4
-    }
-
-    /// A stable fingerprint (partition + packed quantized payload) for
-    /// bit-determinism assertions.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        self.part.fingerprint_into(&mut h);
-        for chunk in self.list_q.chunks(4) {
-            let mut w = [0u8; 4];
-            for (d, &b) in w.iter_mut().zip(chunk) {
-                *d = b as u8;
-            }
-            h.eat(u32::from_le_bytes(w));
-        }
-        for &s in &self.list_scales {
-            h.eat(s.to_bits());
-        }
-        h.0
+    fn scores<'a>(
+        &'a self,
+        lo: usize,
+        hi: usize,
+        (qu, su): (&'a [i8], f32),
+    ) -> impl Iterator<Item = f32> {
+        self.q[lo * self.dim..hi * self.dim]
+            .chunks_exact(self.dim)
+            .zip(&self.scales[lo..hi])
+            .map(move |(qi, &si)| score_q(qu, su, qi, si))
     }
 }
 
 /// The quantized score of one candidate: exact integer dot, then one f32
-/// multiply by the combined scale. Shared by the full-catalog scan and the
-/// IVF candidate scan, so both paths produce bit-identical scores for the
-/// same item.
+/// multiply by the combined scale — the full-scan formula behind
+/// [`QuantRows`]'s [`IvfRows::scores`], so the full-catalog scan and the IVF
+/// candidate scan produce bit-identical scores for the same item.
 #[inline]
 pub fn score_q(qu: &[i8], user_scale: f32, qi: &[i8], item_scale: f32) -> f32 {
     dot8_i8(qu, qi) as f32 * (user_scale * item_scale)
@@ -327,6 +259,7 @@ pub fn score_q(qu: &[i8], user_scale: f32, qi: &[i8], item_scale: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ann::{assert_packed_in_list_order, IvfParams};
     use graphaug_rng::seeded_rng;
 
     fn random_mat(rows: usize, dim: usize, seed: u64) -> Mat {
@@ -408,22 +341,9 @@ mod tests {
         let m = random_mat(300, 16, 21);
         let q = QuantRows::quantize(&m);
         let idx = QuantIvf::build(&q, &IvfParams::new().nlists(9));
-        let mut seen = vec![false; 300];
-        for l in 0..idx.nlists() {
-            let (ids, rows, scales) = idx.list_entries(l);
-            assert_eq!(rows.len(), ids.len() * idx.dim());
-            assert_eq!(scales.len(), ids.len());
-            for (slot, &item) in ids.iter().enumerate() {
-                assert!(!seen[item as usize]);
-                seen[item as usize] = true;
-                assert_eq!(
-                    &rows[slot * idx.dim()..(slot + 1) * idx.dim()],
-                    q.row(item as usize),
-                    "packed row differs from source row"
-                );
-                assert_eq!(scales[slot].to_bits(), q.scale(item as usize).to_bits());
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
+        assert_eq!(idx.len(), 300);
+        assert_packed_in_list_order(&q, &idx, |packed, s, source, r| {
+            packed.row(s) == source.row(r) && packed.scale(s).to_bits() == source.scale(r).to_bits()
+        });
     }
 }

@@ -12,15 +12,23 @@
 use std::path::{Path, PathBuf};
 
 use graphaug_core::{GraphAug, GraphAugConfig};
-use graphaug_eval::{overlap_count, topk_indices, topk_pairs, Recommender};
+use graphaug_eval::{overlap_count, topk_indices, Recommender};
 use graphaug_graph::InteractionGraph;
 use graphaug_ingest::{apply_deltas, read_range, IngestError};
 use graphaug_rng::StdRng;
 use graphaug_runtime::{RunCompat, SnapshotError, TrainState};
 use graphaug_tensor::{Mat, RestoreError};
 
-use crate::ann::{IvfIndex, IvfParams};
-use crate::quant::{score_q, QuantIvf, QuantParams, QuantRows};
+use crate::ann::{Ivf, IvfIndex, IvfParams, IvfRows};
+use crate::quant::{QuantIvf, QuantParams, QuantRows};
+
+/// Seeded probe users behind every build-time gate estimate.
+const GATE_USERS: usize = 64;
+/// Cutoff of every build-time gate estimate (the paper's K).
+const GATE_K: usize = 20;
+/// Seed of the drift gate's probe-user draw (the recall gate draws from
+/// its index's [`IvfParams::seed`]).
+const DRIFT_SEED: u64 = 0x9a17;
 
 /// Why a serving operation failed.
 #[derive(Debug)]
@@ -100,6 +108,13 @@ pub struct ScoredItem {
     pub item: u32,
     /// Dot-product preference score (bit-identical to offline eval).
     pub score: f32,
+}
+
+/// How many of `exact`'s items `approx` also returned — the numerator of
+/// every recall estimate (build-time gates and the engine's online audit).
+pub(crate) fn overlap(approx: &[ScoredItem], exact: &[ScoredItem]) -> usize {
+    let items = |list: &[ScoredItem]| list.iter().map(|s| s.item).collect::<Vec<u32>>();
+    overlap_count(&items(approx), &items(exact))
 }
 
 /// Where serving tables come from: the model configuration and training
@@ -202,20 +217,37 @@ impl ModelSource {
     }
 }
 
+/// The audited quality of one approximate tier, frozen with the tables it
+/// was measured on: the build-time sampled recall@20 vs the exact f32
+/// oracle, whether it cleared the tier's floor, and the online audit
+/// cadence that travels with it. A reload rebuilds the tier from scratch,
+/// so the gate re-runs per generation.
+#[derive(Clone, Copy)]
+struct Gate {
+    sampled: f64,
+    enabled: bool,
+    audit_every: u64,
+}
+
+impl Gate {
+    /// Fails closed: the tier serves only when `sampled` reaches `floor`.
+    fn new(sampled: f64, floor: f64, audit_every: u64) -> Gate {
+        Gate {
+            sampled,
+            enabled: sampled >= floor,
+            audit_every,
+        }
+    }
+}
+
 /// An IVF index attached to one generation of serving tables, together
-/// with its audited quality: the build-time sampled recall vs the exact
-/// oracle, and whether that recall cleared the configured floor. Built
-/// alongside the tables at swap time (off the request path) and frozen —
-/// a reload rebuilds both from scratch, so the gate re-runs per
-/// generation.
+/// with its [`Gate`]. Built alongside the tables at swap time (off the
+/// request path) and frozen.
 #[derive(Clone)]
 pub struct AnnBuild {
     index: IvfIndex,
     nprobe: usize,
-    build_recall: f64,
-    enabled: bool,
-    probe_k: usize,
-    audit_every: u64,
+    gate: Gate,
 }
 
 impl AnnBuild {
@@ -229,26 +261,21 @@ impl AnnBuild {
         self.nprobe
     }
 
-    /// Build-time sampled recall@`probe_k` vs the exact oracle.
+    /// Build-time sampled recall@20 vs the exact oracle.
     pub fn build_recall(&self) -> f64 {
-        self.build_recall
+        self.gate.sampled
     }
 
     /// Whether the build-time recall cleared the configured floor. When
     /// false the tables answer every request through the exact path.
     pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Cutoff used for the build-time gate and the online self-audit.
-    pub fn probe_k(&self) -> usize {
-        self.probe_k
+        self.gate.enabled
     }
 
     /// Online self-audit cadence (every Nth ANN-served list is re-ranked
     /// exactly; `0` = off).
     pub fn audit_every(&self) -> u64 {
-        self.audit_every
+        self.gate.audit_every
     }
 }
 
@@ -269,20 +296,16 @@ pub struct AnnQuery {
 }
 
 /// Int8 quantized tables attached to one generation of serving tables,
-/// together with their audited quality: the build-time sampled drift
-/// recall vs the f32 oracle, and whether it cleared the configured floor.
-/// Frozen at table-build time like [`AnnBuild`]; a hot reload re-quantizes
-/// and re-gates per generation.
+/// together with their [`Gate`] (the sampled recall here is the quantized
+/// ranking's *drift* from the f32 oracle). Frozen at table-build time like
+/// [`AnnBuild`].
 #[derive(Clone)]
 pub struct QuantBuild {
     user_q: QuantRows,
     item_q: QuantRows,
     ivf: Option<QuantIvf>,
     nprobe: usize,
-    build_drift: f64,
-    enabled: bool,
-    probe_k: usize,
-    audit_every: u64,
+    gate: Gate,
 }
 
 impl QuantBuild {
@@ -291,42 +314,27 @@ impl QuantBuild {
         &self.user_q
     }
 
-    /// The quantized item table.
-    pub fn item_rows(&self) -> &QuantRows {
-        &self.item_q
-    }
-
     /// The int8 IVF index, when the source also carries [`IvfParams`].
     pub fn ivf(&self) -> Option<&QuantIvf> {
         self.ivf.as_ref()
     }
 
-    /// Lists probed per query on the quantized IVF path.
-    pub fn nprobe(&self) -> usize {
-        self.nprobe
-    }
-
-    /// Build-time sampled recall@`probe_k` of the quantized ranking vs the
-    /// f32 oracle.
+    /// Build-time sampled recall@20 of the quantized ranking vs the f32
+    /// oracle.
     pub fn build_drift(&self) -> f64 {
-        self.build_drift
+        self.gate.sampled
     }
 
     /// Whether the build-time drift cleared the configured floor. When
     /// false the tables answer every request through the f32 path.
     pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Cutoff used for the build-time gate and the online self-audit.
-    pub fn probe_k(&self) -> usize {
-        self.probe_k
+        self.gate.enabled
     }
 
     /// Online self-audit cadence (every Nth quantized-served list is
     /// re-ranked through the f32 oracle; `0` = off).
     pub fn audit_every(&self) -> u64 {
-        self.audit_every
+        self.gate.audit_every
     }
 
     /// Resident bytes of the quantized embedding tables (weights +
@@ -437,10 +445,36 @@ impl ModelTables {
         }
     }
 
+    /// The gate estimate both tiers share: recall@[`GATE_K`] of `approx`
+    /// against the exact f32 oracle ([`Self::top_k`]) over [`GATE_USERS`]
+    /// users drawn from `StdRng::stream(seed, stream)`. `approx` must rank
+    /// through the path that would *actually serve* — index and all.
+    fn sampled_recall(
+        &self,
+        seed: u64,
+        stream: u64,
+        approx: impl Fn(u32) -> Vec<ScoredItem>,
+    ) -> f64 {
+        let mut rng = StdRng::stream(seed, stream);
+        let (mut hits, mut total) = (0usize, 0usize);
+        if self.n_users() > 0 {
+            for _ in 0..GATE_USERS {
+                let user = rng.bounded_u64(self.n_users() as u64) as u32;
+                let exact = self.top_k(user, GATE_K).expect("probe user in range");
+                hits += overlap(&approx(user), &exact);
+                total += exact.len();
+            }
+        }
+        if total == 0 {
+            1.0
+        } else {
+            hits as f64 / total as f64
+        }
+    }
+
     /// Attaches (or skips) the IVF index: builds the quantizer over the
-    /// frozen item table, then estimates recall@`probe_k` on a seeded probe
-    /// set of users against the exact oracle. Below the floor the index is
-    /// kept but **disabled** — serving falls back to exact and the engine
+    /// frozen item table, then gates it. Below the floor the index is kept
+    /// but **disabled** — serving falls back to exact and the engine
     /// reports the refusal — so a bad quantization can never silently
     /// degrade ranking quality.
     fn with_ann(mut self, params: Option<&IvfParams>) -> ModelTables {
@@ -450,44 +484,24 @@ impl ModelTables {
         }
         let index = IvfIndex::build(&self.item_emb, params);
         let nprobe = params.effective_nprobe(index.nlists());
-        let probe_k = params.probe_k.max(1);
-        let mut rng = StdRng::stream(params.seed, 1);
-        let (mut hits, mut total) = (0usize, 0usize);
-        if self.n_users() > 0 {
-            for _ in 0..params.probe_users {
-                let user = rng.bounded_u64(self.n_users() as u64) as u32;
-                let exact = self.top_k(user, probe_k).expect("probe user in range");
-                let (approx, _) = self.top_k_probed(&index, nprobe, user, probe_k);
-                let exact_items: Vec<u32> = exact.iter().map(|s| s.item).collect();
-                let approx_items: Vec<u32> = approx.iter().map(|s| s.item).collect();
-                hits += overlap_count(&approx_items, &exact_items);
-                total += exact.len();
-            }
-        }
-        let build_recall = if total == 0 {
-            1.0
-        } else {
-            hits as f64 / total as f64
-        };
+        let recall = self.sampled_recall(params.seed, 1, |user| {
+            let query = self.user_emb.row(user as usize);
+            self.top_k_probed(&index, nprobe, user, query, GATE_K).0
+        });
         self.ann = Some(AnnBuild {
             index,
             nprobe,
-            build_recall,
-            enabled: build_recall >= params.recall_floor,
-            probe_k,
-            audit_every: params.audit_every,
+            gate: Gate::new(recall, params.recall_floor, params.audit_every),
         });
         self
     }
 
     /// Freezes (or skips) the int8 tables: quantizes both embedding
     /// matrices, optionally packs the quantized IVF index (when the source
-    /// also carries ANN geometry), then estimates the quantized ranking's
-    /// recall@`probe_k` on a seeded probe set against the f32 oracle.
-    /// Below the drift floor the quantized tables are kept but
-    /// **disabled** — serving falls back to the f32 path and the engine
-    /// reports the refusal — so quantization noise can never silently
-    /// degrade ranking quality.
+    /// also carries ANN geometry), then gates the result. Below the drift
+    /// floor the quantized tables are kept but **disabled** — serving falls
+    /// back to the f32 path and the engine reports the refusal — so
+    /// quantization noise can never silently degrade ranking quality.
     fn with_quant(
         mut self,
         params: Option<&QuantParams>,
@@ -504,42 +518,21 @@ impl ModelTables {
             (Some(ix), Some(p)) => p.effective_nprobe(ix.nlists()),
             _ => 0,
         };
-        let probe_k = params.probe_k.max(1);
+        let gate = |sampled| Gate::new(sampled, params.drift_floor, params.audit_every);
         // Gate against the *actually served* path: probe through the same
-        // build (IVF and all) that enabled serving would use.
-        let candidate = QuantBuild {
+        // build (IVF and all) that enabled serving would use, then stamp
+        // the estimate on it.
+        let mut qb = QuantBuild {
             user_q,
             item_q,
             ivf,
             nprobe,
-            build_drift: 0.0,
-            enabled: true,
-            probe_k,
-            audit_every: params.audit_every,
+            gate: gate(0.0),
         };
-        let mut rng = StdRng::stream(params.seed, 2);
-        let (mut hits, mut total) = (0usize, 0usize);
-        if self.n_users() > 0 {
-            for _ in 0..params.probe_users {
-                let user = rng.bounded_u64(self.n_users() as u64) as u32;
-                let exact = self.top_k(user, probe_k).expect("probe user in range");
-                let (quant, _) = self.top_k_quant_with(&candidate, user, probe_k);
-                let exact_items: Vec<u32> = exact.iter().map(|s| s.item).collect();
-                let quant_items: Vec<u32> = quant.iter().map(|s| s.item).collect();
-                hits += overlap_count(&quant_items, &exact_items);
-                total += exact.len();
-            }
-        }
-        let build_drift = if total == 0 {
-            1.0
-        } else {
-            hits as f64 / total as f64
-        };
-        self.quant = Some(QuantBuild {
-            build_drift,
-            enabled: build_drift >= params.drift_floor,
-            ..candidate
-        });
+        qb.gate = gate(self.sampled_recall(DRIFT_SEED, 2, |user| {
+            self.top_k_quant_with(&qb, user, GATE_K).0
+        }));
+        self.quant = Some(qb);
         self
     }
 
@@ -589,6 +582,17 @@ impl ModelTables {
         self.item_emb.rows()
     }
 
+    /// Rejects a user id outside the tables.
+    fn check_user(&self, user: u32) -> Result<(), ServeError> {
+        if (user as usize) < self.n_users() {
+            return Ok(());
+        }
+        Err(ServeError::UnknownUser {
+            user,
+            n_users: self.n_users(),
+        })
+    }
+
     /// Items `user` already interacted with in the training graph (these
     /// are filtered out of every recommendation, mirroring the eval
     /// harness's train-item masking).
@@ -606,51 +610,45 @@ impl ModelTables {
     /// is the shared bounded-heap [`topk_indices`]. Served output is
     /// therefore bit-identical to `graphaug-eval` for the same checkpoint.
     pub fn top_k(&self, user: u32, k: usize) -> Result<Vec<ScoredItem>, ServeError> {
-        if (user as usize) >= self.n_users() {
-            return Err(ServeError::UnknownUser {
-                user,
-                n_users: self.n_users(),
-            });
-        }
-        let mut scores = self.score_items(user as usize);
+        self.check_user(user)?;
+        Ok(self.rank_unseen(user, self.score_items(user as usize), k))
+    }
+
+    /// The full-scan selection every scorer shares: masks `user`'s seen
+    /// items to `-inf` in the dense `scores` and keeps the top `k`.
+    fn rank_unseen(&self, user: u32, mut scores: Vec<f32>, k: usize) -> Vec<ScoredItem> {
         for &v in self.seen(user) {
             scores[v as usize] = f32::NEG_INFINITY;
         }
-        Ok(topk_indices(&scores, k)
+        topk_indices(&scores, k)
             .into_iter()
             .map(|item| ScoredItem {
                 item,
                 score: scores[item as usize],
             })
-            .collect())
+            .collect()
     }
 
     /// Top-`k` for `user` through the IVF fast path when an enabled index
     /// is attached, else through the exact scorer. Also reports how the
     /// request was answered (for the engine's counters and self-audit).
     ///
-    /// The fast path preserves the exact path's semantics item-for-item:
-    /// candidates are scored in the `score_items` summation order, seen
-    /// items stay *in* the candidate set masked to `-inf` (so they surface
-    /// at the tail when `k` exceeds the unseen count, exactly like the
-    /// dense path), and selection is [`topk_pairs`], which shares
-    /// [`topk_indices`]'s tie-break. With `nprobe = nlists` every item is a
-    /// candidate exactly once and the output is hex-identical to
-    /// [`Self::top_k`].
+    /// The fast path preserves the exact path's semantics item-for-item
+    /// (see [`Ivf::search`]): candidates are scored in the `score_items`
+    /// summation order, seen items stay *in* the candidate set masked to
+    /// `-inf`, and the selection shares [`topk_indices`]'s tie-break. With
+    /// `nprobe = nlists` every item is a candidate exactly once and the
+    /// output is hex-identical to [`Self::top_k`].
     pub fn top_k_ann(
         &self,
         user: u32,
         k: usize,
     ) -> Result<(Vec<ScoredItem>, AnnQuery), ServeError> {
-        if (user as usize) >= self.n_users() {
-            return Err(ServeError::UnknownUser {
-                user,
-                n_users: self.n_users(),
-            });
-        }
+        self.check_user(user)?;
         match &self.ann {
-            Some(ann) if ann.enabled => {
-                let (top, cands) = self.top_k_probed(&ann.index, ann.nprobe, user, k);
+            Some(ann) if ann.gate.enabled => {
+                let query = self.user_emb.row(user as usize);
+                let (top, cands) = self.top_k_probed(&ann.index, ann.nprobe, user, query, k);
                 Ok((
                     top,
                     AnnQuery {
@@ -673,68 +671,24 @@ impl ModelTables {
         }
     }
 
-    /// Scores only the items in `user`'s `nprobe` best inverted lists and
-    /// selects top-`k`. Returns the ranked list and the candidate count.
-    /// Each candidate's score is computed with the exact scorer's summation
-    /// (`Σ item[d]·user[d]` in ascending dimension order) — **not** the
-    /// SIMD dot — so full-probe output is bit-identical to the dense path.
-    fn top_k_probed(
+    /// Top-`k` over the items in `user`'s `nprobe` best inverted lists of
+    /// `index` (probed with the f32 user row, scored against `query` — the
+    /// same user in the index's representation), plus the candidate count.
+    fn top_k_probed<'a, R: IvfRows>(
         &self,
-        index: &IvfIndex,
+        index: &'a Ivf<R>,
         nprobe: usize,
         user: u32,
+        query: R::Query<'a>,
         k: usize,
     ) -> (Vec<ScoredItem>, u32) {
         let urow = self.user_emb.row(user as usize);
-        let seen = self.seen(user);
-        let lists = index.probe(urow, nprobe);
-        let cands: u32 = lists
-            .iter()
-            .map(|&l| index.list(l as usize).len() as u32)
-            .sum();
-        let dim = index.dim();
-        // Score from the index's packed row copies (bit-exact duplicates of
-        // `item_emb` rows) so the hot loop streams sequentially instead of
-        // gathering scattered catalog rows.
-        let candidates = lists
-            .iter()
-            .flat_map(|&l| {
-                let (ids, vecs) = index.list_entries(l as usize);
-                ids.iter().zip(vecs.chunks_exact(dim))
-            })
-            .map(|(&v, vrow)| {
-                let score = if seen.binary_search(&v).is_ok() {
-                    f32::NEG_INFINITY
-                } else {
-                    vrow.iter().zip(urow).map(|(a, b)| a * b).sum()
-                };
-                (v, score)
-            });
-        let top = topk_pairs(candidates, k)
+        let (top, cands) = index.search(urow, nprobe, query, self.seen(user), k);
+        let top = top
             .into_iter()
             .map(|(item, score)| ScoredItem { item, score })
             .collect();
         (top, cands)
-    }
-
-    /// Scores every item for `user` through the int8 tables:
-    /// `dot8_i8(q_user, q_item) · (scale_user · scale_item)` per item, in
-    /// ascending item order. The integer accumulation is exact, so the
-    /// result is bit-identical for any thread count and for the SIMD lane
-    /// vs scalar builds — quantization noise is the *only* difference from
-    /// [`Recommender::score_items`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when no quantized tables are attached (the source carried no
-    /// [`QuantParams`]).
-    pub fn score_items_q(&self, user: usize) -> Vec<f32> {
-        let qb = self.quant.as_ref().expect("quantized tables attached");
-        let qu = qb.user_q.row(user);
-        let su = qb.user_q.scale(user);
-        (0..self.n_items())
-            .map(|i| score_q(qu, su, qb.item_q.row(i), qb.item_q.scale(i)))
-            .collect()
     }
 
     /// Top-`k` for `user` through the quantized path when enabled tables
@@ -742,9 +696,9 @@ impl ModelTables {
     /// back to exact). Also reports how the request was answered.
     ///
     /// The quantized path mirrors the f32 paths structurally: the full
-    /// scan is `score_items_q` + seen-mask + [`topk_indices`]; the IVF
-    /// scan probes with the f32 user row and scores packed int8 candidates
-    /// with the same per-item formula, selecting via [`topk_pairs`]. Both
+    /// scan is [`QuantRows`]'s `scores` over the whole item table +
+    /// seen-mask + [`topk_indices`]; the IVF scan is the same
+    /// [`Ivf::search`] the f32 tier runs, over packed int8 rows. Both
     /// compute identical per-item scores, so quant-IVF at
     /// `nprobe = nlists` is hex-identical to the quant full scan — and a
     /// disabled gate serves f32 bits indistinguishable from `RECX`.
@@ -753,17 +707,9 @@ impl ModelTables {
         user: u32,
         k: usize,
     ) -> Result<(Vec<ScoredItem>, AnnQuery), ServeError> {
-        if (user as usize) >= self.n_users() {
-            return Err(ServeError::UnknownUser {
-                user,
-                n_users: self.n_users(),
-            });
-        }
+        self.check_user(user)?;
         match &self.quant {
-            Some(qb) if qb.enabled => {
-                let (top, how) = self.top_k_quant_with(qb, user, k);
-                Ok((top, how))
-            }
+            Some(qb) if qb.gate.enabled => Ok(self.top_k_quant_with(qb, user, k)),
             _ => self.top_k_ann(user, k),
         }
     }
@@ -777,73 +723,24 @@ impl ModelTables {
         user: u32,
         k: usize,
     ) -> (Vec<ScoredItem>, AnnQuery) {
-        let seen = self.seen(user);
-        match &qb.ivf {
+        let query = (qb.user_q.row(user as usize), qb.user_q.scale(user as usize));
+        let (top, probes, cands) = match &qb.ivf {
             Some(ivf) => {
-                let urow = self.user_emb.row(user as usize);
-                let qu = qb.user_q.row(user as usize);
-                let su = qb.user_q.scale(user as usize);
-                let lists = ivf.probe(urow, qb.nprobe);
-                let dim = ivf.dim();
-                let cands: u32 = lists
-                    .iter()
-                    .map(|&l| ivf.list(l as usize).len() as u32)
-                    .sum();
-                let candidates = lists
-                    .iter()
-                    .flat_map(|&l| {
-                        let (ids, rows, scales) = ivf.list_entries(l as usize);
-                        ids.iter().zip(rows.chunks_exact(dim)).zip(scales)
-                    })
-                    .map(|((&v, vrow), &vscale)| {
-                        let score = if seen.binary_search(&v).is_ok() {
-                            f32::NEG_INFINITY
-                        } else {
-                            score_q(qu, su, vrow, vscale)
-                        };
-                        (v, score)
-                    });
-                let top = topk_pairs(candidates, k)
-                    .into_iter()
-                    .map(|(item, score)| ScoredItem { item, score })
-                    .collect();
-                (
-                    top,
-                    AnnQuery {
-                        used_ann: false,
-                        used_quant: true,
-                        probes: qb.nprobe as u32,
-                        cands,
-                    },
-                )
+                let (top, cands) = self.top_k_probed(ivf, qb.nprobe, user, query, k);
+                (top, qb.nprobe as u32, cands)
             }
             None => {
-                let qu = qb.user_q.row(user as usize);
-                let su = qb.user_q.scale(user as usize);
-                let mut scores: Vec<f32> = (0..self.n_items())
-                    .map(|i| score_q(qu, su, qb.item_q.row(i), qb.item_q.scale(i)))
-                    .collect();
-                for &v in seen {
-                    scores[v as usize] = f32::NEG_INFINITY;
-                }
-                let top = topk_indices(&scores, k)
-                    .into_iter()
-                    .map(|item| ScoredItem {
-                        item,
-                        score: scores[item as usize],
-                    })
-                    .collect();
-                (
-                    top,
-                    AnnQuery {
-                        used_ann: false,
-                        used_quant: true,
-                        probes: 0,
-                        cands: self.n_items() as u32,
-                    },
-                )
+                let scores = qb.item_q.scores(0, self.n_items(), query).collect();
+                (self.rank_unseen(user, scores, k), 0, self.n_items() as u32)
             }
-        }
+        };
+        let how = AnnQuery {
+            used_ann: false,
+            used_quant: true,
+            probes,
+            cands,
+        };
+        (top, how)
     }
 
     /// The IVF index build attached to these tables, if the source asked
@@ -873,7 +770,7 @@ impl ModelTables {
     /// `STATS` reports — the observable for the ~4× quantization shrink.
     pub fn table_bytes(&self) -> usize {
         match &self.quant {
-            Some(qb) if qb.enabled => qb.table_bytes(),
+            Some(qb) if qb.gate.enabled => qb.table_bytes(),
             _ => self.table_bytes_f32(),
         }
     }
@@ -1028,6 +925,35 @@ mod tests {
         assert!(!how.used_ann);
         assert_eq!(how.cands as usize, tables.n_items());
         assert_eq!(top, tables.top_k(7, 10).unwrap());
+    }
+
+    #[test]
+    fn gate_enables_at_the_floor_and_never_above_one() {
+        // `>=`: an estimate exactly at the floor serves.
+        let at = Gate::new(0.9, 0.9, 7);
+        assert!(at.enabled);
+        assert_eq!(at.sampled, 0.9);
+        assert_eq!(at.audit_every, 7, "cadence travels with the gate");
+        assert!(!Gate::new(0.9 - f64::EPSILON, 0.9, 7).enabled);
+        // No estimate reaches an unsatisfiable floor, a perfect one included
+        // — and the refused tier keeps its cadence for `STATS`.
+        let refused = Gate::new(1.0, 1.1, 7);
+        assert!(!refused.enabled);
+        assert_eq!(refused.audit_every, 7);
+
+        // The same boundary through a build: a floor set to the measured
+        // recall itself still serves.
+        let (mut source, state) = source_with_state();
+        let narrow = IvfParams::new().nlists(8).nprobe(1).audit_every(7);
+        source.ann = Some(narrow.clone().recall_floor(0.0));
+        let tables = ModelTables::build(&source, 0, &state, state.fingerprint()).unwrap();
+        let recall = tables.ann().unwrap().build_recall();
+        source.ann = Some(narrow.recall_floor(recall));
+        let tables = ModelTables::build(&source, 0, &state, state.fingerprint()).unwrap();
+        let ann = tables.ann().unwrap();
+        assert_eq!(ann.build_recall().to_bits(), recall.to_bits());
+        assert!(ann.enabled());
+        assert_eq!(ann.audit_every(), 7);
     }
 
     #[test]

@@ -16,7 +16,8 @@ use graphaug_rng::prop::{check, DEFAULT_CASES};
 use graphaug_rng::{prop_assert, prop_assert_eq};
 use graphaug_runtime::{checkpoint, Runtime, RuntimeConfig};
 use graphaug_serve::{
-    parse_ok_line, serve, Engine, IvfIndex, IvfParams, ModelSource, ModelTables, ScoredItem,
+    parse_ok_line, serve, Engine, IvfIndex, IvfParams, ModelSource, ModelTables, QuantIvf,
+    QuantParams, QuantRows, ScoredItem,
 };
 use graphaug_tensor::Mat;
 
@@ -248,8 +249,10 @@ fn recall_gate_refuses_and_serving_falls_back_to_exact() {
 }
 
 /// Property: for *any* embedding matrix and index geometry, the IVF build
-/// is bit-identical at every thread count — fingerprint covers quantizer
-/// bits, list membership, and the packed rows.
+/// — f32 and int8 alike — is bit-identical at every thread count. The
+/// fingerprint covers the quantizer bits and the list membership; the
+/// packed rows are a gather of the source in that order (unit-tested per
+/// representation).
 #[test]
 fn prop_index_build_is_thread_count_invariant() {
     let _guard = lock();
@@ -265,7 +268,10 @@ fn prop_index_build_is_thread_count_invariant() {
         let mut prints = Vec::new();
         for threads in [1usize, 3, 4] {
             graphaug_par::set_thread_count(threads);
-            prints.push(IvfIndex::build(&items, &params).fingerprint());
+            prints.push((
+                IvfIndex::build(&items, &params).fingerprint(),
+                QuantIvf::build(&QuantRows::quantize(&items), &params).fingerprint(),
+            ));
         }
         graphaug_par::set_thread_count(1);
         prop_assert_eq!(prints[0], prints[1]);
@@ -274,10 +280,13 @@ fn prop_index_build_is_thread_count_invariant() {
     });
 }
 
-/// Property: with `nprobe = nlists` the ANN path is hex-identical to the
-/// exact scorer for any embeddings, geometry, and `k` — including
-/// duplicate-heavy scores, where the shared total-order tie-break (equal
-/// score → lower index) is what keeps the two paths aligned.
+/// Property: with `nprobe = nlists` an index is hex-identical to its
+/// representation's full scan — the f32 ANN path to the exact scorer, the
+/// int8 index to the quant scan of tables built without ANN geometry — for
+/// any embeddings, geometry, and `k` (past the unseen count too, where
+/// seen items surface at the tail), including duplicate-heavy scores,
+/// where the shared total-order tie-break (equal score → lower index) is
+/// what keeps the two paths aligned.
 #[test]
 fn prop_full_probe_matches_exact_hex_under_ties() {
     check("ann_full_probe_parity", DEFAULT_CASES / 4, |g| {
@@ -302,30 +311,41 @@ fn prop_full_probe_matches_exact_hex_under_ties() {
             .recall_floor(0.0)
             .seed(g.random_range(0..u64::MAX));
 
-        let ann_tables = ModelTables::from_embeddings(
-            Mat::from_vec(n_users, dim, users.clone()),
-            Mat::from_vec(n_items, dim, items.clone()),
-            graph.clone(),
-            1,
-            Some(&params),
-            None,
-        );
-        let exact_tables = ModelTables::from_embeddings(
-            Mat::from_vec(n_users, dim, users),
-            Mat::from_vec(n_items, dim, items),
-            graph,
-            1,
-            None,
-            None,
-        );
+        // The palette quantizes to five int8 values, so int8 score ties
+        // are as certain as the f32 ones.
+        let quant = QuantParams::new().drift_floor(0.0);
+        let tables = |ann: Option<&IvfParams>| {
+            ModelTables::from_embeddings(
+                Mat::from_vec(n_users, dim, users.clone()),
+                Mat::from_vec(n_items, dim, items.clone()),
+                graph.clone(),
+                1,
+                ann,
+                Some(&quant),
+            )
+        };
+        let ann_tables = tables(Some(&params));
+        let scan_tables = tables(None);
         prop_assert!(ann_tables.ann().expect("index built").enabled());
+        prop_assert!(ann_tables.quant().expect("int8 built").ivf().is_some());
+        prop_assert!(scan_tables.quant().expect("int8 built").ivf().is_none());
 
         let k = g.len_in(1, n_items + 4);
         for user in 0..n_users as u32 {
             let (approx, how) = ann_tables.top_k_ann(user, k).map_err(|e| e.to_string())?;
             prop_assert!(how.used_ann);
-            let exact = exact_tables.top_k(user, k).map_err(|e| e.to_string())?;
+            let exact = scan_tables.top_k(user, k).map_err(|e| e.to_string())?;
             prop_assert_eq!(hex_list(&approx), hex_list(&exact));
+
+            let (via_ivf, how) = ann_tables.top_k_quant(user, k).map_err(|e| e.to_string())?;
+            prop_assert!(how.used_quant);
+            prop_assert_eq!(how.cands as usize, n_items);
+            let (via_scan, how) = scan_tables
+                .top_k_quant(user, k)
+                .map_err(|e| e.to_string())?;
+            prop_assert!(how.used_quant);
+            prop_assert_eq!(how.probes, 0);
+            prop_assert_eq!(hex_list(&via_ivf), hex_list(&via_scan));
         }
         Ok(())
     });
