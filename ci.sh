@@ -12,7 +12,7 @@
 # each one as its own step; the default runs everything in order:
 #
 #   static   cargo fmt --check, clippy -D warnings, one-listener grep,
-#            one-probe-loop guard
+#            one-probe-loop guard, one-front-door guard
 #   build    cargo build --release
 #   tests    full test suite at GRAPHAUG_THREADS={1,3,4} and GRAPHAUG_SIMD=0
 #   bench    bench harness smoke run (tiny budget)
@@ -164,6 +164,16 @@ group_static() {
         exit 1
     fi
     echo "ok: one IVF struct, one candidate loop"
+
+    stage "one front door: env::args only in ingest/src/args.rs"
+    # Every binary parses argv through `graphaug_ingest::args::run`
+    # (DESIGN.md, "One front door"); a second reader is how eight parse
+    # loops drifted into `--watch-ms 0` spinning and pids wrapping to 1.
+    if grep -rn 'env::args' crates/ | grep -v '^crates/ingest/src/args.rs:'; then
+        echo "ERROR: argv read outside ingest/src/args.rs" >&2
+        exit 1
+    fi
+    echo "ok: one argv reader"
 }
 
 group_build() {
@@ -280,6 +290,28 @@ stage_serving() {
     done
     if target/release/loadgen not-an-addr --requests 1 >/dev/null 2>&1; then
         echo "ERROR: loadgen accepted a malformed address" >&2
+        exit 1
+    fi
+
+    # Every flag-taking binary answers a flag it does not know with exit 2
+    # and its usage line, before it does any work.
+    local bin rc
+    for bin in serve_main loadgen router_main supervisord chaos_loadgen \
+        mock_replica ingestd graphaug; do
+        rc=0
+        timeout 30 "target/release/$bin" --bogus-flag 2>"$LOG_DIR/usage_$bin.log" >/dev/null || rc=$?
+        if [[ $rc -ne 2 ]] || ! grep -q '^usage:' "$LOG_DIR/usage_$bin.log"; then
+            echo "ERROR: $bin --bogus-flag: exit $rc, want 2 and a usage: line" >&2
+            cat "$LOG_DIR/usage_$bin.log" >&2
+            exit 1
+        fi
+    done
+    # A zero watch period used to boot and poll the directory in a
+    # sleep(0) loop (the timeout only bounds a regression that boots).
+    rc=0
+    timeout 30 target/release/serve_main "$serve_dir/ck" --watch-ms 0 >/dev/null 2>&1 || rc=$?
+    if [[ $rc -ne 2 ]]; then
+        echo "ERROR: serve_main accepted --watch-ms 0 (exit $rc)" >&2
         exit 1
     fi
 

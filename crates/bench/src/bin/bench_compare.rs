@@ -1,10 +1,5 @@
-//! Diffs two `BENCH_*.json` trajectory files and fails on regression.
-//!
-//! Usage:
-//!
-//! ```text
-//! bench_compare <new.json> <baseline.json> [--threshold <pct>] [--warn-only]
-//! ```
+//! Diffs two `BENCH_*.json` trajectory files and fails on regression
+//! (arguments: [`USAGE`]).
 //!
 //! Benchmarks present in both files are compared by `median_ns`; any bench
 //! whose new median exceeds the baseline by more than the threshold
@@ -13,6 +8,11 @@
 //! never fail the run, so suites can grow without breaking the gate.
 
 use std::process::ExitCode;
+
+use graphaug_ingest::args;
+
+const USAGE: &str =
+    "usage: bench_compare <new.json> <baseline.json> [--threshold <pct>] [--warn-only]";
 
 /// Extracts `(name, median_ns)` pairs from a `graphaug-bench/v1` report
 /// with a purpose-built scanner (the workspace has no JSON dependency; the
@@ -64,38 +64,28 @@ fn load(path: &str) -> Vec<(String, u128)> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut files = Vec::new();
-    let mut threshold_pct = 10.0f64;
-    let mut warn_only = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threshold" => {
-                threshold_pct = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threshold needs a percentage");
-            }
-            "--warn-only" => warn_only = true,
-            _ => files.push(a.clone()),
-        }
-    }
-    if files.len() != 2 {
-        eprintln!(
-            "usage: bench_compare <new.json> <baseline.json> [--threshold <pct>] [--warn-only]"
-        );
-        return ExitCode::from(2);
-    }
-    let new = load(&files[0]);
-    let base = load(&files[1]);
+    args::run("bench_compare", USAGE, |mut args| {
+        let new: String = args.positional("<new.json>")?;
+        let base: String = args.positional("<baseline.json>")?;
+        let threshold_pct: f64 = args.value("--threshold", 10.0)?;
+        let warn_only = args.switch("--warn-only")?;
+        args.finish()?;
+        compare(&load(&new), &load(&base), threshold_pct, warn_only)
+    })
+}
 
+fn compare(
+    new: &[(String, u128)],
+    base: &[(String, u128)],
+    threshold_pct: f64,
+    warn_only: bool,
+) -> Result<(), args::Fail> {
     let mut regressions = 0usize;
     println!(
         "{:<42} {:>14} {:>14} {:>9}",
         "benchmark", "baseline", "new", "ratio"
     );
-    for (name, new_med) in &new {
+    for (name, new_med) in new {
         match base.iter().find(|(n, _)| n == name) {
             Some((_, base_med)) => {
                 let ratio = *new_med as f64 / (*base_med).max(1) as f64;
@@ -112,18 +102,19 @@ fn main() -> ExitCode {
             None => println!("{name:<42} {:>14} {new_med:>12}ns     (new)", "-"),
         }
     }
-    for (name, _) in &base {
+    for (name, _) in base {
         if !new.iter().any(|(n, _)| n == name) {
             println!("{name:<42} (missing from new report)");
         }
     }
 
     if regressions > 0 {
-        eprintln!("{regressions} benchmark(s) regressed by more than {threshold_pct}% on median");
+        let verdict =
+            format!("{regressions} benchmark(s) regressed by more than {threshold_pct}% on median");
         if !warn_only {
-            return ExitCode::FAILURE;
+            return Err(verdict.into());
         }
-        eprintln!("--warn-only: not failing");
+        eprintln!("{verdict}\n--warn-only: not failing");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -1,19 +1,9 @@
 //! `graphaug` — command-line interface for training and serving the models
 //! in this workspace on plain-text interaction data.
 //!
-//! ```text
-//! graphaug train <edges.tsv> [--model GraphAug] [--epochs 40] [--seed 7]
-//!     trains on an 80/20 per-user split and reports Recall/NDCG@{20,40}
-//!
-//! graphaug recommend <edges.tsv> <user-id> [--top 10] [--model GraphAug]
-//!     trains on the full data and prints the user's top-N unseen items
-//!
-//! graphaug compare <edges.tsv> [--epochs 40] [--models A,B,...]
-//!     trains several models on the same split and prints a leaderboard
-//!
-//! graphaug stats <edges.tsv>
-//!     prints Table-I-style dataset statistics
-//! ```
+//! Subcommands and flags: [`USAGE`]. `train` and `compare` hold out 20% per
+//! user and report Recall/NDCG; `recommend` and `export` train on the full
+//! data; `serve` ranks from an exported embedding file without training.
 //!
 //! The edge-list format is one `user item` pair per line (whitespace
 //! separated, `#` comments allowed); ids are arbitrary tokens.
@@ -26,9 +16,10 @@ use graphaug_eval::{
     evaluate, export_embeddings, import_embeddings, topk_indices, Recommender, TextTable,
 };
 use graphaug_graph::{InteractionGraph, TrainTestSplit};
+use graphaug_ingest::args::{self, ArgError, Args, Fail};
 
-struct Args {
-    positional: Vec<String>,
+/// The flags every subcommand shares.
+struct Opts {
     model: String,
     models: Vec<String>,
     epochs: Option<usize>,
@@ -36,54 +27,18 @@ struct Args {
     top: usize,
 }
 
-fn parse_args(mut raw: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args {
-        positional: Vec::new(),
-        model: "GraphAug".into(),
-        models: vec![
-            "BiasMF".into(),
-            "LightGCN".into(),
-            "SGL".into(),
-            "NCL".into(),
-            "GraphAug".into(),
-        ],
-        epochs: None,
-        seed: 7,
-        top: 10,
+/// Parses the flags once the subcommand has taken its positionals.
+fn parse_opts(mut args: Args) -> Result<Opts, ArgError> {
+    let models: String = args.value("--models", "BiasMF,LightGCN,SGL,NCL,GraphAug".into())?;
+    let opts = Opts {
+        model: args.value("--model", "GraphAug".into())?,
+        models: models.split(',').map(|s| s.trim().to_string()).collect(),
+        epochs: args.opt("--epochs")?,
+        seed: args.value("--seed", 7)?,
+        top: args.value("--top", 10)?,
     };
-    while let Some(a) = raw.next() {
-        let mut value_of =
-            |flag: &str| raw.next().ok_or_else(|| format!("{flag} requires a value"));
-        match a.as_str() {
-            "--model" => args.model = value_of("--model")?,
-            "--models" => {
-                args.models = value_of("--models")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .collect()
-            }
-            "--epochs" => {
-                args.epochs = Some(
-                    value_of("--epochs")?
-                        .parse()
-                        .map_err(|_| "--epochs must be an integer".to_string())?,
-                )
-            }
-            "--seed" => {
-                args.seed = value_of("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed must be an integer".to_string())?
-            }
-            "--top" => {
-                args.top = value_of("--top")?
-                    .parse()
-                    .map_err(|_| "--top must be an integer".to_string())?
-            }
-            other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
-            other => args.positional.push(other.to_string()),
-        }
-    }
-    Ok(args)
+    args.finish()?;
+    Ok(opts)
 }
 
 fn load(path: &str) -> Result<InteractionGraph, String> {
@@ -100,28 +55,26 @@ fn set_epochs(epochs: Option<usize>) {
     }
 }
 
-fn cmd_train(args: &Args) -> Result<(), String> {
-    let path = args
-        .positional
-        .first()
-        .ok_or("train needs an edge-list path")?;
-    let g = load(path)?;
-    set_epochs(args.epochs);
-    let split = TrainTestSplit::per_user(&g, 0.2, args.seed);
+fn cmd_train(mut args: Args) -> Result<(), Fail> {
+    let path: String = args.positional("<edges.tsv>")?;
+    let opts = parse_opts(args)?;
+    let g = load(&path)?;
+    set_epochs(opts.epochs);
+    let split = TrainTestSplit::per_user(&g, 0.2, opts.seed);
     println!(
         "training {} on {} users / {} items / {} interactions…",
-        args.model,
+        opts.model,
         g.n_users(),
         g.n_items(),
         g.n_interactions()
     );
-    let mut model = build_any(&args.model, &split.train);
+    let mut model = build_any(&opts.model, &split.train);
     let start = std::time::Instant::now();
     model.fit();
     let res = evaluate(model.as_ref(), &split, &[20, 40]);
     println!(
         "{}: Recall@20 {:.4}  Recall@40 {:.4}  NDCG@20 {:.4}  NDCG@40 {:.4}  ({:.1}s, {} users)",
-        args.model,
+        opts.model,
         res.recall(20),
         res.recall(40),
         res.ndcg(20),
@@ -132,37 +85,29 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_recommend(args: &Args) -> Result<(), String> {
-    let path = args
-        .positional
-        .first()
-        .ok_or("recommend needs an edge-list path")?;
-    let user: usize = args
-        .positional
-        .get(1)
-        .ok_or("recommend needs a user id (dense index)")?
-        .parse()
-        .map_err(|_| "user id must be a dense integer index".to_string())?;
-    let g = load(path)?;
+fn cmd_recommend(mut args: Args) -> Result<(), Fail> {
+    let path: String = args.positional("<edges.tsv>")?;
+    // A dense integer index, not the raw token from the file.
+    let user: usize = args.positional("<user>")?;
+    let opts = parse_opts(args)?;
+    let g = load(&path)?;
     if user >= g.n_users() {
-        return Err(format!(
-            "user {user} out of range (dataset has {} users)",
-            g.n_users()
-        ));
+        let n = g.n_users();
+        return Err(format!("user {user} out of range (dataset has {n} users)").into());
     }
-    set_epochs(args.epochs);
-    let mut model = build_any(&args.model, &g);
+    set_epochs(opts.epochs);
+    let mut model = build_any(&opts.model, &g);
     model.fit();
     let mut scores = model.score_items(user);
     for &v in g.items_of(user) {
         scores[v as usize] = f32::NEG_INFINITY;
     }
-    let top = topk_indices(&scores, args.top);
+    let top = topk_indices(&scores, opts.top);
     println!(
         "user {user} has {} observed interactions",
         g.items_of(user).len()
     );
-    println!("top-{} recommendations ({}):", args.top, args.model);
+    println!("top-{} recommendations ({}):", opts.top, opts.model);
     for (rank, v) in top.iter().enumerate() {
         println!(
             "  {:>2}. item {:>6}  score {:.4}",
@@ -174,16 +119,14 @@ fn cmd_recommend(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(args: &Args) -> Result<(), String> {
-    let path = args
-        .positional
-        .first()
-        .ok_or("compare needs an edge-list path")?;
-    let g = load(path)?;
-    set_epochs(args.epochs);
-    let split = TrainTestSplit::per_user(&g, 0.2, args.seed);
+fn cmd_compare(mut args: Args) -> Result<(), Fail> {
+    let path: String = args.positional("<edges.tsv>")?;
+    let opts = parse_opts(args)?;
+    let g = load(&path)?;
+    set_epochs(opts.epochs);
+    let split = TrainTestSplit::per_user(&g, 0.2, opts.seed);
     let mut table = TextTable::new(&["Model", "Recall@20", "NDCG@20", "train s"]);
-    for name in &args.models {
+    for name in &opts.models {
         let mut model = build_any(name, &split.train);
         let start = std::time::Instant::now();
         model.fit();
@@ -200,46 +143,31 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_export(args: &Args) -> Result<(), String> {
-    let path = args
-        .positional
-        .first()
-        .ok_or("export needs an edge-list path")?;
-    let out_path = args
-        .positional
-        .get(1)
-        .ok_or("export needs an output path")?;
-    let g = load(path)?;
-    set_epochs(args.epochs);
-    let mut model = build_any(&args.model, &g);
+fn cmd_export(mut args: Args) -> Result<(), Fail> {
+    let path: String = args.positional("<edges.tsv>")?;
+    let out_path: String = args.positional("<out.emb>")?;
+    let opts = parse_opts(args)?;
+    let g = load(&path)?;
+    set_epochs(opts.epochs);
+    let mut model = build_any(&opts.model, &g);
     model.fit();
     if model.embeddings().is_none() {
-        return Err(format!(
-            "{} is not an embedding model; cannot export",
-            args.model
-        ));
+        return Err(format!("{} is not an embedding model; cannot export", opts.model).into());
     }
-    std::fs::write(out_path, export_embeddings(model.as_ref())).map_err(|e| e.to_string())?;
-    println!("trained {} and wrote embeddings to {out_path}", args.model);
+    std::fs::write(&out_path, export_embeddings(model.as_ref())).map_err(|e| e.to_string())?;
+    println!("trained {} and wrote embeddings to {out_path}", opts.model);
     Ok(())
 }
 
-fn cmd_serve(args: &Args) -> Result<(), String> {
-    let emb_path = args
-        .positional
-        .first()
-        .ok_or("serve needs an embeddings path")?;
-    let user: usize = args
-        .positional
-        .get(1)
-        .ok_or("serve needs a user id")?
-        .parse()
-        .map_err(|_| "user id must be a dense integer index".to_string())?;
-    let text = std::fs::read_to_string(emb_path).map_err(|e| e.to_string())?;
+fn cmd_serve(mut args: Args) -> Result<(), Fail> {
+    let emb_path: String = args.positional("<model.emb>")?;
+    let user: usize = args.positional("<user>")?;
+    let opts = parse_opts(args)?;
+    let text = std::fs::read_to_string(&emb_path).map_err(|e| e.to_string())?;
     let snap = import_embeddings(&text).map_err(|e| e.to_string())?;
     let scores = snap.score_items(user);
-    let top = topk_indices(&scores, args.top);
-    println!("top-{} for user {user} (from {emb_path}):", args.top);
+    let top = topk_indices(&scores, opts.top);
+    println!("top-{} for user {user} (from {emb_path}):", opts.top);
     for (rank, v) in top.iter().enumerate() {
         println!(
             "  {:>2}. item {:>6}  score {:.4}",
@@ -251,13 +179,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(args: &Args) -> Result<(), String> {
-    let path = args
-        .positional
-        .first()
-        .ok_or("stats needs an edge-list path")?;
-    let g = load(path)?;
-    let s = DatasetStats::of(path, &g);
+fn cmd_stats(mut args: Args) -> Result<(), Fail> {
+    let path: String = args.positional("<edges.tsv>")?;
+    parse_opts(args)?;
+    let g = load(&path)?;
+    let s = DatasetStats::of(&path, &g);
     println!("{}", DatasetStats::markdown_header());
     println!("{}", s.markdown_row());
     Ok(())
@@ -274,32 +200,42 @@ models: BiasMF NCF AutoR GCMC PinSage NGCF LightGCN GCCF DisenGCN DGCF MHCN
         STGCN SLRec SGL DGCL HCCF CGI NCL GraphAug (+ 'GraphAug w/o …' ablations)";
 
 fn main() -> ExitCode {
-    let mut argv = std::env::args().skip(1);
-    let Some(cmd) = argv.next() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let args = match parse_args(argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
+    args::run("graphaug", USAGE, |mut args| {
+        let cmd: String = args.positional("<command>")?;
+        match cmd.as_str() {
+            "train" => cmd_train(args),
+            "recommend" => cmd_recommend(args),
+            "compare" => cmd_compare(args),
+            "stats" => cmd_stats(args),
+            "export" => cmd_export(args),
+            "serve" => cmd_serve(args),
+            other => {
+                Err(ArgError::invalid("<command>", format!("unknown command {other:?}")).into())
+            }
         }
-    };
-    let result = match cmd.as_str() {
-        "train" => cmd_train(&args),
-        "recommend" => cmd_recommend(&args),
-        "compare" => cmd_compare(&args),
-        "stats" => cmd_stats(&args),
-        "export" => cmd_export(&args),
-        "serve" => cmd_serve(&args),
-        other => Err(format!("unknown command {other:?}")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            ExitCode::FAILURE
-        }
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_exactly_the_flags_the_parser_takes() {
+        args::assert_usage_matches(USAGE, &[], parse_opts);
+    }
+
+    #[test]
+    fn flags_parse_into_their_types_after_the_positionals() {
+        let mut args = Args::new("edges.tsv 3 --top 5 --epochs 5 --models A,B".split(' '));
+        assert_eq!(
+            args.positional::<String>("<edges.tsv>").unwrap(),
+            "edges.tsv"
+        );
+        assert_eq!(args.positional::<usize>("<user>").unwrap(), 3);
+        let opts = parse_opts(args).unwrap();
+        assert_eq!((opts.top, opts.epochs, opts.seed), (5, Some(5), 7));
+        assert_eq!(opts.model, "GraphAug");
+        assert_eq!(opts.models, ["A", "B"]);
     }
 }

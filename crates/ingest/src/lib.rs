@@ -18,13 +18,15 @@
 //! Beside them, [`net`] is the line-server scaffold (accept loop, bounded
 //! read-line, reply flushed per request line) that [`server`] and the serving tier's
 //! listeners are all built on; it lives here because this is the lowest
-//! crate that owns a listener.
+//! crate that owns a listener. [`args`] is the same kind of tenant: the
+//! one `argv` parser and exit-code rule every binary goes through.
 //!
 //! The contract that makes online learning reproducible: a log prefix
 //! `[0, w)` plus the training seed determines the graph, the sampler
 //! streams, and therefore the checkpoint bytes — replaying the same log
 //! yields byte-identical generations at any `GRAPHAUG_THREADS`.
 
+pub mod args;
 pub mod delta;
 pub mod error;
 pub mod log;

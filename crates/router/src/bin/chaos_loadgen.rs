@@ -1,16 +1,9 @@
 //! The chaos scenario driver: proves the router's tail behavior under
 //! replica failure, end to end, against real processes.
 //!
-//! ```text
-//! chaos_loadgen <router-addr> --replicas SET[,SET...] [--admin ADDR]
-//!     [--victim S --victim-pid PID (--victim-respawn "CMD..." | --supervised)]
-//!     [--requests-per-phase N] [--conns N] [--seed S] [--kmax K]
-//!     [--parity-users N]
-//! ```
-//!
-//! Each `SET` is one shard's replica addresses (primary first, `|`
-//! separated — the syntax shared with `router_main`). Runs a scripted
-//! timeline of load phases (the `FaultPlan` idiom from
+//! Arguments: [`USAGE`]. Each `SET` is one shard's replica addresses
+//! (primary first, `|` separated — the syntax shared with `router_main`).
+//! Runs a scripted timeline of load phases (the `FaultPlan` idiom from
 //! `graphaug-runtime`: the schedule is data, keyed on phase index, so a
 //! run replays exactly from its seed):
 //!
@@ -44,14 +37,16 @@ use std::time::{Duration, Instant};
 
 use graphaug_rng::StdRng;
 use graphaug_router::{parse_replica_sets, shard_of, spawn_ready, ChildGuard};
-use graphaug_serve::client::{resolve_addr, stats_field, LatencySummary, ServeClient};
-use graphaug_serve::{parse_ok_line, UserSampler};
+use graphaug_serve::args::{self, ArgError, Args};
+use graphaug_serve::client::{resolve_addr, stats_field, ServeClient};
+use graphaug_serve::workload::{drive_load, Bad, LoadPhase, LoadReport};
+use graphaug_serve::UserSampler;
 
 const USAGE: &str = "usage: chaos_loadgen <router-addr> --replicas SET[,SET...] [--admin ADDR] \
      [--victim S --victim-pid PID (--victim-respawn \"CMD...\" | --supervised)] \
      [--requests-per-phase N] [--conns N] [--seed S] [--kmax K] [--parity-users N]";
 
-struct Args {
+struct Opts {
     router: String,
     replica_sets: Vec<Vec<String>>,
     admin: Option<String>,
@@ -66,82 +61,60 @@ struct Args {
     parity_users: usize,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let router = args.next().ok_or("missing <router-addr>")?;
-    if router.starts_with('-') {
-        return Err(format!("expected <router-addr>, got flag {router:?}"));
-    }
-    resolve_addr(&router)?;
-    let mut out = Args {
+fn parse(mut args: Args) -> Result<Opts, ArgError> {
+    let router: String = args.positional("<router-addr>")?;
+    resolve_addr(&router).map_err(|e| ArgError::invalid("<router-addr>", e))?;
+    let replicas = args
+        .opt::<String>("--replicas")?
+        .ok_or(ArgError::Missing("--replicas SET[,SET...]"))?;
+    let out = Opts {
         router,
-        replica_sets: Vec::new(),
-        admin: None,
-        victim: None,
-        victim_pid: None,
-        victim_respawn: None,
-        supervised: false,
-        requests_per_phase: 400,
-        conns: 4,
-        seed: 1,
-        kmax: 20,
-        parity_users: 16,
+        replica_sets: parse_replica_sets(&replicas)
+            .map_err(|e| ArgError::invalid("--replicas", e))?,
+        admin: args.opt("--admin")?,
+        victim: args.opt("--victim")?,
+        victim_pid: args.opt("--victim-pid")?,
+        victim_respawn: args.opt("--victim-respawn")?,
+        supervised: args.switch("--supervised")?,
+        requests_per_phase: args.at_least("--requests-per-phase", 400)?,
+        conns: args.at_least("--conns", 4)?,
+        seed: args.value("--seed", 1)?,
+        kmax: args.at_least("--kmax", 20)?,
+        parity_users: args.value("--parity-users", 16)?,
     };
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        let int = |name: &str, v: Result<String, String>| {
-            v.and_then(|v| v.parse::<u64>().map_err(|_| format!("bad {name} value")))
-        };
-        match flag.as_str() {
-            "--replicas" => out.replica_sets = parse_replica_sets(&value("--replicas")?)?,
-            "--admin" => out.admin = Some(value("--admin")?),
-            "--victim" => out.victim = Some(int("--victim", value("--victim"))? as usize),
-            "--victim-pid" => {
-                out.victim_pid = Some(int("--victim-pid", value("--victim-pid"))? as u32)
-            }
-            "--victim-respawn" => out.victim_respawn = Some(value("--victim-respawn")?),
-            "--supervised" => out.supervised = true,
-            "--requests-per-phase" => {
-                out.requests_per_phase =
-                    int("--requests-per-phase", value("--requests-per-phase"))? as usize
-            }
-            "--conns" => out.conns = int("--conns", value("--conns"))? as usize,
-            "--seed" => out.seed = int("--seed", value("--seed"))?,
-            "--kmax" => out.kmax = int("--kmax", value("--kmax"))? as usize,
-            "--parity-users" => {
-                out.parity_users = int("--parity-users", value("--parity-users"))? as usize
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if out.replica_sets.is_empty() {
-        return Err("missing --replicas SET[,SET...]".into());
-    }
+    args.finish()?;
     if let Some(admin) = &out.admin {
-        resolve_addr(admin)?;
-    }
-    if out.requests_per_phase == 0 || out.conns == 0 || out.kmax == 0 {
-        return Err("--requests-per-phase, --conns and --kmax must be at least 1".into());
+        resolve_addr(admin).map_err(|e| ArgError::invalid("--admin", e))?;
     }
     if let Some(v) = out.victim {
-        if v >= out.replica_sets.len() {
-            return Err(format!(
-                "--victim {v} out of range (have {} shards)",
-                out.replica_sets.len()
-            ));
+        let shards = out.replica_sets.len();
+        if v >= shards {
+            let reason = format!("{v} out of range (have {shards} shards)");
+            return Err(ArgError::invalid("--victim", reason));
         }
         if out.victim_pid.is_none() {
-            return Err("--victim needs --victim-pid".into());
+            return Err(ArgError::invalid("--victim", "needs --victim-pid"));
         }
         match (out.supervised, &out.victim_respawn) {
-            (false, None) => return Err("--victim needs --victim-respawn (or --supervised)".into()),
+            (false, None) => {
+                return Err(ArgError::invalid(
+                    "--victim",
+                    "needs --victim-respawn (or --supervised)",
+                ))
+            }
             (true, Some(_)) => {
-                return Err("--supervised and --victim-respawn are mutually exclusive".into())
+                return Err(ArgError::invalid(
+                    "--supervised",
+                    "incompatible with --victim-respawn",
+                ))
+            }
+            (false, Some(_)) if out.admin.is_none() => {
+                return Err(ArgError::invalid(
+                    "--victim-respawn",
+                    "needs --admin (REPLACE is admin-only)",
+                ))
             }
             _ => {}
-        }
-        if !out.supervised && out.admin.is_none() {
-            return Err("manual rejoin needs --admin (REPLACE is admin-only)".into());
         }
     }
     Ok(out)
@@ -207,111 +180,41 @@ fn scenario(with_chaos: bool, supervised: bool) -> Vec<Step> {
     steps
 }
 
-#[derive(Default)]
-struct ConnTally {
-    latencies_us: Vec<u64>,
-    /// Disallowed errors (wrong shard, or any error in a clean phase).
-    errors: usize,
-    /// Allowed errors: the expected-down shard's users during failover.
-    degraded: usize,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_phase_conn(
-    router: &str,
-    requests: usize,
-    sampler: &UserSampler,
-    kmax: usize,
-    n_shards: usize,
-    expect_down: Option<usize>,
-    mut rng: StdRng,
-) -> Result<ConnTally, String> {
-    let mut client = ServeClient::connect(router).map_err(|e| format!("connect {router}: {e}"))?;
-    let mut tally = ConnTally::default();
-    for _ in 0..requests {
-        let user = sampler.draw(&mut rng);
-        let k = 1 + rng.bounded_u64(kmax as u64) as usize;
-        let start = Instant::now();
-        let line = client.rec_one(user, k).map_err(|e| e.to_string())?;
-        tally.latencies_us.push(start.elapsed().as_micros() as u64);
-        let ok = matches!(
-            parse_ok_line(&line),
-            Some(ok) if ok.user == user && ok.k == k && ok.items.len() <= k
-        );
-        if ok {
-            continue;
-        }
-        if line.starts_with("ERR ") && expect_down == Some(shard_of(user, n_shards)) {
-            tally.degraded += 1;
-        } else {
-            tally.errors += 1;
-            eprintln!("chaos_loadgen: disallowed response for REC {user} {k}: {line}");
-        }
-    }
-    client.quit();
-    Ok(tally)
-}
-
-struct PhaseReport {
-    errors: usize,
-    degraded: usize,
-}
-
-#[allow(clippy::too_many_arguments)]
+/// One load phase against the router. `expect_down` is the shard the
+/// scenario just killed: its users' `ERR`s count as degraded, not errors.
 fn run_phase(
-    args: &Args,
+    o: &Opts,
     phase_idx: usize,
     name: &str,
     sampler: &UserSampler,
     expect_down: Option<usize>,
-) -> PhaseReport {
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    let per_conn = args.requests_per_phase.div_ceil(args.conns);
-    for conn in 0..args.conns {
-        let router = args.router.clone();
-        let sampler = sampler.clone();
-        let kmax = args.kmax;
-        let n_shards = args.replica_sets.len();
-        let rng = StdRng::stream(args.seed, (phase_idx as u64) << 32 | conn as u64);
-        handles.push(std::thread::spawn(move || {
-            drive_phase_conn(
-                &router,
-                per_conn,
-                &sampler,
-                kmax,
-                n_shards,
-                expect_down,
-                rng,
-            )
-        }));
-    }
-    let mut latencies = Vec::new();
-    let (mut errors, mut degraded) = (0usize, 0usize);
-    for handle in handles {
-        match handle.join() {
-            Ok(Ok(t)) => {
-                latencies.extend(t.latencies_us);
-                errors += t.errors;
-                degraded += t.degraded;
-            }
-            Ok(Err(e)) => {
-                eprintln!("chaos_loadgen: phase {name} connection failed: {e}");
-                errors += 1;
-            }
-            Err(_) => {
-                eprintln!("chaos_loadgen: phase {name} worker panicked");
-                errors += 1;
-            }
+) -> LoadReport {
+    let n_shards = o.replica_sets.len();
+    let who = format!("chaos_loadgen: phase {name}");
+    let phase = LoadPhase {
+        addr: &o.router,
+        requests: o.requests_per_phase,
+        conns: o.conns,
+        kmax: o.kmax,
+        exact: false,
+        seed: o.seed,
+        stream_base: (phase_idx as u64) << 32,
+        who: &who,
+    };
+    let report = drive_load(&phase, sampler, |user, line| {
+        if line.starts_with("ERR ") && expect_down == Some(shard_of(user, n_shards)) {
+            Bad::Degraded
+        } else {
+            Bad::Error
         }
-    }
-    let s = LatencySummary::from_samples(latencies, start.elapsed());
+    });
+    let s = &report.summary;
     println!(
-        "phase {name}: requests={} errors={errors} degraded={degraded} \
+        "phase {name}: requests={} errors={} degraded={} \
          p50_us={} p95_us={} p99_us={} qps={:.1}",
-        s.count, s.p50_us, s.p95_us, s.p99_us, s.qps
+        s.count, report.errors, report.degraded, s.p50_us, s.p95_us, s.p99_us, s.qps
     );
-    PhaseReport { errors, degraded }
+    report
 }
 
 /// Waits until the router reports `shard` up (after a REPLACE).
@@ -369,7 +272,7 @@ fn wait_for_full_recovery(router: &str, timeout: Duration) -> Result<u64, String
 /// Hex-exact routed-vs-direct parity over a sampled user set: the routed
 /// line must equal a live replica's direct line byte-for-byte. `direct`
 /// holds one address per shard (a replica known to be alive).
-fn parity_sweep(args: &Args, direct_addrs: &[String], n_users: u32) -> Result<usize, String> {
+fn parity_sweep(args: &Opts, direct_addrs: &[String], n_users: u32) -> Result<usize, String> {
     let mut routed = ServeClient::connect(&args.router).map_err(|e| e.to_string())?;
     let mut direct: Vec<ServeClient> = Vec::with_capacity(direct_addrs.len());
     for addr in direct_addrs {
@@ -403,7 +306,7 @@ fn parity_sweep(args: &Args, direct_addrs: &[String], n_users: u32) -> Result<us
 /// byte-identically (same checkpoint, same bits), which is the property
 /// that makes failover invisible. Run before any kill, while every
 /// replica is alive. Returns the number of lines compared.
-fn set_parity_sweep(args: &Args, n_users: u32) -> Result<usize, String> {
+fn set_parity_sweep(args: &Opts, n_users: u32) -> Result<usize, String> {
     let mut rng = StdRng::stream(args.seed, 0x5E7B);
     let mut compared = 0usize;
     for (shard, set) in args.replica_sets.iter().enumerate() {
@@ -447,17 +350,8 @@ fn set_parity_sweep(args: &Args, n_users: u32) -> Result<usize, String> {
     Ok(compared)
 }
 
-fn fetch_user_count(addr: &str) -> Result<u32, String> {
-    let mut client = ServeClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let line = client.stats_line().map_err(|e| format!("STATS: {e}"))?;
-    stats_field(&line, "users=")
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|&n| n > 0)
-        .ok_or_else(|| format!("router reports no users: {line}"))
-}
-
-fn run(args: &Args) -> Result<(), String> {
-    let n_users = fetch_user_count(&args.router)?;
+fn run(args: &Opts) -> Result<(), String> {
+    let (n_users, _) = ServeClient::probe_shape(&args.router)?;
     let n_shards = args.replica_sets.len();
     let replication = args.replica_sets.iter().map(Vec::len).max().unwrap_or(1);
     println!(
@@ -583,22 +477,72 @@ fn run(args: &Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("chaos_loadgen: {e}");
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    match run(&args) {
-        Ok(()) => {
-            println!("chaos_loadgen: OK");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("chaos_loadgen: FAIL: {e}");
-            ExitCode::FAILURE
+    args::run("chaos_loadgen", USAGE, |args| {
+        run(&parse(args)?).map_err(|e| format!("FAIL: {e}"))?;
+        println!("chaos_loadgen: OK");
+        Ok(())
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_str(argv: &str) -> Result<Opts, ArgError> {
+        parse(Args::new(argv.split_whitespace()))
+    }
+
+    #[test]
+    fn usage_names_exactly_the_flags_the_parser_takes() {
+        args::assert_usage_matches(USAGE, &["127.0.0.1:9", "--replicas", "127.0.0.1:1"], parse);
+    }
+
+    #[test]
+    fn a_victim_pid_beyond_u32_is_refused_not_wrapped_to_pid_1() {
+        let base = "127.0.0.1:9 --replicas 127.0.0.1:1,127.0.0.1:2 --supervised --victim 1";
+        assert!(matches!(
+            parse_str(&format!("{base} --victim-pid 4294967297")).err(),
+            Some(ArgError::Invalid {
+                flag: "--victim-pid",
+                ..
+            })
+        ));
+        let ok = parse_str(&format!("{base} --victim-pid 4242")).unwrap();
+        assert_eq!((ok.victim, ok.victim_pid), (Some(1), Some(4242)));
+        assert_eq!(ok.replica_sets.len(), 2);
+    }
+
+    #[test]
+    fn the_scenario_flags_are_judged_together() {
+        let sets = "--replicas 127.0.0.1:1,127.0.0.1:2";
+        assert_eq!(
+            parse_str("127.0.0.1:9").err(),
+            Some(ArgError::Missing("--replicas SET[,SET...]"))
+        );
+        for (argv, flag) in [
+            (
+                format!("127.0.0.1:9 {sets} --victim 2 --victim-pid 7 --supervised"),
+                "--victim",
+            ),
+            (
+                format!("127.0.0.1:9 {sets} --victim 0 --supervised"),
+                "--victim",
+            ),
+            (
+                format!("127.0.0.1:9 {sets} --victim 0 --victim-pid 7"),
+                "--victim",
+            ),
+            (
+                format!("127.0.0.1:9 {sets} --victim 0 --victim-pid 7 --victim-respawn x"),
+                "--victim-respawn",
+            ),
+            (format!("127.0.0.1:9 {sets} --conns 0"), "--conns"),
+        ] {
+            let err = parse_str(&argv).err();
+            assert!(
+                matches!(&err, Some(ArgError::Invalid { flag: f, .. } | ArgError::BelowMinimum(f)) if *f == flag),
+                "{argv}: {err:?}"
+            );
         }
     }
 }

@@ -1,12 +1,9 @@
 //! A protocol-faithful stand-in replica for supervisor tests and benches.
 //!
-//! ```text
-//! mock_replica [--gen N] [--users N] [--die-ms N]
-//! ```
-//!
-//! Binds an ephemeral loopback port, prints `READY addr=<bound>` (the
-//! contract [`graphaug_router::spawn_ready`] scans for), and answers the
-//! serving protocol with *deterministic synthetic* content: a `REC` line
+//! Arguments: [`USAGE`]. Binds an ephemeral loopback port, prints
+//! `READY addr=<bound>` (the contract [`graphaug_router::spawn_ready`]
+//! scans for), and answers the serving protocol with *deterministic
+//! synthetic* content: a `REC` line
 //! for user `u` is a pure function of `(gen, u, k)`, so two mock replicas
 //! started with the same `--gen` answer byte-identically — the same
 //! replica-set parity property a real checkpoint-sharing set has, at zero
@@ -19,38 +16,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use graphaug_serve::args::{self, ArgError, Args};
 use graphaug_serve::net::{listen, Next, Reply};
 use graphaug_serve::proto::{parse_request, Request};
 
-struct Args {
+const USAGE: &str = "usage: mock_replica [--gen N] [--users N] [--die-ms N]";
+
+struct Opts {
     gen: u64,
     users: u32,
     die_ms: Option<u64>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let mut out = Args {
-        gen: 1,
-        users: 100,
-        die_ms: None,
+fn parse(mut args: Args) -> Result<Opts, ArgError> {
+    let out = Opts {
+        gen: args.value("--gen", 1)?,
+        users: args.at_least("--users", 100)?,
+        die_ms: args.opt("--die-ms")?,
     };
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or(format!("{name} needs a value"))
-                .and_then(|v| v.parse::<u64>().map_err(|_| format!("bad {name} value")))
-        };
-        match flag.as_str() {
-            "--gen" => out.gen = value("--gen")?,
-            "--users" => out.users = value("--users")? as u32,
-            "--die-ms" => out.die_ms = Some(value("--die-ms")?),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if out.users == 0 {
-        return Err("--users must be at least 1".into());
-    }
+    args.finish()?;
     Ok(out)
 }
 
@@ -98,37 +82,53 @@ fn respond(line: &str, reply: &mut Reply, gen: u64, users: u32, requests: &Atomi
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("mock_replica: {e}");
-            eprintln!("usage: mock_replica [--gen N] [--users N] [--die-ms N]");
-            return ExitCode::from(2);
-        }
-    };
-    let requests = Arc::new(AtomicU64::new(0));
-    let (gen, users) = (args.gen, args.users);
-    let listener = listen("127.0.0.1:0", "mock-replica", move || {
-        let requests = requests.clone();
-        move |line: &str, reply: &mut Reply| respond(line, reply, gen, users, &requests)
-    });
-    let listener = match listener {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("mock_replica: bind: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("READY addr={} gen={gen}", listener.addr());
+    args::run("mock_replica", USAGE, |args| {
+        let Opts { gen, users, die_ms } = parse(args)?;
+        let requests = Arc::new(AtomicU64::new(0));
+        let listener = listen("127.0.0.1:0", "mock-replica", move || {
+            let requests = requests.clone();
+            move |line: &str, reply: &mut Reply| respond(line, reply, gen, users, &requests)
+        })
+        .map_err(|e| format!("bind: {e}"))?;
+        println!("READY addr={} gen={gen}", listener.addr());
 
-    match args.die_ms {
-        Some(ms) => {
-            std::thread::sleep(Duration::from_millis(ms));
-            // A deliberate crash, distinguishable from a clean exit.
-            std::process::exit(3)
+        match die_ms {
+            Some(ms) => {
+                std::thread::sleep(Duration::from_millis(ms));
+                // A deliberate crash, distinguishable from a clean exit.
+                std::process::exit(3)
+            }
+            None => loop {
+                std::thread::park();
+            },
         }
-        None => loop {
-            std::thread::park();
-        },
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_exactly_the_flags_the_parser_takes() {
+        args::assert_usage_matches(USAGE, &[], parse);
+    }
+
+    #[test]
+    fn a_user_count_beyond_u32_is_refused_not_wrapped() {
+        let parse_str = |argv: &str| parse(Args::new(argv.split_whitespace()));
+        assert!(matches!(
+            parse_str("--users 4294967297").err(),
+            Some(ArgError::Invalid {
+                flag: "--users",
+                ..
+            })
+        ));
+        assert_eq!(
+            parse_str("--users 0").err(),
+            Some(ArgError::BelowMinimum("--users"))
+        );
+        let ok = parse_str("--die-ms 40 --gen 3").unwrap();
+        assert_eq!((ok.gen, ok.users, ok.die_ms), (3, 100, Some(40)));
     }
 }

@@ -1,9 +1,6 @@
 //! The shard-router process: hashes users across N replica sets.
 //!
-//! ```text
-//! router_main --replicas SET[,SET...] [--addr HOST:PORT]
-//!     [--admin-addr LOOPBACK:PORT] [--probe-ms N] [--budget-ms N]
-//! ```
+//! Arguments: [`USAGE`].
 //!
 //! Each `SET` is one shard's replica addresses, primary first, separated
 //! by `|` (a plain address is a set of one): `p0|s0,p1|s1` is two shards
@@ -19,8 +16,12 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use graphaug_router::{parse_replica_sets, probe_once, start_with_admin, Router, RouterConfig};
+use graphaug_serve::args::{self, ArgError, Args};
 
-struct Args {
+const USAGE: &str = "usage: router_main --replicas SET[,SET...] [--addr HOST:PORT] \
+     [--admin-addr LOOPBACK:PORT] [--probe-ms N] [--budget-ms N]";
+
+struct Opts {
     replica_sets: Vec<Vec<String>>,
     addr: String,
     admin_addr: String,
@@ -28,97 +29,83 @@ struct Args {
     budget_ms: u64,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let mut out = Args {
-        replica_sets: Vec::new(),
-        addr: "127.0.0.1:0".into(),
-        admin_addr: "127.0.0.1:0".into(),
-        probe_ms: 25,
-        budget_ms: 5000,
+fn parse(mut args: Args) -> Result<Opts, ArgError> {
+    let replicas = args
+        .opt::<String>("--replicas")?
+        .ok_or(ArgError::Missing("--replicas SET[,SET...]"))?;
+    let out = Opts {
+        replica_sets: parse_replica_sets(&replicas)
+            .map_err(|e| ArgError::invalid("--replicas", e))?,
+        addr: args.value("--addr", "127.0.0.1:0".into())?,
+        admin_addr: args.value("--admin-addr", "127.0.0.1:0".into())?,
+        probe_ms: args.at_least("--probe-ms", 25)?,
+        budget_ms: args.at_least("--budget-ms", 5000)?,
     };
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        match flag.as_str() {
-            "--replicas" => {
-                out.replica_sets = parse_replica_sets(&value("--replicas")?)?;
-            }
-            "--addr" => out.addr = value("--addr")?,
-            "--admin-addr" => out.admin_addr = value("--admin-addr")?,
-            "--probe-ms" => {
-                out.probe_ms = value("--probe-ms")?
-                    .parse()
-                    .map_err(|_| "bad --probe-ms".to_string())?;
-                if out.probe_ms == 0 {
-                    return Err("--probe-ms must be at least 1".into());
-                }
-            }
-            "--budget-ms" => {
-                out.budget_ms = value("--budget-ms")?
-                    .parse()
-                    .map_err(|_| "bad --budget-ms".to_string())?;
-                if out.budget_ms == 0 {
-                    return Err("--budget-ms must be at least 1".into());
-                }
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if out.replica_sets.is_empty() {
-        return Err("missing --replicas SET[,SET...]".into());
-    }
+    args.finish()?;
     Ok(out)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("router_main: {e}");
-            eprintln!(
-                "usage: router_main --replicas SET[,SET...] [--addr HOST:PORT] \
-                 [--admin-addr LOOPBACK:PORT] [--probe-ms N] [--budget-ms N]"
-            );
-            return ExitCode::from(2);
-        }
-    };
+    args::run("router_main", USAGE, |args| {
+        let opts = parse(args)?;
+        let cfg = RouterConfig::from_sets(opts.replica_sets)
+            .probe_period(Duration::from_millis(opts.probe_ms))
+            .request_budget(Duration::from_millis(opts.budget_ms));
+        let router = Router::new(cfg);
 
-    let cfg = RouterConfig::from_sets(args.replica_sets)
-        .probe_period(Duration::from_millis(args.probe_ms))
-        .request_budget(Duration::from_millis(args.budget_ms));
-    let router = Router::new(cfg);
-
-    // Two synchronous probe sweeps so the READY line reports real state: a
-    // replica that is down at boot needs `down_after` (2) consecutive
-    // failures to be marked down.
-    for _ in 0..2 {
-        for shard in 0..router.n_shards() {
-            for replica in 0..router.health().n_replicas(shard) {
-                probe_once(router.health(), shard, replica, Duration::from_millis(500));
+        // Two synchronous probe sweeps so the READY line reports real
+        // state: a replica that is down at boot needs `down_after` (2)
+        // consecutive failures to be marked down.
+        for _ in 0..2 {
+            for shard in 0..router.n_shards() {
+                for replica in 0..router.health().n_replicas(shard) {
+                    probe_once(router.health(), shard, replica, Duration::from_millis(500));
+                }
             }
         }
+
+        let (addr, admin_addr) = (&opts.addr, &opts.admin_addr);
+        let handle = start_with_admin(router.clone(), addr, admin_addr)
+            .map_err(|e| format!("cannot bind {addr} / admin {admin_addr}: {e}"))?;
+        println!(
+            "READY addr={} admin={} shards={} up={}",
+            handle.addr(),
+            handle.admin_addr(),
+            router.n_shards(),
+            router.health().up_count()
+        );
+
+        // Route until killed (the accept loops run on their own threads).
+        loop {
+            std::thread::sleep(Duration::from_secs(3600));
+        }
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_exactly_the_flags_the_parser_takes() {
+        args::assert_usage_matches(USAGE, &["--replicas", "127.0.0.1:1"], parse);
     }
 
-    let handle = match start_with_admin(router.clone(), &args.addr, &args.admin_addr) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!(
-                "router_main: cannot bind {} / admin {}: {e}",
-                args.addr, args.admin_addr
+    #[test]
+    fn replicas_are_required_and_periods_are_at_least_one() {
+        let parse_str = |argv: &str| parse(Args::new(argv.split_whitespace()));
+        assert_eq!(
+            parse_str("--probe-ms 5").err(),
+            Some(ArgError::Missing("--replicas SET[,SET...]"))
+        );
+        for flag in ["--probe-ms", "--budget-ms"] {
+            assert_eq!(
+                parse_str(&format!("--replicas 127.0.0.1:1 {flag} 0")).err(),
+                Some(ArgError::BelowMinimum(flag))
             );
-            return ExitCode::FAILURE;
         }
-    };
-    println!(
-        "READY addr={} admin={} shards={} up={}",
-        handle.addr(),
-        handle.admin_addr(),
-        router.n_shards(),
-        router.health().up_count()
-    );
-
-    // Route until killed (the accept loops run on their own threads).
-    loop {
-        std::thread::sleep(Duration::from_secs(3600));
+        let ok = parse_str("--budget-ms 9 --replicas 127.0.0.1:1|127.0.0.1:2,127.0.0.1:3").unwrap();
+        assert_eq!((ok.replica_sets.len(), ok.replica_sets[0].len()), (2, 2));
+        assert_eq!((ok.probe_ms, ok.budget_ms), (25, 9));
     }
 }

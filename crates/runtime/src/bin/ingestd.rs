@@ -1,10 +1,5 @@
 //! The ingestion + incremental-training daemon driven by `ci.sh` and the
-//! README quickstart.
-//!
-//! ```text
-//! ingestd <checkpoint-dir> <log-dir> [--addr HOST:PORT] [--window N]
-//!         [--round-steps N] [--poll-ms N] [--segment-records N] [--replay]
-//! ```
+//! README quickstart (arguments: [`USAGE`]).
 //!
 //! Runs the online-learning loop over the standard demo workload (the same
 //! deterministic graph and hyperparameters `serve_main` uses, via
@@ -26,73 +21,43 @@
 //!    byte-identical to the live run that produced the log — at any
 //!    `GRAPHAUG_THREADS`.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use graphaug_ingest::args::{self, ArgError, Args, Fail};
 use graphaug_ingest::{start_ingest, LogWriter};
 use graphaug_runtime::{checkpoint, demo, FineTuner, RoundReport, Runtime, RuntimeConfig};
 
-struct Args {
-    ckpt_dir: String,
-    log_dir: String,
+const USAGE: &str = "usage: ingestd <checkpoint-dir> <log-dir> [--addr HOST:PORT] [--window N] \
+     [--round-steps N] [--poll-ms N] [--replay]";
+
+/// Records per log segment file before the writer rolls to the next.
+const SEGMENT_RECORDS: u64 = 4096;
+
+struct Opts {
+    ckpt_dir: PathBuf,
+    log_dir: PathBuf,
     addr: String,
     window: u64,
     round_steps: usize,
     poll_ms: u64,
-    segment_records: u64,
     replay: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let ckpt_dir = args.next().ok_or("missing <checkpoint-dir>")?;
-    let log_dir = args.next().ok_or("missing <log-dir>")?;
-    let mut out = Args {
-        ckpt_dir,
-        log_dir,
-        addr: "127.0.0.1:0".into(),
-        window: 32,
-        round_steps: 4,
-        poll_ms: 20,
-        segment_records: 4096,
-        replay: false,
+fn parse(mut args: Args) -> Result<Opts, ArgError> {
+    let out = Opts {
+        ckpt_dir: args.positional("<checkpoint-dir>")?,
+        log_dir: args.positional("<log-dir>")?,
+        addr: args.value("--addr", "127.0.0.1:0".into())?,
+        window: args.at_least("--window", 32)?,
+        round_steps: args.at_least("--round-steps", 4)?,
+        // The idle loop sleeps this long between polls of the log: zero spins.
+        poll_ms: args.at_least("--poll-ms", 20)?,
+        replay: args.switch("--replay")?,
     };
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        match flag.as_str() {
-            "--addr" => out.addr = value("--addr")?,
-            "--window" => {
-                out.window = value("--window")?
-                    .parse()
-                    .ok()
-                    .filter(|&w: &u64| w >= 1)
-                    .ok_or("bad --window (wants an integer >= 1)")?
-            }
-            "--round-steps" => {
-                out.round_steps = value("--round-steps")?
-                    .parse()
-                    .ok()
-                    .filter(|&s: &usize| s >= 1)
-                    .ok_or("bad --round-steps (wants an integer >= 1)")?
-            }
-            "--poll-ms" => {
-                out.poll_ms = value("--poll-ms")?
-                    .parse()
-                    .map_err(|_| "bad --poll-ms".to_string())?
-            }
-            "--segment-records" => {
-                out.segment_records = value("--segment-records")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &u64| n >= 1)
-                    .ok_or("bad --segment-records (wants an integer >= 1)")?
-            }
-            "--replay" => out.replay = true,
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
+    args.finish()?;
     Ok(out)
 }
 
@@ -112,21 +77,12 @@ fn finetune_line(dir: &Path, report: &RoundReport) -> String {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("ingestd: {e}");
-            eprintln!(
-                "usage: ingestd <checkpoint-dir> <log-dir> [--addr HOST:PORT] [--window N] \
-                 [--round-steps N] [--poll-ms N] [--segment-records N] [--replay]"
-            );
-            return ExitCode::from(2);
-        }
-    };
+    args::run("ingestd", USAGE, |args| ingest_demo(parse(args)?))
+}
 
+fn ingest_demo(opts: Opts) -> Result<(), Fail> {
     let split = demo::demo_split();
-    let ckpt_dir = Path::new(&args.ckpt_dir);
-    let log_dir = Path::new(&args.log_dir);
+    let (ckpt_dir, log_dir) = (opts.ckpt_dir.as_path(), opts.log_dir.as_path());
 
     // Train the demo base model if the directory is empty — with the
     // *base* hyperparameters, so the checkpoint chain starts exactly like
@@ -137,81 +93,55 @@ fn main() -> ExitCode {
             ckpt_dir.display()
         );
         let base_cfg = RuntimeConfig::new(demo::demo_config()).checkpoint_dir(ckpt_dir);
-        let report = Runtime::new(base_cfg, &split.train).and_then(|mut rt| rt.run());
-        match report {
-            Ok(r) => println!(
-                "trained base model: {} epochs, {} checkpoints",
-                r.epochs_completed, r.checkpoints_written
-            ),
-            Err(e) => {
-                eprintln!("ingestd: base training failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let r = Runtime::new(base_cfg, &split.train)
+            .and_then(|mut rt| rt.run())
+            .map_err(|e| format!("base training failed: {e}"))?;
+        println!(
+            "trained base model: {} epochs, {} checkpoints",
+            r.epochs_completed, r.checkpoints_written
+        );
     }
 
     // Fine-tune rounds run `--round-steps` steps each: same model config,
     // different steps_per_epoch. Replay must use the same value.
-    let tune_cfg = RuntimeConfig::new(demo::demo_config().steps_per_epoch(args.round_steps))
+    let tune_cfg = RuntimeConfig::new(demo::demo_config().steps_per_epoch(opts.round_steps))
         .checkpoint_dir(ckpt_dir);
-    let mut tuner = match FineTuner::open(tune_cfg, &split.train, log_dir, args.window) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("ingestd: cannot open fine-tuner: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut tuner = FineTuner::open(tune_cfg, &split.train, log_dir, opts.window)
+        .map_err(|e| format!("cannot open fine-tuner: {e}"))?;
 
-    if args.replay {
+    if opts.replay {
         // Drain round by round (rather than `run_pending`) so each
         // `FINETUNE` line carries *that round's* generation and
         // fingerprint — byte-comparable against a live run's log.
-        let mut reports = Vec::new();
-        loop {
-            match tuner.poll_once() {
-                Ok(Some(report)) => {
-                    println!("{}", finetune_line(ckpt_dir, &report));
-                    reports.push(report);
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    eprintln!("ingestd: replay failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+        let mut rounds = 0usize;
+        while let Some(report) = tuner
+            .poll_once()
+            .map_err(|e| format!("replay failed: {e}"))?
+        {
+            println!("{}", finetune_line(ckpt_dir, &report));
+            rounds += 1;
         }
         let fnv = checkpoint::load_latest_valid_with_fingerprint(ckpt_dir)
             .map(|(_, _, fingerprint)| fingerprint)
             .unwrap_or(0);
         println!(
-            "REPLAY done rounds={} watermark={} finetunes={} ckpt_fnv={fnv:016x}",
-            reports.len(),
+            "REPLAY done rounds={rounds} watermark={} finetunes={} ckpt_fnv={fnv:016x}",
             tuner.watermark(),
             tuner.finetunes(),
         );
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     // Live mode: PUT listener + polling loop.
-    let log = match LogWriter::open(log_dir, args.segment_records) {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(e) => {
-            eprintln!("ingestd: cannot open log {}: {e}", log_dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let handle = match start_ingest(
-        log.clone(),
+    let log = LogWriter::open(log_dir, SEGMENT_RECORDS)
+        .map_err(|e| format!("cannot open log {}: {e}", log_dir.display()))?;
+    let handle = start_ingest(
+        Arc::new(Mutex::new(log)),
         split.train.n_users(),
         split.train.n_items(),
-        &args.addr,
-    ) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("ingestd: cannot bind {}: {e}", args.addr);
-            return ExitCode::FAILURE;
-        }
-    };
+        &opts.addr,
+    )
+    .map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
     let generation = checkpoint::newest_generation(ckpt_dir).unwrap_or(0);
     println!(
         "READY addr={} gen={generation} watermark={}",
@@ -220,13 +150,49 @@ fn main() -> ExitCode {
     );
 
     loop {
-        match tuner.poll_once() {
-            Ok(Some(report)) => println!("{}", finetune_line(ckpt_dir, &report)),
-            Ok(None) => std::thread::sleep(Duration::from_millis(args.poll_ms)),
-            Err(e) => {
-                eprintln!("ingestd: fine-tune round failed: {e}");
-                return ExitCode::FAILURE;
-            }
+        match tuner
+            .poll_once()
+            .map_err(|e| format!("fine-tune round failed: {e}"))?
+        {
+            Some(report) => println!("{}", finetune_line(ckpt_dir, &report)),
+            None => std::thread::sleep(Duration::from_millis(opts.poll_ms)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_str(argv: &str) -> Result<Opts, ArgError> {
+        parse(Args::new(argv.split_whitespace()))
+    }
+
+    #[test]
+    fn usage_names_exactly_the_flags_the_parser_takes() {
+        args::assert_usage_matches(USAGE, &["ck", "log"], parse);
+        // A constant since it lost its last caller, not a flag.
+        assert_eq!(
+            parse_str("ck log --segment-records 64").err(),
+            Some(ArgError::Unknown("--segment-records".into()))
+        );
+    }
+
+    #[test]
+    fn a_zero_poll_period_is_refused_not_spun_on() {
+        assert_eq!(
+            parse_str("ck log --poll-ms 0").err(),
+            Some(ArgError::BelowMinimum("--poll-ms"))
+        );
+        for flag in ["--window", "--round-steps"] {
+            assert_eq!(
+                parse_str(&format!("ck log {flag} 0")).err(),
+                Some(ArgError::BelowMinimum(flag))
+            );
+        }
+        let ok = parse_str("ck log --replay --poll-ms 10 --window 64").unwrap();
+        assert_eq!((ok.window, ok.round_steps, ok.poll_ms), (64, 4, 10));
+        assert!(ok.replay);
+        assert_eq!(parse_str("ck").err(), Some(ArgError::Missing("<log-dir>")));
     }
 }

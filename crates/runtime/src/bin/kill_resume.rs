@@ -15,13 +15,14 @@
 //! `GRAPHAUG_THREADS` setting.
 
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use graphaug_core::GraphAugConfig;
 use graphaug_data::{generate, SyntheticConfig};
 use graphaug_eval::{evaluate, Recommender};
 use graphaug_graph::TrainTestSplit;
+use graphaug_ingest::args::{self, ArgError};
 use graphaug_runtime::snapshot::fnv1a64;
 use graphaug_runtime::{Runtime, RuntimeConfig};
 
@@ -62,46 +63,45 @@ fn print_final(rt: &Runtime, split: &TrainTestSplit) {
     );
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let (mode, dir) = match args.as_slice() {
-        [_, mode, dir] => (mode.as_str(), Path::new(dir)),
-        _ => {
-            eprintln!("usage: kill_resume <reference|victim|resume> <checkpoint-dir>");
-            return ExitCode::from(2);
-        }
-    };
-    let split = workload();
-    let cfg = config(dir);
-    let total = cfg.model.epochs as u64;
+const USAGE: &str = "usage: kill_resume <reference|victim|resume> <checkpoint-dir>";
 
-    match mode {
-        "reference" => {
-            let mut rt = Runtime::new(cfg, &split.train).expect("fresh runtime");
-            rt.run().expect("uninterrupted run");
-            print_final(&rt, &split);
-        }
-        "victim" => {
-            let mut rt = Runtime::new(cfg, &split.train).expect("fresh runtime");
-            while rt.epochs_completed() < total {
-                let next = rt.epochs_completed() + 1;
-                rt.run_until(next).expect("victim epoch");
-                println!("EPOCH {}", rt.epochs_completed());
-                std::io::stdout().flush().ok();
-                // A window for the harness's kill -9 to land between epochs.
-                std::thread::sleep(std::time::Duration::from_millis(60));
+fn main() -> ExitCode {
+    args::run("kill_resume", USAGE, |mut args| {
+        let mode: String = args.positional("<reference|victim|resume>")?;
+        let dir: PathBuf = args.positional("<checkpoint-dir>")?;
+        args.finish()?;
+        let split = workload();
+        let cfg = config(&dir);
+        let total = cfg.model.epochs as u64;
+
+        match mode.as_str() {
+            "reference" => {
+                let mut rt = Runtime::new(cfg, &split.train).expect("fresh runtime");
+                rt.run().expect("uninterrupted run");
+                print_final(&rt, &split);
             }
-            print_final(&rt, &split);
+            "victim" => {
+                let mut rt = Runtime::new(cfg, &split.train).expect("fresh runtime");
+                while rt.epochs_completed() < total {
+                    let next = rt.epochs_completed() + 1;
+                    rt.run_until(next).expect("victim epoch");
+                    println!("EPOCH {}", rt.epochs_completed());
+                    std::io::stdout().flush().ok();
+                    // A window for the harness's kill -9 to land between epochs.
+                    std::thread::sleep(std::time::Duration::from_millis(60));
+                }
+                print_final(&rt, &split);
+            }
+            "resume" => {
+                let mut rt = Runtime::resume(cfg, &split.train).expect("resumable checkpoint");
+                rt.run().expect("resumed run");
+                print_final(&rt, &split);
+            }
+            other => {
+                let reason = format!("unknown mode {other:?}");
+                return Err(ArgError::invalid("<reference|victim|resume>", reason).into());
+            }
         }
-        "resume" => {
-            let mut rt = Runtime::resume(cfg, &split.train).expect("resumable checkpoint");
-            rt.run().expect("resumed run");
-            print_final(&rt, &split);
-        }
-        other => {
-            eprintln!("unknown mode {other:?}");
-            return ExitCode::from(2);
-        }
-    }
-    ExitCode::SUCCESS
+        Ok(())
+    })
 }

@@ -1,11 +1,5 @@
 //! A seeded closed-loop load generator for `serve_main` (and, since the
-//! wire protocol is identical, for `router_main`).
-//!
-//! ```text
-//! loadgen <addr> [--requests N] [--conns N] [--seed S] [--kmax K]
-//!                [--zipf S] [--hot H:FRAC] [--exact] [--quant-parity N]
-//!                [--put N --users U --items I] [--dump N] [--stats]
-//! ```
+//! wire protocol is identical, for `router_main`); arguments: [`USAGE`].
 //!
 //! Opens `--conns` connections, each driving a deterministic request
 //! stream (`StdRng::stream(seed, conn)`), and reports latency percentiles
@@ -46,67 +40,17 @@
 //! protocol conformance check under concurrency.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use graphaug_eval::overlap_count;
 use graphaug_rng::StdRng;
-use graphaug_serve::client::{resolve_addr, stats_field, LatencySummary, ServeClient};
+use graphaug_serve::args::{self, ArgError, Args, Fail};
+use graphaug_serve::client::{resolve_addr, ServeClient};
+use graphaug_serve::workload::{drive_load, Bad, LoadPhase};
 use graphaug_serve::{parse_ok_line, UserSampler};
 
 const USAGE: &str = "usage: loadgen <addr> [--requests N] [--conns N] [--seed S] [--kmax K] \
-     [--zipf S] [--hot H:FRAC] [--exact] [--quant-parity N] \
+     [--zipf S | --hot H:FRAC] [--exact] [--quant-parity N] \
      [--put N --users U --items I] [--dump N] [--stats]";
-
-/// Why the argument list was rejected. Typed so tests (and callers) can
-/// assert the *category* of refusal rather than string-matching, and so
-/// every bad invocation dies before the first request goes out.
-#[derive(Debug, PartialEq)]
-enum ArgError {
-    /// The positional `<addr>` is absent (or a flag appeared in its place).
-    MissingAddr(Option<String>),
-    /// `<addr>` did not resolve.
-    BadAddr(String),
-    /// A flag that wants a value hit end-of-argv.
-    MissingValue(&'static str),
-    /// A flag's value failed to parse or violated its range.
-    Invalid {
-        /// Which flag.
-        flag: &'static str,
-        /// Human-readable reason.
-        reason: String,
-    },
-    /// `--requests`/`--conns`/`--kmax` of zero (nothing to do / divide by
-    /// zero / guaranteed-empty lists).
-    Zero(&'static str),
-    /// `--kmax` exceeds the serving catalog: every draw of `k` above the
-    /// item count is wasted work the server would silently clamp.
-    KmaxBeyondCatalog {
-        /// Requested --kmax.
-        kmax: usize,
-        /// Items the server reports.
-        items: usize,
-    },
-    /// An unrecognized flag.
-    Unknown(String),
-}
-
-impl std::fmt::Display for ArgError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArgError::MissingAddr(None) => write!(f, "missing <addr>"),
-            ArgError::MissingAddr(Some(got)) => write!(f, "expected <addr>, got flag {got:?}"),
-            ArgError::BadAddr(e) => write!(f, "bad <addr>: {e}"),
-            ArgError::MissingValue(flag) => write!(f, "{flag} needs a value"),
-            ArgError::Invalid { flag, reason } => write!(f, "bad {flag} value: {reason}"),
-            ArgError::Zero(flag) => write!(f, "{flag} must be at least 1"),
-            ArgError::KmaxBeyondCatalog { kmax, items } => write!(
-                f,
-                "--kmax {kmax} exceeds the server catalog of {items} items"
-            ),
-            ArgError::Unknown(flag) => write!(f, "unknown flag {flag:?}"),
-        }
-    }
-}
 
 enum Skew {
     Uniform,
@@ -114,7 +58,7 @@ enum Skew {
     Hot { hot_users: u32, hot_frac: f64 },
 }
 
-struct Args {
+struct Opts {
     addr: String,
     requests: usize,
     conns: usize,
@@ -126,157 +70,91 @@ struct Args {
     put: usize,
     put_users: u32,
     put_items: u32,
-    dump: usize,
+    dump: u32,
     stats: bool,
 }
 
-/// Parses an argument list (everything after argv[0]). Separated from
-/// `std::env::args` so the unit tests below can drive it directly.
-fn parse_arg_list(mut args: impl Iterator<Item = String>) -> Result<Args, ArgError> {
-    let addr = args.next().ok_or(ArgError::MissingAddr(None))?;
-    if addr.starts_with('-') {
-        return Err(ArgError::MissingAddr(Some(addr)));
+/// `--kmax` exceeds the serving catalog: every draw of `k` above the item
+/// count is wasted work the server would silently clamp. Only known after
+/// the `STATS` probe, but still a usage error (exit 2).
+fn kmax_beyond_catalog(kmax: usize, items: usize) -> ArgError {
+    ArgError::invalid(
+        "--kmax",
+        format!("{kmax} exceeds the server catalog of {items} items"),
+    )
+}
+
+/// `--hot H:FRAC`.
+fn parse_hot(v: &str) -> Result<Skew, String> {
+    let (h, fr) = v.split_once(':').ok_or("wants H:FRAC, e.g. 4:0.9")?;
+    let hot_users = h.parse::<u32>().map_err(|e| format!("user count: {e}"))?;
+    let hot_frac = fr.parse::<f64>().map_err(|e| format!("fraction: {e}"))?;
+    if hot_users == 0 || !(0.0..=1.0).contains(&hot_frac) {
+        return Err("wants H >= 1 and FRAC in [0,1]".into());
     }
-    resolve_addr(&addr).map_err(ArgError::BadAddr)?;
-    let mut out = Args {
-        addr,
-        requests: 2000,
-        conns: 4,
-        seed: 1,
-        kmax: 20,
-        skew: Skew::Uniform,
-        exact: false,
-        quant_parity: 0,
-        put: 0,
-        put_users: 0,
-        put_items: 0,
-        dump: 0,
-        stats: false,
-    };
-    while let Some(flag) = args.next() {
-        let mut value = |name: &'static str| args.next().ok_or(ArgError::MissingValue(name));
-        let int = |name: &'static str, v: Result<String, ArgError>| {
-            v.and_then(|v| {
-                v.parse::<u64>().map_err(|e| ArgError::Invalid {
-                    flag: name,
-                    reason: e.to_string(),
-                })
-            })
-        };
-        match flag.as_str() {
-            "--requests" => out.requests = int("--requests", value("--requests"))? as usize,
-            "--conns" => out.conns = int("--conns", value("--conns"))? as usize,
-            "--seed" => out.seed = int("--seed", value("--seed"))?,
-            "--kmax" => out.kmax = int("--kmax", value("--kmax"))? as usize,
-            "--exact" => out.exact = true,
-            "--quant-parity" => {
-                out.quant_parity = int("--quant-parity", value("--quant-parity"))? as usize;
-                if out.quant_parity == 0 {
-                    return Err(ArgError::Zero("--quant-parity"));
-                }
-            }
-            "--put" => {
-                out.put = int("--put", value("--put"))? as usize;
-                if out.put == 0 {
-                    return Err(ArgError::Zero("--put"));
-                }
-            }
-            "--users" => out.put_users = int("--users", value("--users"))? as u32,
-            "--items" => out.put_items = int("--items", value("--items"))? as u32,
-            "--dump" => {
-                out.dump = int("--dump", value("--dump"))? as usize;
-                if out.dump == 0 {
-                    return Err(ArgError::Zero("--dump"));
-                }
-            }
-            "--stats" => out.stats = true,
-            "--zipf" => {
-                let s = value("--zipf")?
-                    .parse::<f64>()
-                    .map_err(|e| ArgError::Invalid {
-                        flag: "--zipf",
-                        reason: e.to_string(),
-                    })?;
-                if !(s.is_finite() && s >= 0.0) {
-                    return Err(ArgError::Invalid {
-                        flag: "--zipf",
-                        reason: "exponent must be finite and >= 0".into(),
-                    });
-                }
-                out.skew = Skew::Zipf(s);
-            }
-            "--hot" => {
-                let v = value("--hot")?;
-                let (h, fr) = v.split_once(':').ok_or(ArgError::Invalid {
-                    flag: "--hot",
-                    reason: "wants H:FRAC, e.g. 4:0.9".into(),
-                })?;
-                let hot_users = h.parse::<u32>().map_err(|e| ArgError::Invalid {
-                    flag: "--hot",
-                    reason: format!("user count: {e}"),
-                })?;
-                let hot_frac = fr.parse::<f64>().map_err(|e| ArgError::Invalid {
-                    flag: "--hot",
-                    reason: format!("fraction: {e}"),
-                })?;
-                if hot_users == 0 || !(0.0..=1.0).contains(&hot_frac) {
-                    return Err(ArgError::Invalid {
-                        flag: "--hot",
-                        reason: "wants H >= 1 and FRAC in [0,1]".into(),
-                    });
-                }
-                out.skew = Skew::Hot {
-                    hot_users,
-                    hot_frac,
-                };
-            }
-            other => return Err(ArgError::Unknown(other.to_string())),
+    Ok(Skew::Hot {
+        hot_users,
+        hot_frac,
+    })
+}
+
+fn parse(mut args: Args) -> Result<Opts, ArgError> {
+    let addr: String = args.positional("<addr>")?;
+    resolve_addr(&addr).map_err(|e| ArgError::invalid("<addr>", e))?;
+    let zipf: Option<f64> = args.opt("--zipf")?;
+    let hot: Option<String> = args.opt("--hot")?;
+    let skew = match (zipf, hot) {
+        (Some(_), Some(_)) => return Err(ArgError::invalid("--hot", "incompatible with --zipf")),
+        (Some(s), None) if s.is_finite() && s >= 0.0 => Skew::Zipf(s),
+        (Some(_), None) => {
+            return Err(ArgError::invalid(
+                "--zipf",
+                "exponent must be finite and >= 0",
+            ))
         }
-    }
-    if out.requests == 0 {
-        return Err(ArgError::Zero("--requests"));
-    }
-    if out.conns == 0 {
-        return Err(ArgError::Zero("--conns"));
-    }
-    if out.kmax == 0 {
-        return Err(ArgError::Zero("--kmax"));
-    }
+        (None, Some(v)) => parse_hot(&v).map_err(|e| ArgError::invalid("--hot", e))?,
+        (None, None) => Skew::Uniform,
+    };
+    let out = Opts {
+        addr,
+        // Nothing to do / divide by zero / guaranteed-empty lists.
+        requests: args.at_least("--requests", 2000)?,
+        conns: args.at_least("--conns", 4)?,
+        seed: args.value("--seed", 1)?,
+        kmax: args.at_least("--kmax", 20)?,
+        skew,
+        exact: args.switch("--exact")?,
+        // The four modes: off unless given, and then at least 1.
+        quant_parity: args.at_least("--quant-parity", 0)?,
+        put: args.at_least("--put", 0)?,
+        put_users: args.value("--users", 0)?,
+        put_items: args.value("--items", 0)?,
+        dump: args.at_least("--dump", 0)?,
+        stats: args.switch("--stats")?,
+    };
+    args.finish()?;
     if out.quant_parity > 0 && out.exact {
-        return Err(ArgError::Invalid {
-            flag: "--quant-parity",
-            reason: "incompatible with --exact (the sweep drives both verbs itself)".into(),
-        });
+        return Err(ArgError::invalid(
+            "--quant-parity",
+            "incompatible with --exact (the sweep drives both verbs itself)",
+        ));
     }
     if out.put > 0 && (out.put_users == 0 || out.put_items == 0) {
         // The ingest listener's STATS carries no catalog shape, so the
         // draw bounds must come from the caller.
-        return Err(ArgError::Invalid {
-            flag: "--put",
-            reason: "needs --users U and --items I draw bounds (both >= 1)".into(),
-        });
+        return Err(ArgError::invalid(
+            "--put",
+            "needs --users U and --items I draw bounds (both >= 1)",
+        ));
     }
     let modes = [out.put > 0, out.dump > 0, out.stats, out.quant_parity > 0];
     if modes.iter().filter(|&&m| m).count() > 1 {
-        return Err(ArgError::Invalid {
-            flag: "--put",
-            reason: "--put/--dump/--stats/--quant-parity are mutually exclusive modes".into(),
-        });
+        return Err(ArgError::invalid(
+            "--put",
+            "--put/--dump/--stats/--quant-parity are mutually exclusive modes",
+        ));
     }
     Ok(out)
-}
-
-/// Asks the server for its table shape, so the request stream stays
-/// in-range and an over-catalog `--kmax` dies before traffic starts.
-fn fetch_table_shape(addr: &str) -> Result<(u32, usize), String> {
-    let mut client = ServeClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let line = client.stats_line().map_err(|e| format!("STATS: {e}"))?;
-    let users = stats_field(&line, "users=").and_then(|v| v.parse::<u32>().ok());
-    let items = stats_field(&line, "items=").and_then(|v| v.parse::<usize>().ok());
-    match (users, items) {
-        (Some(u), Some(i)) => Ok((u, i)),
-        _ => Err(format!("bad STATS response: {line}")),
-    }
 }
 
 /// Drives the `--quant-parity` sweep on one connection: each probe sends
@@ -385,132 +263,45 @@ fn print_stats(addr: &str) -> Result<(), String> {
     Ok(())
 }
 
-struct ConnReport {
-    latencies_us: Vec<u64>,
-    errors: usize,
-}
-
-fn drive_connection(
-    addr: &str,
-    requests: usize,
-    sampler: &UserSampler,
-    kmax: usize,
-    exact: bool,
-    mut rng: StdRng,
-) -> Result<ConnReport, String> {
-    let mut client = ServeClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let verb = if exact { "RECX" } else { "REC" };
-    let mut latencies_us = Vec::with_capacity(requests);
-    let mut errors = 0usize;
-    for _ in 0..requests {
-        let user = sampler.draw(&mut rng);
-        let k = 1 + rng.bounded_u64(kmax as u64) as usize;
-        let start = Instant::now();
-        let line = client
-            .rec_one_mode(user, k, exact)
-            .map_err(|e| e.to_string())?;
-        latencies_us.push(start.elapsed().as_micros() as u64);
-        match parse_ok_line(&line) {
-            Some(ok) if ok.user == user && ok.k == k && ok.items.len() <= k => {}
-            _ => {
-                errors += 1;
-                eprintln!("loadgen: bad response for {verb} {user} {k}: {line}");
-            }
-        }
-    }
-    client.quit();
-    Ok(ConnReport {
-        latencies_us,
-        errors,
-    })
-}
-
 fn main() -> ExitCode {
-    let args = match parse_arg_list(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("loadgen: {e}");
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    args::run("loadgen", USAGE, |args| drive(parse(args)?))
+}
 
+fn drive(o: Opts) -> Result<(), Fail> {
     // The single-connection modes that talk to servers whose STATS carries
     // no catalog shape (ingest listeners) — or that only echo it — run
     // before the shape probe.
-    if args.put > 0 {
-        return match put_stream(
-            &args.addr,
-            args.put,
-            args.put_users,
-            args.put_items,
-            args.seed,
-        ) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("loadgen: put stream failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if o.put > 0 {
+        return Ok(put_stream(
+            &o.addr,
+            o.put,
+            o.put_users,
+            o.put_items,
+            o.seed,
+        )?);
     }
-    if args.stats {
-        return match print_stats(&args.addr) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("loadgen: stats failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if o.stats {
+        return Ok(print_stats(&o.addr)?);
     }
 
-    let (n_users, n_items) = match fetch_table_shape(&args.addr) {
-        Ok((u, i)) if u > 0 => (u, i),
-        Ok(_) => {
-            eprintln!("loadgen: server reports zero users");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("loadgen: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.kmax > n_items {
+    let (n_users, n_items) = ServeClient::probe_shape(&o.addr)?;
+    if o.kmax > n_items {
         // Typed refusal before the first request, not 2000 clamped lists.
-        eprintln!(
-            "loadgen: {}",
-            ArgError::KmaxBeyondCatalog {
-                kmax: args.kmax,
-                items: n_items
-            }
-        );
-        return ExitCode::from(2);
+        return Err(kmax_beyond_catalog(o.kmax, n_items).into());
     }
-    if args.dump > 0 {
-        let n = (args.dump as u32).min(n_users);
-        return match dump_rankings(&args.addr, n, args.kmax) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("loadgen: dump failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if o.dump > 0 {
+        return Ok(dump_rankings(&o.addr, o.dump.min(n_users), o.kmax)?);
     }
-    if args.quant_parity > 0 {
-        return match quant_parity_sweep(
-            &args.addr,
-            args.quant_parity,
-            args.kmax,
+    if o.quant_parity > 0 {
+        return Ok(quant_parity_sweep(
+            &o.addr,
+            o.quant_parity,
+            o.kmax,
             n_users,
-            args.seed,
-        ) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("loadgen: quant-parity sweep failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
+            o.seed,
+        )?);
     }
-    let sampler = match args.skew {
+    let sampler = match o.skew {
         Skew::Uniform => UserSampler::uniform(n_users),
         Skew::Zipf(s) => UserSampler::zipf(n_users, s),
         Skew::Hot {
@@ -519,57 +310,33 @@ fn main() -> ExitCode {
         } => UserSampler::hot(n_users, hot_users, hot_frac),
     };
 
-    let per_conn = args.requests.div_ceil(args.conns);
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    for conn in 0..args.conns {
-        let addr = args.addr.clone();
-        let rng = StdRng::stream(args.seed, conn as u64);
-        let kmax = args.kmax;
-        let exact = args.exact;
-        let sampler = sampler.clone();
-        handles.push(std::thread::spawn(move || {
-            drive_connection(&addr, per_conn, &sampler, kmax, exact, rng)
-        }));
-    }
-
-    let mut latencies = Vec::new();
-    let mut errors = 0usize;
-    for handle in handles {
-        match handle.join() {
-            Ok(Ok(report)) => {
-                latencies.extend(report.latencies_us);
-                errors += report.errors;
-            }
-            Ok(Err(e)) => {
-                eprintln!("loadgen: connection failed: {e}");
-                errors += 1;
-            }
-            Err(_) => {
-                eprintln!("loadgen: worker panicked");
-                errors += 1;
-            }
-        }
-    }
-    let elapsed = start.elapsed();
-
-    let s = LatencySummary::from_samples(latencies, elapsed);
+    let phase = LoadPhase {
+        addr: &o.addr,
+        requests: o.requests,
+        conns: o.conns,
+        kmax: o.kmax,
+        exact: o.exact,
+        seed: o.seed,
+        stream_base: 0,
+        who: "loadgen",
+    };
+    // Any `ERR` or malformed line fails the run.
+    let report = drive_load(&phase, &sampler, |_, _| Bad::Error);
+    let s = &report.summary;
     println!(
         "loadgen: requests={} conns={} errors={} elapsed_ms={} qps={:.1} p50_us={} p95_us={} p99_us={}",
         s.count,
-        args.conns,
-        errors,
-        elapsed.as_millis(),
+        o.conns,
+        report.errors,
+        report.elapsed.as_millis(),
         s.qps,
         s.p50_us,
         s.p95_us,
         s.p99_us,
     );
-
-    if errors > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    match report.errors {
+        0 => Ok(()),
+        n => Err(format!("{n} errors").into()),
     }
 }
 
@@ -577,79 +344,104 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn argv(s: &str) -> impl Iterator<Item = String> + '_ {
-        s.split_whitespace().map(str::to_string)
+    fn argv(s: &str) -> Args {
+        Args::new(s.split_whitespace())
+    }
+
+    #[test]
+    fn usage_names_exactly_the_flags_the_parser_takes() {
+        args::assert_usage_matches(USAGE, &["127.0.0.1:9"], parse);
+    }
+
+    #[test]
+    fn narrowing_is_refused_not_wrapped() {
+        // 2^32 + 1 used to be cast to 1.
+        for flag in ["--dump", "--users", "--items"] {
+            assert!(matches!(
+                parse(argv(&format!("127.0.0.1:9 {flag} 4294967297"))).err(),
+                Some(ArgError::Invalid { flag: f, .. }) if f == flag
+            ));
+        }
+        // The last of `--zipf` / `--hot` used to win without a word.
+        assert!(matches!(
+            parse(argv("127.0.0.1:9 --zipf 1.1 --hot 4:0.9")).err(),
+            Some(ArgError::Invalid { flag: "--hot", .. })
+        ));
+        assert!(matches!(
+            parse(argv("127.0.0.1:9 --zipf -1")).err(),
+            Some(ArgError::Invalid { flag: "--zipf", .. })
+        ));
     }
 
     #[test]
     fn kmax_zero_is_a_typed_parse_error() {
         assert_eq!(
-            parse_arg_list(argv("127.0.0.1:9 --kmax 0")).err(),
-            Some(ArgError::Zero("--kmax"))
+            parse(argv("127.0.0.1:9 --kmax 0")).err(),
+            Some(ArgError::BelowMinimum("--kmax"))
         );
     }
 
     #[test]
     fn zero_requests_and_conns_are_rejected() {
         assert_eq!(
-            parse_arg_list(argv("127.0.0.1:9 --requests 0")).err(),
-            Some(ArgError::Zero("--requests"))
+            parse(argv("127.0.0.1:9 --requests 0")).err(),
+            Some(ArgError::BelowMinimum("--requests"))
         );
         assert_eq!(
-            parse_arg_list(argv("127.0.0.1:9 --conns 0")).err(),
-            Some(ArgError::Zero("--conns"))
+            parse(argv("127.0.0.1:9 --conns 0")).err(),
+            Some(ArgError::BelowMinimum("--conns"))
         );
     }
 
     #[test]
     fn valid_invocations_parse() {
-        let a = parse_arg_list(argv("127.0.0.1:9 --requests 10 --kmax 5 --exact")).unwrap();
+        let a = parse(argv("127.0.0.1:9 --requests 10 --kmax 5 --exact")).unwrap();
         assert_eq!(a.requests, 10);
         assert_eq!(a.kmax, 5);
         assert!(a.exact);
-        let plain = parse_arg_list(argv("127.0.0.1:9")).unwrap();
+        let plain = parse(argv("127.0.0.1:9")).unwrap();
         assert!(!plain.exact);
         assert_eq!(plain.kmax, 20);
     }
 
     #[test]
     fn missing_and_malformed_values_are_typed() {
+        assert_eq!(parse(argv("")).err(), Some(ArgError::Missing("<addr>")));
         assert_eq!(
-            parse_arg_list(argv("")).err(),
-            Some(ArgError::MissingAddr(None))
+            parse(argv("--kmax 5")).err(),
+            Some(ArgError::FlagForPositional {
+                name: "<addr>",
+                got: "--kmax".into()
+            })
         );
         assert_eq!(
-            parse_arg_list(argv("--kmax 5")).err(),
-            Some(ArgError::MissingAddr(Some("--kmax".into())))
-        );
-        assert_eq!(
-            parse_arg_list(argv("127.0.0.1:9 --kmax")).err(),
+            parse(argv("127.0.0.1:9 --kmax")).err(),
             Some(ArgError::MissingValue("--kmax"))
         );
         assert!(matches!(
-            parse_arg_list(argv("127.0.0.1:9 --kmax nope")).err(),
+            parse(argv("127.0.0.1:9 --kmax nope")).err(),
             Some(ArgError::Invalid { flag: "--kmax", .. })
         ));
         assert_eq!(
-            parse_arg_list(argv("127.0.0.1:9 --frobnicate")).err(),
+            parse(argv("127.0.0.1:9 --frobnicate")).err(),
             Some(ArgError::Unknown("--frobnicate".into()))
         );
     }
 
     #[test]
     fn quant_parity_args_are_typed() {
-        let a = parse_arg_list(argv("127.0.0.1:9 --quant-parity 32")).unwrap();
+        let a = parse(argv("127.0.0.1:9 --quant-parity 32")).unwrap();
         assert_eq!(a.quant_parity, 32);
         assert_eq!(
-            parse_arg_list(argv("127.0.0.1:9 --quant-parity 0")).err(),
-            Some(ArgError::Zero("--quant-parity"))
+            parse(argv("127.0.0.1:9 --quant-parity 0")).err(),
+            Some(ArgError::BelowMinimum("--quant-parity"))
         );
         assert_eq!(
-            parse_arg_list(argv("127.0.0.1:9 --quant-parity")).err(),
+            parse(argv("127.0.0.1:9 --quant-parity")).err(),
             Some(ArgError::MissingValue("--quant-parity"))
         );
         assert!(matches!(
-            parse_arg_list(argv("127.0.0.1:9 --quant-parity nope")).err(),
+            parse(argv("127.0.0.1:9 --quant-parity nope")).err(),
             Some(ArgError::Invalid {
                 flag: "--quant-parity",
                 ..
@@ -657,7 +449,7 @@ mod tests {
         ));
         // The sweep pins both verbs itself; `--exact` contradicts it.
         assert!(matches!(
-            parse_arg_list(argv("127.0.0.1:9 --quant-parity 8 --exact")).err(),
+            parse(argv("127.0.0.1:9 --quant-parity 8 --exact")).err(),
             Some(ArgError::Invalid {
                 flag: "--quant-parity",
                 ..
@@ -667,38 +459,34 @@ mod tests {
 
     #[test]
     fn put_dump_stats_modes_are_typed() {
-        let a = parse_arg_list(argv("127.0.0.1:9 --put 64 --users 150 --items 120")).unwrap();
+        let a = parse(argv("127.0.0.1:9 --put 64 --users 150 --items 120")).unwrap();
         assert_eq!((a.put, a.put_users, a.put_items), (64, 150, 120));
         // PUT draws need explicit bounds — the ingest STATS has none.
         assert!(matches!(
-            parse_arg_list(argv("127.0.0.1:9 --put 64")).err(),
+            parse(argv("127.0.0.1:9 --put 64")).err(),
             Some(ArgError::Invalid { flag: "--put", .. })
         ));
         assert_eq!(
-            parse_arg_list(argv("127.0.0.1:9 --put 0")).err(),
-            Some(ArgError::Zero("--put"))
+            parse(argv("127.0.0.1:9 --put 0")).err(),
+            Some(ArgError::BelowMinimum("--put"))
         );
-        let d = parse_arg_list(argv("127.0.0.1:9 --dump 16 --kmax 5")).unwrap();
+        let d = parse(argv("127.0.0.1:9 --dump 16 --kmax 5")).unwrap();
         assert_eq!((d.dump, d.kmax), (16, 5));
         assert_eq!(
-            parse_arg_list(argv("127.0.0.1:9 --dump 0")).err(),
-            Some(ArgError::Zero("--dump"))
+            parse(argv("127.0.0.1:9 --dump 0")).err(),
+            Some(ArgError::BelowMinimum("--dump"))
         );
-        assert!(parse_arg_list(argv("127.0.0.1:9 --stats")).unwrap().stats);
+        assert!(parse(argv("127.0.0.1:9 --stats")).unwrap().stats);
         // One mode per invocation.
         assert!(matches!(
-            parse_arg_list(argv("127.0.0.1:9 --stats --dump 4")).err(),
+            parse(argv("127.0.0.1:9 --stats --dump 4")).err(),
             Some(ArgError::Invalid { .. })
         ));
     }
 
     #[test]
     fn catalog_bound_error_renders_both_numbers() {
-        let e = ArgError::KmaxBeyondCatalog {
-            kmax: 500,
-            items: 120,
-        };
-        let msg = e.to_string();
+        let msg = kmax_beyond_catalog(500, 120).to_string();
         assert!(msg.contains("500") && msg.contains("120"), "{msg}");
     }
 }

@@ -1,10 +1,5 @@
-//! The serving demo binary driven by `ci.sh` and the README quickstart.
-//!
-//! ```text
-//! serve_main <checkpoint-dir> [--addr HOST:PORT] [--watch-ms N] [--parity-users N]
-//!            [--ann] [--ann-nlists N] [--ann-nprobe N] [--ann-floor F] [--ann-audit N]
-//!            [--quant] [--quant-floor F] [--quant-audit N] [--log-dir PATH]
-//! ```
+//! The serving demo binary driven by `ci.sh` and the README quickstart
+//! (arguments: [`USAGE`]).
 //!
 //! Runs a self-contained service over the standard demo workload (the same
 //! deterministic synthetic graph the kill/resume harness trains):
@@ -37,7 +32,7 @@
 //! watermark) are then resolved by replaying the log, so the watcher
 //! hot-reloads the online-learning loop's generations with zero downtime.
 
-use std::path::Path;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,6 +41,7 @@ use graphaug_core::GraphAug;
 use graphaug_eval::{evaluate, topk_indices, Recommender};
 use graphaug_graph::{InteractionGraph, TrainTestSplit};
 use graphaug_runtime::{checkpoint, demo_config, demo_split, Runtime, RuntimeConfig};
+use graphaug_serve::args::{self, ArgError, Args, Fail};
 use graphaug_serve::{
     serve, spawn_watcher, Engine, IvfParams, ModelSource, QuantParams, DEFAULT_CACHE_CAPACITY,
 };
@@ -146,125 +142,68 @@ fn parity_check(engine: &Engine, split: &TrainTestSplit, users: usize) -> Result
     ))
 }
 
-struct Args {
-    dir: String,
+const USAGE: &str = "usage: serve_main <checkpoint-dir> [--addr HOST:PORT] [--watch-ms N] \
+     [--parity-users N] [--ann] [--ann-nlists N] [--ann-nprobe N] [--ann-floor F] \
+     [--quant] [--quant-floor F] [--log-dir PATH]";
+
+struct Opts {
+    dir: PathBuf,
     addr: String,
     watch_ms: u64,
     parity_users: usize,
     ann: bool,
-    ann_nlists: usize,
-    ann_nprobe: usize,
-    ann_floor: f64,
-    ann_audit: u64,
+    ann_nlists: Option<usize>,
+    ann_nprobe: Option<usize>,
+    ann_floor: Option<f64>,
     quant: bool,
-    quant_floor: f64,
-    quant_audit: u64,
-    log_dir: Option<String>,
+    quant_floor: Option<f64>,
+    log_dir: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let dir = args.next().ok_or("missing <checkpoint-dir>")?;
-    let mut out = Args {
-        dir,
-        addr: "127.0.0.1:0".into(),
-        watch_ms: 100,
-        parity_users: 16,
-        ann: false,
-        ann_nlists: 0,
-        ann_nprobe: 0,
-        ann_floor: 0.9,
-        ann_audit: 64,
-        quant: false,
-        quant_floor: 0.9,
-        quant_audit: 64,
-        log_dir: None,
+fn parse(mut args: Args) -> Result<Opts, ArgError> {
+    let opts = Opts {
+        dir: args.positional("<checkpoint-dir>")?,
+        addr: args.value("--addr", "127.0.0.1:0".into())?,
+        // `spawn_watcher` ticks every `min(5 ms, period)`: zero is a busy loop.
+        watch_ms: args.at_least("--watch-ms", 100)?,
+        parity_users: args.value("--parity-users", 16)?,
+        ann: args.switch("--ann")?,
+        ann_nlists: args.opt("--ann-nlists")?,
+        ann_nprobe: args.opt("--ann-nprobe")?,
+        ann_floor: args.opt("--ann-floor")?,
+        quant: args.switch("--quant")?,
+        quant_floor: args.opt("--quant-floor")?,
+        log_dir: args.opt("--log-dir")?,
     };
-    // The first `--ann-*` / `--quant-*` flag seen: each only means something
-    // beside its tier's switch, so alone it is rejected, not dropped.
-    let (mut ann_flag, mut quant_flag) = (None, None);
-    while let Some(flag) = args.next() {
-        if flag.starts_with("--ann-") {
-            ann_flag.get_or_insert(flag.clone());
-        } else if flag.starts_with("--quant-") {
-            quant_flag.get_or_insert(flag.clone());
-        }
-        let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        match flag.as_str() {
-            "--addr" => out.addr = value("--addr")?,
-            "--watch-ms" => {
-                out.watch_ms = value("--watch-ms")?
-                    .parse()
-                    .map_err(|_| "bad --watch-ms".to_string())?
-            }
-            "--parity-users" => {
-                out.parity_users = value("--parity-users")?
-                    .parse()
-                    .map_err(|_| "bad --parity-users".to_string())?
-            }
-            "--ann" => out.ann = true,
-            "--ann-nlists" => {
-                out.ann_nlists = value("--ann-nlists")?
-                    .parse()
-                    .map_err(|_| "bad --ann-nlists".to_string())?
-            }
-            "--ann-nprobe" => {
-                out.ann_nprobe = value("--ann-nprobe")?
-                    .parse()
-                    .map_err(|_| "bad --ann-nprobe".to_string())?
-            }
-            "--ann-floor" => {
-                out.ann_floor = value("--ann-floor")?
-                    .parse()
-                    .map_err(|_| "bad --ann-floor".to_string())?
-            }
-            "--ann-audit" => {
-                out.ann_audit = value("--ann-audit")?
-                    .parse()
-                    .map_err(|_| "bad --ann-audit".to_string())?
-            }
-            "--quant" => out.quant = true,
-            "--quant-floor" => {
-                out.quant_floor = value("--quant-floor")?
-                    .parse()
-                    .map_err(|_| "bad --quant-floor".to_string())?
-            }
-            "--quant-audit" => {
-                out.quant_audit = value("--quant-audit")?
-                    .parse()
-                    .map_err(|_| "bad --quant-audit".to_string())?
-            }
-            "--log-dir" => out.log_dir = Some(value("--log-dir")?),
-            other => return Err(format!("unknown flag {other:?}")),
+    args.finish()?;
+    // An `--ann-*` / `--quant-*` flag only means something beside its
+    // tier's switch, so alone it is rejected, not dropped.
+    for (flag, given, switch, on) in [
+        ("--ann-nlists", opts.ann_nlists.is_some(), "--ann", opts.ann),
+        ("--ann-nprobe", opts.ann_nprobe.is_some(), "--ann", opts.ann),
+        ("--ann-floor", opts.ann_floor.is_some(), "--ann", opts.ann),
+        (
+            "--quant-floor",
+            opts.quant_floor.is_some(),
+            "--quant",
+            opts.quant,
+        ),
+    ] {
+        if given && !on {
+            return Err(ArgError::invalid(flag, format!("needs {switch}")));
         }
     }
-    match (
-        ann_flag.filter(|_| !out.ann),
-        quant_flag.filter(|_| !out.quant),
-    ) {
-        (Some(flag), _) => Err(format!("{flag} needs --ann")),
-        (_, Some(flag)) => Err(format!("{flag} needs --quant")),
-        _ => Ok(out),
-    }
+    Ok(opts)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("serve_main: {e}");
-            eprintln!(
-                "usage: serve_main <checkpoint-dir> [--addr HOST:PORT] [--watch-ms N] [--parity-users N] \
-                 [--ann] [--ann-nlists N] [--ann-nprobe N] [--ann-floor F] [--ann-audit N] \
-                 [--quant] [--quant-floor F] [--quant-audit N] [--log-dir PATH]"
-            );
-            return ExitCode::from(2);
-        }
-    };
+    args::run("serve_main", USAGE, |args| serve_demo(parse(args)?))
+}
 
+fn serve_demo(opts: Opts) -> Result<(), Fail> {
     let split = demo_split();
     let cfg = demo_config();
-    let dir = Path::new(&args.dir);
+    let dir = opts.dir.as_path();
 
     // One probe decides training *and* feeds the engine: a valid checkpoint
     // is decoded exactly once and handed straight to `open_preloaded`, so a
@@ -282,48 +221,32 @@ fn main() -> ExitCode {
                 dir.display()
             );
             let rt_cfg = RuntimeConfig::new(cfg.clone()).checkpoint_dir(dir);
-            let mut rt = match Runtime::new(rt_cfg, &split.train) {
-                Ok(rt) => rt,
-                Err(e) => {
-                    eprintln!("serve_main: training setup failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match rt.run() {
-                Ok(report) => println!(
-                    "trained {} epochs, {} checkpoints written",
-                    report.epochs_completed, report.checkpoints_written
-                ),
-                Err(e) => {
-                    eprintln!("serve_main: training failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let mut rt = Runtime::new(rt_cfg, &split.train)
+                .map_err(|e| format!("training setup failed: {e}"))?;
+            let report = rt.run().map_err(|e| format!("training failed: {e}"))?;
+            println!(
+                "trained {} epochs, {} checkpoints written",
+                report.epochs_completed, report.checkpoints_written
+            );
         }
     }
 
+    let ann_floor = opts.ann_floor.unwrap_or(0.9);
+    let quant_floor = opts.quant_floor.unwrap_or(0.9);
     let mut source = ModelSource::new(cfg, split.train.clone(), dir);
-    if args.ann {
-        let mut params = IvfParams::new()
-            .recall_floor(args.ann_floor)
-            .audit_every(args.ann_audit);
-        if args.ann_nlists > 0 {
-            params = params.nlists(args.ann_nlists);
-        }
-        if args.ann_nprobe > 0 {
-            params = params.nprobe(args.ann_nprobe);
-        }
-        source = source.ann(params);
-    }
-    if args.quant {
-        source = source.quant(
-            QuantParams::new()
-                .drift_floor(args.quant_floor)
-                .audit_every(args.quant_audit),
+    if opts.ann {
+        source = source.ann(
+            IvfParams::new()
+                .recall_floor(ann_floor)
+                .nlists(opts.ann_nlists.unwrap_or(0))
+                .nprobe(opts.ann_nprobe.unwrap_or(0)),
         );
     }
-    if let Some(log_dir) = &args.log_dir {
-        source = source.log_dir(Path::new(log_dir));
+    if opts.quant {
+        source = source.quant(QuantParams::new().drift_floor(quant_floor));
+    }
+    if let Some(log_dir) = &opts.log_dir {
+        source = source.log_dir(log_dir);
     }
     let opened = match preloaded {
         Some((generation, state, fingerprint)) => Engine::open_preloaded(
@@ -335,27 +258,19 @@ fn main() -> ExitCode {
         ),
         None => Engine::open(source),
     };
-    let engine = match opened {
-        Ok(e) => Arc::new(e),
-        Err(e) => {
-            eprintln!("serve_main: cannot open engine: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let engine = Arc::new(opened.map_err(|e| format!("cannot open engine: {e}"))?);
 
-    if args.ann {
+    if opts.ann {
         match engine.tables().ann() {
             Some(ann) if ann.enabled() => println!(
-                "ANN ok recall={:.4} floor={:.4} nlists={} nprobe={}",
+                "ANN ok recall={:.4} floor={ann_floor:.4} nlists={} nprobe={}",
                 ann.build_recall(),
-                args.ann_floor,
                 ann.index().nlists(),
                 ann.nprobe()
             ),
             Some(ann) => println!(
-                "ANN DISABLED recall={:.4} below floor={:.4} (nlists={} nprobe={}) — serving exact",
+                "ANN DISABLED recall={:.4} below floor={ann_floor:.4} (nlists={} nprobe={}) — serving exact",
                 ann.build_recall(),
-                args.ann_floor,
                 ann.index().nlists(),
                 ann.nprobe()
             ),
@@ -363,40 +278,29 @@ fn main() -> ExitCode {
         }
     }
 
-    if args.quant {
+    if opts.quant {
         match engine.tables().quant() {
             Some(q) if q.enabled() => println!(
-                "QUANT ok drift={:.4} floor={:.4} table_bytes={} ivf={}",
+                "QUANT ok drift={:.4} floor={quant_floor:.4} table_bytes={} ivf={}",
                 q.build_drift(),
-                args.quant_floor,
                 q.table_bytes(),
                 if q.ivf().is_some() { "on" } else { "off" }
             ),
             Some(q) => println!(
-                "QUANT DISABLED drift={:.4} below floor={:.4} — serving f32",
+                "QUANT DISABLED drift={:.4} below floor={quant_floor:.4} — serving f32",
                 q.build_drift(),
-                args.quant_floor
             ),
             None => println!("QUANT DISABLED empty catalog — serving f32"),
         }
     }
 
-    match parity_check(&engine, &split, args.parity_users) {
-        Ok(line) => println!("{line}"),
-        Err(e) => {
-            eprintln!("PARITY FAIL: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    let line = parity_check(&engine, &split, opts.parity_users)
+        .map_err(|e| format!("PARITY FAIL: {e}"))?;
+    println!("{line}");
 
-    let handle = match serve(engine.clone(), &args.addr) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("serve_main: cannot bind {}: {e}", args.addr);
-            return ExitCode::FAILURE;
-        }
-    };
-    let _watcher = spawn_watcher(engine.clone(), Duration::from_millis(args.watch_ms));
+    let handle =
+        serve(engine.clone(), &opts.addr).map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
+    let _watcher = spawn_watcher(engine.clone(), Duration::from_millis(opts.watch_ms));
     println!(
         "READY addr={} gen={}",
         handle.addr(),
@@ -406,5 +310,52 @@ fn main() -> ExitCode {
     // Serve until killed (the accept loop runs on its own thread).
     loop {
         std::thread::sleep(Duration::from_secs(3600));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_str(argv: &str) -> Result<Opts, ArgError> {
+        parse(Args::new(argv.split_whitespace()))
+    }
+
+    #[test]
+    fn usage_names_exactly_the_flags_the_parser_takes() {
+        args::assert_usage_matches(USAGE, &["ck"], parse);
+        // Constants since they lost their last caller, not flags.
+        for gone in ["--ann-audit", "--quant-audit"] {
+            assert_eq!(
+                parse_str(&format!("ck --ann --quant {gone} 64")).err(),
+                Some(ArgError::Unknown(gone.into()))
+            );
+        }
+    }
+
+    #[test]
+    fn a_zero_watch_period_is_refused_not_spun_on() {
+        assert_eq!(
+            parse_str("ck --watch-ms 0").err(),
+            Some(ArgError::BelowMinimum("--watch-ms"))
+        );
+        assert_eq!(parse_str("ck --watch-ms 1").unwrap().watch_ms, 1);
+        assert_eq!(parse_str("ck").unwrap().watch_ms, 100);
+    }
+
+    #[test]
+    fn a_tier_flag_without_its_switch_is_a_usage_error() {
+        for (argv, flag) in [
+            ("ck --ann-nlists 6 --ann-floor 0.95", "--ann-nlists"),
+            ("ck --quant --ann-nprobe 2", "--ann-nprobe"),
+            ("ck --ann --quant-floor 0.95", "--quant-floor"),
+        ] {
+            assert!(
+                matches!(parse_str(argv).err(), Some(ArgError::Invalid { flag: f, .. }) if f == flag),
+                "{argv}"
+            );
+        }
+        let both = parse_str("ck --quant --ann --ann-nlists 6 --ann-nprobe 4").unwrap();
+        assert_eq!((both.ann_nlists, both.ann_nprobe), (Some(6), Some(4)));
     }
 }

@@ -144,6 +144,23 @@ impl ServeClient {
         self.read_line()
     }
 
+    /// Asks the server (or router) at `addr` for its table shape over a
+    /// connection of its own: `(users, items)` from the `STATS` line, so a
+    /// load generator keeps its draws in range. Zero users is an error —
+    /// there is nobody to ask about.
+    pub fn probe_shape(addr: &str) -> Result<(u32, usize), String> {
+        let mut client = ServeClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        let line = client.stats_line().map_err(|e| format!("STATS: {e}"))?;
+        client.quit();
+        let users = stats_field(&line, "users=").and_then(|v| v.parse::<u32>().ok());
+        let items = stats_field(&line, "items=").and_then(|v| v.parse::<usize>().ok());
+        match (users, items) {
+            (Some(0), _) => Err(format!("server reports zero users: {line}")),
+            (Some(u), Some(i)) => Ok((u, i)),
+            _ => Err(format!("bad STATS response: {line}")),
+        }
+    }
+
     /// `PING`: true iff the server answered `PONG`.
     pub fn ping(&mut self) -> io::Result<bool> {
         self.send_line("PING")?;

@@ -78,9 +78,9 @@ pub mod server;
 pub mod tables;
 pub mod workload;
 
-/// The line-server scaffold [`serve`] runs on, re-exported for the crates
-/// above this one (the router, `mock_replica`).
-pub use graphaug_ingest::net;
+/// The line-server scaffold [`serve`] runs on and the binaries' one `argv`
+/// parser, re-exported for the crates above this one (the router's bins).
+pub use graphaug_ingest::{args, net};
 
 pub use ann::{IvfIndex, IvfParams};
 pub use cache::LruCache;

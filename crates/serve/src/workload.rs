@@ -7,8 +7,16 @@
 //! e.g. after a push notification). A [`UserSampler`] makes those mixes a
 //! first-class, *seeded* scenario ingredient: the same seed draws the same
 //! request stream, so a chaos run that fails replays exactly.
+//!
+//! [`drive_load`] is the closed loop both `loadgen` and every
+//! `chaos_loadgen` phase run over a sampler.
+
+use std::time::{Duration, Instant};
 
 use graphaug_rng::StdRng;
+
+use crate::client::{LatencySummary, ServeClient};
+use crate::proto::parse_ok_line;
 
 /// A seeded distribution over user ids `0..n_users`.
 #[derive(Clone, Debug)]
@@ -100,6 +108,128 @@ impl UserSampler {
     }
 }
 
+/// One closed-loop load phase: `conns` connections to `addr` splitting
+/// `requests` between them, each asking `REC` (or `RECX` when `exact`) for
+/// a sampled user at a cutoff drawn from `1..=kmax`.
+pub struct LoadPhase<'a> {
+    /// The server (or router) under load.
+    pub addr: &'a str,
+    /// Total requests, split evenly (rounded up) over the connections.
+    pub requests: usize,
+    /// Concurrent connections, one thread each.
+    pub conns: usize,
+    /// Largest cutoff drawn.
+    pub kmax: usize,
+    /// Drive the `RECX` exact-oracle verb instead of `REC`.
+    pub exact: bool,
+    /// Connection `c` draws from `StdRng::stream(seed, stream_base | c)`,
+    /// so a run replays exactly from its seed.
+    pub seed: u64,
+    /// Distinguishes the phases of one scenario (`phase << 32`).
+    pub stream_base: u64,
+    /// Prefix of the stderr line reporting a bad response or a lost
+    /// connection.
+    pub who: &'a str,
+}
+
+/// How a response that is not the valid `OK` line for its request counts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Bad {
+    /// Fails the phase (and is reported on stderr).
+    Error,
+    /// Tolerated: a shard the scenario expects to be down said `ERR`.
+    Degraded,
+}
+
+/// What one [`LoadPhase`] measured.
+pub struct LoadReport {
+    /// Percentiles and throughput over every timed request.
+    pub summary: LatencySummary,
+    /// Wall-clock time from the first spawn to the last join.
+    pub elapsed: Duration,
+    /// Responses `classify` called [`Bad::Error`], plus one per connection
+    /// that failed outright.
+    pub errors: usize,
+    /// Responses `classify` called [`Bad::Degraded`].
+    pub degraded: usize,
+}
+
+/// Runs `phase` to completion. Every response is validated (user echo,
+/// `k` echo, list length ≤ k, well-formed score bits); `classify(user,
+/// line)` decides how a line that fails counts.
+pub fn drive_load(
+    phase: &LoadPhase,
+    sampler: &UserSampler,
+    classify: impl Fn(u32, &str) -> Bad + Sync,
+) -> LoadReport {
+    let who = phase.who;
+    let verb = if phase.exact { "RECX" } else { "REC" };
+    let per_conn = phase.requests.div_ceil(phase.conns);
+    let drive = |conn: usize| -> Result<(Vec<u64>, usize, usize), String> {
+        let mut rng = StdRng::stream(phase.seed, phase.stream_base | conn as u64);
+        let mut client =
+            ServeClient::connect(phase.addr).map_err(|e| format!("connect {}: {e}", phase.addr))?;
+        let mut latencies_us = Vec::with_capacity(per_conn);
+        let (mut errors, mut degraded) = (0usize, 0usize);
+        for _ in 0..per_conn {
+            let user = sampler.draw(&mut rng);
+            let k = 1 + rng.bounded_u64(phase.kmax as u64) as usize;
+            let start = Instant::now();
+            let line = client
+                .rec_one_mode(user, k, phase.exact)
+                .map_err(|e| e.to_string())?;
+            latencies_us.push(start.elapsed().as_micros() as u64);
+            let valid = parse_ok_line(&line)
+                .is_some_and(|ok| ok.user == user && ok.k == k && ok.items.len() <= k);
+            if valid {
+                continue;
+            }
+            match classify(user, &line) {
+                Bad::Degraded => degraded += 1,
+                Bad::Error => {
+                    errors += 1;
+                    eprintln!("{who}: bad response for {verb} {user} {k}: {line}");
+                }
+            }
+        }
+        client.quit();
+        Ok((latencies_us, errors, degraded))
+    };
+
+    let start = Instant::now();
+    let mut latencies = Vec::new();
+    let (mut errors, mut degraded) = (0usize, 0usize);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..phase.conns)
+            .map(|conn| scope.spawn(move || drive(conn)))
+            .collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(Ok((lat, e, d))) => {
+                    latencies.extend(lat);
+                    errors += e;
+                    degraded += d;
+                }
+                Ok(Err(e)) => {
+                    eprintln!("{who}: connection failed: {e}");
+                    errors += 1;
+                }
+                Err(_) => {
+                    eprintln!("{who}: worker panicked");
+                    errors += 1;
+                }
+            }
+        }
+    });
+    let elapsed = start.elapsed();
+    LoadReport {
+        summary: LatencySummary::from_samples(latencies, elapsed),
+        elapsed,
+        errors,
+        degraded,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,5 +285,111 @@ mod tests {
         let counts = histogram(&UserSampler::hot(100, 4, 0.9), 100, 10_000);
         let hot: usize = counts[..4].iter().sum();
         assert!(hot > 8_500, "hot set should absorb ~90%+ε: {hot}");
+    }
+    /// Every `(exact, user, k)` a fake replica was asked for.
+    type Seen = std::sync::Arc<std::sync::Mutex<Vec<(bool, u32, usize)>>>;
+
+    /// A fake replica: `STATS` reports `users` users, `REC` for an odd user
+    /// answers `ERR`, for an even one a valid empty list. Every requested
+    /// `(exact, user, k)` is recorded.
+    fn fake_server(users: u32) -> (crate::net::ListenerHandle, Seen) {
+        use crate::net::{listen, Next, Reply};
+        use crate::proto::{parse_request, Request};
+        let seen = Seen::default();
+        let log = seen.clone();
+        let handle = listen("127.0.0.1:0", "fake-replica", move || {
+            let log = log.clone();
+            move |line: &str, reply: &mut Reply| {
+                match parse_request(line) {
+                    Ok(Request::Rec {
+                        users: us,
+                        k,
+                        exact,
+                    }) => {
+                        for u in us {
+                            log.lock().unwrap().push((exact, u, k));
+                            if u % 2 == 1 {
+                                reply.line("ERR down shard of an odd user");
+                            } else {
+                                reply.line(format_args!("OK gen=1 user={u} k={k} items= bits="));
+                            }
+                        }
+                    }
+                    Ok(Request::Stats) => {
+                        reply.line(format_args!("STATS gen=1 users={users} items=120"))
+                    }
+                    Ok(Request::Quit) => return Next::Close,
+                    _ => reply.line("ERR unexpected"),
+                }
+                Next::Continue
+            }
+        })
+        .unwrap();
+        (handle, seen)
+    }
+
+    #[test]
+    fn drive_load_replays_from_its_seed_and_counts_by_the_classifier() {
+        let (server, seen) = fake_server(40);
+        let addr = server.addr().to_string();
+        assert_eq!(ServeClient::probe_shape(&addr), Ok((40, 120)));
+        let sampler = UserSampler::uniform(40);
+        let phase = LoadPhase {
+            addr: &addr,
+            requests: 30,
+            conns: 1,
+            kmax: 5,
+            exact: true,
+            seed: 9,
+            stream_base: 7 << 32,
+            who: "test",
+        };
+        // The classifier sees only lines that are not a valid `OK`.
+        let strict = drive_load(&phase, &sampler, |_, _| Bad::Error);
+        let first: Vec<_> = std::mem::take(&mut *seen.lock().unwrap());
+        let odd = first.iter().filter(|(_, u, _)| u % 2 == 1).count();
+        assert!(odd > 0 && odd < 30, "the draw should mix both kinds: {odd}");
+        assert_eq!(strict.summary.count, 30);
+        assert_eq!((strict.errors, strict.degraded), (odd, 0));
+
+        let lenient = drive_load(&phase, &sampler, |user, line| {
+            assert!(user % 2 == 1 && line.starts_with("ERR "));
+            Bad::Degraded
+        });
+        assert_eq!((lenient.errors, lenient.degraded), (0, odd));
+        // Same seed and stream: the same requests, `RECX` as asked, k in range.
+        assert_eq!(*seen.lock().unwrap(), first);
+        assert!(first.iter().all(|&(x, _, k)| x && (1..=5).contains(&k)));
+        // The draws are exactly connection 0's stream of that phase.
+        let mut rng = StdRng::stream(9, 7 << 32);
+        let want_user = sampler.draw(&mut rng);
+        let want_k = 1 + rng.bounded_u64(5) as usize;
+        assert_eq!(first[0], (true, want_user, want_k));
+    }
+
+    #[test]
+    fn drive_load_splits_requests_over_connections_and_counts_a_lost_one() {
+        let (server, seen) = fake_server(8);
+        let addr = server.addr().to_string();
+        let sampler = UserSampler::hot(8, 1, 1.0);
+        let mut phase = LoadPhase {
+            addr: &addr,
+            requests: 10,
+            conns: 4,
+            kmax: 3,
+            exact: false,
+            seed: 1,
+            stream_base: 0,
+            who: "test",
+        };
+        // 10 over 4 rounds up to 3 each; user 0 is even, so all are valid.
+        let report = drive_load(&phase, &sampler, |_, _| Bad::Error);
+        assert_eq!((report.summary.count, report.errors), (12, 0));
+        assert_eq!(seen.lock().unwrap().len(), 12);
+        // Nobody listening: every connection is one error, nothing is timed.
+        (phase.addr, phase.conns) = ("127.0.0.1:1", 2);
+        let dead = drive_load(&phase, &sampler, |_, _| Bad::Degraded);
+        assert_eq!((dead.summary.count, dead.errors, dead.degraded), (0, 2, 0));
+        assert!(ServeClient::probe_shape("127.0.0.1:1").is_err());
     }
 }
