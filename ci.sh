@@ -12,10 +12,12 @@
 # each one as its own step; the default runs everything in order:
 #
 #   static   cargo fmt --check, clippy -D warnings, one-listener grep,
-#            one-probe-loop guard, one-front-door guard
+#            one-probe-loop guard, one-front-door guard, lockfile
+#            hermeticity
 #   build    cargo build --release
 #   tests    full test suite at GRAPHAUG_THREADS={1,3,4} and GRAPHAUG_SIMD=0
-#   bench    bench harness smoke run (tiny budget)
+#   bench    kernel-bench smoke run (tiny budget) and the bench tools'
+#            exit codes
 #   process  process-level smokes: kill/resume, serving parity + loadgen,
 #            ANN recall gate + REC/RECX drive, int8 drift gate +
 #            quant-parity sweep, shard router + chaos loadgen, supervisor
@@ -27,7 +29,6 @@
 #            tests, then `run.sh --quick` — every workload's output
 #            checks, un-gated timings — and a guard that neither left
 #            benchmark/ (its lockfile above all) modified
-#   gates    recorded perf-trajectory gate, dependency hermeticity
 #   lines    non-test and code line counts per crates/*/src (the table
 #            ROADMAP item 4 wants in CHANGES.md); reports, gates nothing,
 #            and is not part of the default run
@@ -174,6 +175,15 @@ group_static() {
         exit 1
     fi
     echo "ok: one argv reader"
+
+    stage "hermeticity: no registry source in Cargo.lock or benchmark/Cargo.lock"
+    # Every dependency is a path crate, and a lockfile entry for anything
+    # else (registry or git) always carries a `source =` line.
+    if grep -n '^source = ' Cargo.lock benchmark/Cargo.lock; then
+        echo "ERROR: a non-path dependency in a lockfile" >&2
+        exit 1
+    fi
+    echo "ok: all dependencies are local path crates"
 }
 
 group_build() {
@@ -202,12 +212,12 @@ group_tests() {
 
 group_bench() {
     stage "bench smoke (tiny budget)"
-    # Not a perf measurement — just proves the bench harness, the
-    # workloads, and the regression differ run end to end. Full recordings
+    # Not a perf measurement — just proves the bench harness, every kernel
+    # suite, and the regression differ run end to end. Full recordings
     # use bench_baseline + bench_compare with default budgets.
     GRAPHAUG_BENCH_ITERS=3 GRAPHAUG_BENCH_WARMUP_MS=10 GRAPHAUG_BENCH_MAX_MS=200 \
         GRAPHAUG_BENCH_OUT=/tmp/graphaug_bench_smoke.json \
-        cargo run --release --offline -q -p graphaug-bench --bin bench_baseline smoke
+        cargo run --release --offline -q -p graphaug-bench --bin bench_baseline
     cargo run --release --offline -q -p graphaug-bench --bin bench_compare -- \
         /tmp/graphaug_bench_smoke.json /tmp/graphaug_bench_smoke.json
 
@@ -223,6 +233,33 @@ group_bench() {
         fi
     done
     echo "ok: matmul_nt/, spmm_ew_dw, edge_mlp_forward_backward recorded"
+
+    stage "bench smoke: no socket-level lines on the kernel ledger"
+    # benchmark/ times serving, routing, ingestion and fine-tuning per layer
+    # (serve.*, router.*, ingest.*, runtime.online.*); a second copy here is
+    # a second ledger that drifts from the first.
+    if grep -E '"name": "(serving_|router_|supervisor_|ann_batch_|ingest_append|apply_deltas|finetune_step)' \
+        /tmp/graphaug_bench_smoke.json; then
+        echo "ERROR: a line benchmark/ supersedes is back in the bench report" >&2
+        exit 1
+    fi
+    echo "ok: kernels only"
+
+    stage "bench tools: usage error exits 2, run failure exits 1"
+    local rc
+    rc=0
+    target/release/bench_baseline no-such-suite >/dev/null 2>&1 || rc=$?
+    if [[ $rc -ne 2 ]]; then
+        echo "ERROR: bench_baseline no-such-suite: exit $rc, want 2" >&2
+        exit 1
+    fi
+    rc=0
+    target/release/bench_compare /nonexistent.json x.json >/dev/null 2>&1 || rc=$?
+    if [[ $rc -ne 1 ]]; then
+        echo "ERROR: bench_compare on a missing report: exit $rc, want 1" >&2
+        exit 1
+    fi
+    echo "ok: bench_baseline and bench_compare follow the exit-code contract"
 }
 
 stage_kill_resume() {
@@ -621,29 +658,6 @@ group_e2e() {
     echo "ok: benchmark/ clean"
 }
 
-group_gates() {
-    stage "perf trajectory gate (BENCH_pr10 vs BENCH_pr9)"
-    # The recorded PR 10 trajectory point must hold a ≤10% median regression
-    # bound against the PR 9 baseline (best-of-4 interleaved medians, same
-    # recording protocol as PR 9). This diffs the two *recorded* files —
-    # deterministic and machine-independent — rather than re-benching on
-    # whatever box CI runs on.
-    if [[ -f BENCH_pr10.json && -f BENCH_pr9.json ]]; then
-        cargo run --release --offline -q -p graphaug-bench --bin bench_compare -- \
-            BENCH_pr10.json BENCH_pr9.json --threshold 10
-    else
-        echo "skip: BENCH_pr10.json / BENCH_pr9.json not both present"
-    fi
-
-    stage "dependency hermeticity check"
-    # No crate manifest may declare a non-path external dependency.
-    if grep -rEn '^\s*(rand|proptest|criterion)\s*=' crates/*/Cargo.toml; then
-        echo "ERROR: external registry dependency found in a crate manifest" >&2
-        exit 1
-    fi
-    echo "ok: all dependencies are local path crates"
-}
-
 group_lines() {
     stage "lines per crates/*/src (non-test, of which code)"
     # Non-test: everything before a file's first `#[cfg(test)]`. Code: the
@@ -673,7 +687,6 @@ case "$GROUP" in
     bench) group_bench ;;
     process) group_process ;;
     e2e) group_e2e ;;
-    gates) group_gates ;;
     lines) group_lines ;;
     all)
         group_static
@@ -682,11 +695,10 @@ case "$GROUP" in
         group_bench
         group_process
         group_e2e
-        group_gates
         printf '\nCI gate passed.\n'
         ;;
     *)
-        echo "unknown stage group '$GROUP' (static|build|tests|bench|process|e2e|gates|lines|all)" >&2
+        echo "unknown stage group '$GROUP' (static|build|tests|bench|process|e2e|lines|all)" >&2
         exit 2
         ;;
 esac

@@ -1,18 +1,20 @@
-//! Diffs two `BENCH_*.json` trajectory files and fails on regression
-//! (arguments: [`USAGE`]).
+//! Diffs two `graphaug-bench/v1` reports recorded in one session and fails
+//! on regression (arguments: [`USAGE`]).
 //!
 //! Benchmarks present in both files are compared by `median_ns`; any bench
-//! whose new median exceeds the baseline by more than the threshold
-//! (default 10%) is a regression and makes the process exit non-zero unless
-//! `--warn-only` is given. Benches present in only one file are listed but
-//! never fail the run, so suites can grow without breaking the gate.
+//! whose new median exceeds the baseline by more than [`THRESHOLD_PCT`] is
+//! a regression and fails the run (exit 1), as does a report that cannot be
+//! read or holds no benches. Benches present in only one file are listed
+//! but never fail the run.
 
 use std::process::ExitCode;
 
-use graphaug_ingest::args;
+use graphaug_ingest::args::{self, ArgError, Args};
 
-const USAGE: &str =
-    "usage: bench_compare <new.json> <baseline.json> [--threshold <pct>] [--warn-only]";
+const USAGE: &str = "usage: bench_compare <new.json> <baseline.json>";
+
+/// Median slowdown, in percent, beyond which a shared bench has regressed.
+const THRESHOLD_PCT: f64 = 10.0;
 
 /// Extracts `(name, median_ns)` pairs from a `graphaug-bench/v1` report
 /// with a purpose-built scanner (the workspace has no JSON dependency; the
@@ -55,31 +57,34 @@ fn extract_num(obj: &str, key: &str) -> Option<u128> {
     digits.parse().ok()
 }
 
-fn load(path: &str) -> Vec<(String, u128)> {
+fn load(path: &str) -> Result<Vec<(String, u128)>, String> {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read bench report {path}: {e}"));
+        .map_err(|e| format!("cannot read bench report {path}: {e}"))?;
     let report = parse_report(&text);
-    assert!(!report.is_empty(), "no benchmarks found in {path}");
-    report
+    if report.is_empty() {
+        return Err(format!("no benchmarks found in {path}"));
+    }
+    Ok(report)
 }
 
 fn main() -> ExitCode {
-    args::run("bench_compare", USAGE, |mut args| {
-        let new: String = args.positional("<new.json>")?;
-        let base: String = args.positional("<baseline.json>")?;
-        let threshold_pct: f64 = args.value("--threshold", 10.0)?;
-        let warn_only = args.switch("--warn-only")?;
-        args.finish()?;
-        compare(&load(&new), &load(&base), threshold_pct, warn_only)
+    args::run("bench_compare", USAGE, |args| {
+        let (new, base) = parse(args)?;
+        compare(&load(&new)?, &load(&base)?)
     })
 }
 
-fn compare(
-    new: &[(String, u128)],
-    base: &[(String, u128)],
-    threshold_pct: f64,
-    warn_only: bool,
-) -> Result<(), args::Fail> {
+/// `(new, baseline)` report paths.
+fn parse(mut args: Args) -> Result<(String, String), ArgError> {
+    let paths = (
+        args.positional("<new.json>")?,
+        args.positional("<baseline.json>")?,
+    );
+    args.finish()?;
+    Ok(paths)
+}
+
+fn compare(new: &[(String, u128)], base: &[(String, u128)]) -> Result<(), args::Fail> {
     let mut regressions = 0usize;
     println!(
         "{:<42} {:>14} {:>14} {:>9}",
@@ -89,7 +94,7 @@ fn compare(
         match base.iter().find(|(n, _)| n == name) {
             Some((_, base_med)) => {
                 let ratio = *new_med as f64 / (*base_med).max(1) as f64;
-                let verdict = if ratio > 1.0 + threshold_pct / 100.0 {
+                let verdict = if ratio > 1.0 + THRESHOLD_PCT / 100.0 {
                     regressions += 1;
                     "  REGRESSION"
                 } else if ratio < 0.9 {
@@ -109,12 +114,42 @@ fn compare(
     }
 
     if regressions > 0 {
-        let verdict =
-            format!("{regressions} benchmark(s) regressed by more than {threshold_pct}% on median");
-        if !warn_only {
-            return Err(verdict.into());
-        }
-        eprintln!("{verdict}\n--warn-only: not failing");
+        return Err(format!(
+            "{regressions} benchmark(s) regressed by more than {THRESHOLD_PCT}% on median"
+        )
+        .into());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_exactly_the_flags_the_parser_takes() {
+        args::assert_usage_matches(USAGE, &["new.json", "baseline.json"], parse);
+    }
+
+    #[test]
+    fn an_unreadable_or_empty_report_is_a_run_failure_not_a_panic() {
+        let missing = load("/nonexistent/graphaug-bench-report.json").unwrap_err();
+        assert!(
+            missing.starts_with("cannot read bench report "),
+            "{missing}"
+        );
+
+        let path = std::env::temp_dir().join(format!(
+            "graphaug-bench-compare-empty-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(
+            &path,
+            "{ \"schema\": \"graphaug-bench/v1\", \"benches\": [] }",
+        )
+        .expect("write temp report");
+        let empty = load(path.to_str().expect("utf-8 temp path")).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        assert!(empty.starts_with("no benchmarks found in "), "{empty}");
+    }
 }

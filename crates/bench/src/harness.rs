@@ -4,7 +4,7 @@
 //! Each benchmark runs a warmup window followed by `N` timed samples; very
 //! fast closures are batched so a sample never measures below timer
 //! granularity. Results print as a table and serialize into the
-//! `BENCH_*.json` trajectory format consumed by cross-PR perf comparisons:
+//! `BENCH_*.json` report format `bench_compare` diffs:
 //!
 //! ```json
 //! {
@@ -231,12 +231,13 @@ impl Harness {
 
     /// Writes the JSON report (`GRAPHAUG_BENCH_OUT` or
     /// `BENCH_<suite>.json`) and prints its destination.
-    pub fn finish(self) {
+    pub fn finish(self) -> Result<(), String> {
         let path = std::env::var("GRAPHAUG_BENCH_OUT")
             .unwrap_or_else(|_| format!("BENCH_{}.json", self.suite));
         std::fs::write(&path, self.to_json())
-            .unwrap_or_else(|e| panic!("cannot write bench report {path}: {e}"));
+            .map_err(|e| format!("cannot write bench report {path}: {e}"))?;
         println!("bench report: {path}");
+        Ok(())
     }
 }
 
@@ -272,20 +273,27 @@ fn json_str(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// A suite with budgets small enough for a unit test, built directly:
+    /// tests run on concurrent threads, so none may set the process
+    /// environment [`Harness::new`] reads.
+    fn tiny() -> Harness {
+        Harness {
+            suite: "unit".to_string(),
+            results: Vec::new(),
+            metrics: Vec::new(),
+            warmup: Duration::from_millis(1),
+            samples: 5,
+            max_time: Duration::from_millis(200),
+        }
+    }
+
     #[test]
     fn bench_produces_ordered_stats_and_json() {
-        // Keep the budget tiny so the unit test stays fast.
-        std::env::set_var("GRAPHAUG_BENCH_WARMUP_MS", "1");
-        std::env::set_var("GRAPHAUG_BENCH_ITERS", "5");
-        std::env::set_var("GRAPHAUG_BENCH_MAX_MS", "200");
-        let mut h = Harness::new("unit");
+        let mut h = tiny();
         let mut acc = 0u64;
         h.bench("noop_accumulate", || {
             acc = acc.wrapping_add(std::hint::black_box(1));
         });
-        std::env::remove_var("GRAPHAUG_BENCH_WARMUP_MS");
-        std::env::remove_var("GRAPHAUG_BENCH_ITERS");
-        std::env::remove_var("GRAPHAUG_BENCH_MAX_MS");
         let r = &h.results[0];
         assert!(r.min_ns <= r.median_ns && r.median_ns <= r.p95_ns && r.p95_ns <= r.max_ns);
         assert!(r.iters >= 1 && r.batch >= 1);
@@ -319,16 +327,10 @@ mod tests {
 
     #[test]
     fn throughput_is_derived_from_median() {
-        std::env::set_var("GRAPHAUG_BENCH_WARMUP_MS", "1");
-        std::env::set_var("GRAPHAUG_BENCH_ITERS", "5");
-        std::env::set_var("GRAPHAUG_BENCH_MAX_MS", "200");
-        let mut h = Harness::new("unit");
+        let mut h = tiny();
         h.bench_throughput("spin", 1_000_000.0, "Medges/s", || {
             std::hint::black_box((0..100).sum::<u64>());
         });
-        std::env::remove_var("GRAPHAUG_BENCH_WARMUP_MS");
-        std::env::remove_var("GRAPHAUG_BENCH_ITERS");
-        std::env::remove_var("GRAPHAUG_BENCH_MAX_MS");
         let r = &h.results[0];
         let (rate, unit) = r.throughput.as_ref().expect("throughput recorded");
         assert_eq!(unit, "Medges/s");

@@ -1,7 +1,9 @@
-//! Benchmark workload definitions, shared between the per-suite bench
-//! binaries (`benches/*.rs`) and the combined baseline recorder
-//! (`src/bin/bench_baseline.rs`) so the same workload can never drift
-//! between a suite run and the trajectory baseline.
+//! Kernel benchmark suites, recorded by `bench_baseline`, which picks them
+//! by name from [`SUITES`].
+//!
+//! Only kernels and single in-process calls are timed here. Sockets,
+//! engines, the router, the log and the fine-tune loop are timed end to end
+//! and per layer by the stand-alone `benchmark/` package (`BENCHMARK.json`).
 
 use std::hint::black_box;
 
@@ -13,17 +15,30 @@ use graphaug_core::{GraphAug, GraphAugConfig};
 use graphaug_data::{generate, Dataset, SyntheticConfig};
 use graphaug_eval::{evaluate, topk_indices};
 use graphaug_graph::TripletSampler;
-use graphaug_router::{shard_of, spawn_ready, start as start_router, Router, RouterConfig};
-use graphaug_runtime::{Checkpointer, RunCompat, Runtime, RuntimeConfig, TrainState};
-use graphaug_serve::{
-    serve, Engine, IvfIndex, IvfParams, ModelSource, ModelTables, QuantIvf, QuantParams, QuantRows,
-    ServeClient,
-};
+use graphaug_runtime::{Checkpointer, RunCompat, TrainState};
+use graphaug_serve::{IvfIndex, IvfParams, ModelTables, QuantIvf, QuantParams, QuantRows};
 use graphaug_tensor::init::{seeded_rng, xavier_uniform};
 use graphaug_tensor::{Graph, Mat, SpPair};
 
 use crate::harness::Harness;
 use crate::split_graph;
+
+/// A suite: the name `bench_baseline` takes, and the function it runs.
+pub type Suite = (&'static str, fn(&mut Harness));
+
+/// Every suite, in recording order.
+pub const SUITES: &[Suite] = &[
+    ("spmm", spmm),
+    ("matmul", matmul),
+    ("mixhop_forward", mixhop_forward),
+    ("sampling", sampling),
+    ("autodiff_epoch", autodiff_epoch),
+    ("topk_eval", topk_eval),
+    ("augmentor", augmentor),
+    ("checkpoint", checkpoint),
+    ("ann", ann),
+    ("quant", quant),
+];
 
 /// Sparse × dense kernels — the hot inner loop of every GNN
 /// forward/backward pass in the workspace.
@@ -321,90 +336,9 @@ pub fn augmentor(h: &mut Harness) {
     });
 }
 
-/// Online-serving benchmarks: uncached top-K scoring, the cache-hit fast
-/// path, batched fan-out through the engine, and the full table rebuild a
-/// hot reload pays (checkpoint decode + one encoder forward) — the latency
-/// ceiling of a generation swap. Same 300×250 model scale as the
-/// `checkpoint` suite so rebuild cost reads against encode/decode cost.
-pub fn serving(h: &mut Harness) {
-    let train = generate(&SyntheticConfig::new(300, 250, 6000).seed(1));
-    let cfg = GraphAugConfig::new().seed(3);
-    let model = GraphAug::new(cfg.clone(), &train);
-    let state = TrainState {
-        compat: RunCompat {
-            n_users: train.n_users() as u64,
-            n_items: train.n_items() as u64,
-            n_edges: train.n_interactions() as u64,
-            seed: 3,
-            embed_dim: 32,
-        },
-        epoch: 4,
-        lr_scale: 1.0,
-        consecutive_bad: 0,
-        attempt: 24,
-        step_in_epoch: 0,
-        log_offset: 0,
-        finetunes: 0,
-        loss_window: vec![0.45; 8],
-        model: model.training_state(),
-        sampler: TripletSampler::new(&train, 7).state(),
-    };
-
-    let dir = std::env::temp_dir().join(format!("graphaug-bench-serve-{}", std::process::id()));
-    let mut ckpt = Checkpointer::new(&dir).expect("temp checkpoint dir");
-    ckpt.write(&state).expect("write bench checkpoint");
-    let source = ModelSource::new(cfg, train.clone(), &dir);
-    // In serving the fingerprint is read off the frame header at load
-    // time; precomputing it here keeps the bench measuring the rebuild.
-    let fingerprint = state.fingerprint();
-
-    // Hot-reload latency: decode-independent part of a generation swap —
-    // restore the state and run the encoder forward once.
-    h.bench("serving_table_rebuild_300x250_d32", || {
-        black_box(
-            ModelTables::build(&source, 1, &state, fingerprint)
-                .unwrap()
-                .n_users(),
-        );
-    });
-
-    // Uncached scoring path: score all items, mask seen, bounded-heap
-    // top-20 — one list per call, cycling through every user.
-    let tables = ModelTables::build(&source, 1, &state, fingerprint).unwrap();
-    let n_users = train.n_users() as u32;
-    let mut user = 0u32;
-    h.bench("serving_topk20_uncached_300x250", || {
-        black_box(tables.top_k(user, 20).unwrap().len());
-        user = (user + 1) % n_users;
-    });
-
-    // Cache-hit fast path: same request every call.
-    let engine = Engine::open(source.clone()).expect("open bench engine");
-    engine.recommend(0, 20).expect("prime the cache");
-    h.bench("serving_recommend_cached", || {
-        black_box(engine.recommend(0, 20).unwrap().items.len());
-    });
-
-    // Batched fan-out with a capacity-1 cache, so every request in every
-    // batch takes the parallel compute path.
-    let cold = Engine::open_with_cache(source, 1).expect("open uncached engine");
-    let requests: Vec<(u32, usize)> = (0..n_users).map(|u| (u, 20)).collect();
-    h.bench_throughput(
-        "serving_batch_300users_uncached",
-        n_users as f64,
-        "lists/s",
-        || {
-            black_box(cold.recommend_batch(black_box(&requests)).len());
-        },
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// IVF ANN benchmarks: index build (the cost a hot reload adds per
-/// generation swap), ANN vs exact uncached top-20 at 10k- and 100k-item
-/// catalogs, and a batched fan-out through the engine's ANN path. The
-/// catalogs are clustered mixtures of Gaussians — the embedding geometry a
+/// generation swap) and ANN vs exact uncached top-20 at 10k- and 100k-item
+/// catalogs. The catalogs are clustered mixtures of Gaussians — the embedding geometry a
 /// trained recommender produces — and the build-time recall@20 estimate of
 /// each index is recorded as a `metric` line so the recorded point carries
 /// the quality alongside the speedup.
@@ -439,8 +373,8 @@ pub fn ann(h: &mut Harness) {
         let params = IvfParams::new().nprobe(nprobe);
 
         // Index build — this is the extra latency a checkpoint reload pays
-        // before the table swap, so it reads against
-        // `serving_table_rebuild_*`.
+        // before the table swap, so it reads against the benchmark's
+        // `serve.engine.reload_ms`.
         h.bench(&format!("ann_build_{label}_d32"), || {
             black_box(IvfIndex::build(black_box(&item_emb), &params).len());
         });
@@ -476,52 +410,6 @@ pub fn ann(h: &mut Harness) {
             user = (user + 1) % n_users as u32;
         });
     }
-
-    // Batched fan-out through the engine's ANN path: every request in a
-    // 256-user batch takes the parallel compute path (capacity-1 cache), at
-    // the 10k catalog scale. The floor is dropped to zero because this
-    // engine's encoder-derived embeddings measure throughput, not quality —
-    // the recall record above comes from the clustered tables.
-    let train = generate(&SyntheticConfig::new(n_users, 10_000, 4 * n_users).seed(1));
-    let cfg = GraphAugConfig::new().seed(3);
-    let model = GraphAug::new(cfg.clone(), &train);
-    let state = TrainState {
-        compat: RunCompat {
-            n_users: train.n_users() as u64,
-            n_items: train.n_items() as u64,
-            n_edges: train.n_interactions() as u64,
-            seed: 3,
-            embed_dim: 32,
-        },
-        epoch: 4,
-        lr_scale: 1.0,
-        consecutive_bad: 0,
-        attempt: 24,
-        step_in_epoch: 0,
-        log_offset: 0,
-        finetunes: 0,
-        loss_window: vec![0.45; 8],
-        model: model.training_state(),
-        sampler: TripletSampler::new(&train, 7).state(),
-    };
-    let dir = std::env::temp_dir().join(format!("graphaug-bench-ann-{}", std::process::id()));
-    let mut ckpt = Checkpointer::new(&dir).expect("temp checkpoint dir");
-    ckpt.write(&state).expect("write bench checkpoint");
-    let source = ModelSource::new(cfg, train.clone(), &dir)
-        .ann(IvfParams::new().recall_floor(0.0).audit_every(0));
-    let engine =
-        Engine::open_preloaded(source, 1, &state, state.fingerprint(), 1).expect("open ann engine");
-    assert!(engine.tables().ann().expect("index built").enabled());
-    let requests: Vec<(u32, usize)> = (0..n_users as u32).map(|u| (u, 20)).collect();
-    h.bench_throughput(
-        "ann_batch_256users_10k_uncached",
-        n_users as f64,
-        "lists/s",
-        || {
-            black_box(engine.recommend_batch(black_box(&requests)).len());
-        },
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Int8 quantization benchmarks: the raw `dot8_i8` kernel against its f32
@@ -614,223 +502,4 @@ pub fn quant(h: &mut Harness) {
         black_box(tables.top_k_quant(user, 20).unwrap().0.len());
         user = (user + 1) % n_users as u32;
     });
-}
-
-/// Streaming-ingestion benchmarks: the three costs of the online-learning
-/// loop, at the same 300×250 model scale as the `checkpoint`/`serving`
-/// suites so they read against the batch-training numbers.
-///
-/// * `ingest_append` — one durable log append: a 16-byte checksummed
-///   record plus the per-record fsync (the latency a `PUT` pays before
-///   its `OK`);
-/// * `apply_deltas` — merging a 256-record window onto the base graph
-///   with dedup and re-validation (the graph-side cost of one round);
-/// * `finetune_step` — one warm-start fine-tune round (a guarded extra
-///   epoch continuing the persisted sampler stream, plus the checkpoint
-///   publish), reported per training step.
-pub fn ingest(h: &mut Harness) {
-    use graphaug_ingest::{apply_deltas, LogWriter};
-
-    let record = |k: u64| (((k * 7 + 3) % 300) as u32, ((k * 11 + 5) % 250) as u32);
-
-    // Durable append: fsync dominates — this is the floor of the PUT path.
-    let log_dir =
-        std::env::temp_dir().join(format!("graphaug-bench-ingest-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&log_dir);
-    {
-        let mut writer = LogWriter::open(&log_dir, 1 << 20).expect("open bench log");
-        let mut k = 0u64;
-        h.bench_throughput("ingest_append", 1.0, "records/s", || {
-            let (u, i) = record(k);
-            black_box(writer.append(u, i).unwrap());
-            k += 1;
-        });
-    }
-    let _ = std::fs::remove_dir_all(&log_dir);
-
-    // Delta application: one complete window onto the serving-scale graph.
-    let base = generate(&SyntheticConfig::new(300, 250, 6000).seed(1));
-    let window: Vec<(u32, u32)> = (6000..6256).map(record).collect();
-    h.bench_throughput("apply_deltas", window.len() as f64, "records/s", || {
-        black_box(
-            apply_deltas(black_box(&base), black_box(&window))
-                .unwrap()
-                .applied,
-        );
-    });
-
-    // One full fine-tune round on a warm 300×250 runtime. Each call trains
-    // `steps_per_epoch` guarded steps and publishes a checkpoint
-    // generation (keep-2 pruning bounds the directory), so the per-step
-    // rate includes the publish overhead a live round actually pays.
-    let steps = 8usize;
-    let cfg = GraphAugConfig::new()
-        .seed(3)
-        .epochs(2)
-        .steps_per_epoch(steps);
-    let ckpt_dir =
-        std::env::temp_dir().join(format!("graphaug-bench-finetune-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-    let mut rt = Runtime::new(RuntimeConfig::new(cfg).checkpoint_dir(&ckpt_dir), &base)
-        .expect("open bench runtime");
-    rt.run().expect("warm-start base training");
-    h.bench_throughput("finetune_step", steps as f64, "steps/s", || {
-        black_box(rt.fine_tune_round().unwrap().epochs_completed);
-    });
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-}
-
-/// Shard-router benchmarks: the pure hash, a routed single-user `REC`
-/// through a real TCP router in front of three in-process replicas, the
-/// cross-shard fan-out of a 64-user batch, and the fast-fail path for a
-/// down shard (which must cost no network round-trip at all). Same
-/// 300×250 model scale as the `serving` suite so the routing overhead
-/// reads directly against the raw engine latency measured there.
-pub fn router(h: &mut Harness) {
-    // The hash itself: pure arithmetic, the per-user routing overhead.
-    let mut user = 0u32;
-    h.bench_throughput("router_shard_hash", 1.0, "Musers/s", || {
-        for _ in 0..1_000_000u32 {
-            black_box(shard_of(black_box(user), 3));
-            user = user.wrapping_add(1);
-        }
-    });
-
-    let train = generate(&SyntheticConfig::new(300, 250, 6000).seed(1));
-    let cfg = GraphAugConfig::new().seed(3);
-    let model = GraphAug::new(cfg.clone(), &train);
-    let state = TrainState {
-        compat: RunCompat {
-            n_users: train.n_users() as u64,
-            n_items: train.n_items() as u64,
-            n_edges: train.n_interactions() as u64,
-            seed: 3,
-            embed_dim: 32,
-        },
-        epoch: 4,
-        lr_scale: 1.0,
-        consecutive_bad: 0,
-        attempt: 24,
-        step_in_epoch: 0,
-        log_offset: 0,
-        finetunes: 0,
-        loss_window: vec![0.45; 8],
-        model: model.training_state(),
-        sampler: TripletSampler::new(&train, 7).state(),
-    };
-    let dir = std::env::temp_dir().join(format!("graphaug-bench-router-{}", std::process::id()));
-    let mut ckpt = Checkpointer::new(&dir).expect("temp checkpoint dir");
-    ckpt.write(&state).expect("write bench checkpoint");
-
-    // Three replicas over the same checkpoint, each on an ephemeral port.
-    let source = ModelSource::new(cfg, train.clone(), &dir);
-    let replicas: Vec<_> = (0..3)
-        .map(|_| {
-            let engine = std::sync::Arc::new(Engine::open(source.clone()).expect("open replica"));
-            serve(engine, "127.0.0.1:0").expect("serve replica")
-        })
-        .collect();
-    let addrs: Vec<String> = replicas.iter().map(|r| r.addr().to_string()).collect();
-    let router = Router::new(RouterConfig::new(addrs.clone()));
-    let handle = start_router(router.clone(), "127.0.0.1:0").expect("start router");
-    let mut client = ServeClient::connect(&handle.addr().to_string()).expect("connect router");
-
-    // Routed single-user REC: hash + relay + one replica round-trip (the
-    // cache-hit path on the replica side, so the router overhead
-    // dominates).
-    let n_users = train.n_users() as u32;
-    let mut u = 0u32;
-    h.bench("router_rec_one_routed", || {
-        black_box(client.rec_one(u, 20).expect("routed REC").len());
-        u = (u + 1) % n_users;
-    });
-
-    // Cross-shard fan-out: one 64-user batch spanning all three shards,
-    // answered in request order.
-    let batch: Vec<String> = (0..64u32).map(|x| x.to_string()).collect();
-    let line = format!("REC {} 20", batch.join(","));
-    h.bench_throughput("router_rec_batch64_fanout", 64.0, "lists/s", || {
-        black_box(client.request_lines(&line, 64).expect("routed batch").len());
-    });
-
-    // Failover path: a one-shard replica set whose primary is a dead
-    // loopback port (marked down, so no network is wasted on it) and
-    // whose secondary is a live replica. Every routed request walks the
-    // failover order and is answered by the secondary — the steady-state
-    // cost of serving through a dead primary.
-    {
-        let sets = vec![vec!["127.0.0.1:9".to_string(), addrs[1].clone()]];
-        let fo_router = Router::new(RouterConfig::from_sets(sets));
-        fo_router.health().force_down(0, 0);
-        let fo_handle = start_router(fo_router.clone(), "127.0.0.1:0").expect("start router");
-        let mut fo_client =
-            ServeClient::connect(&fo_handle.addr().to_string()).expect("connect router");
-        let mut u = 0u32;
-        h.bench("router_rec_failover_deadprimary", || {
-            black_box(fo_client.rec_one(u, 20).expect("failover REC").len());
-            u = (u + 1) % n_users;
-        });
-        assert!(
-            fo_router.failover_count() > 0,
-            "failover bench must be served by the secondary"
-        );
-        fo_client.quit();
-        fo_handle.stop();
-    }
-
-    // Down-shard fast-fail: a typed ERR with no network round-trip — this
-    // is the property that keeps a dead replica from dragging tail
-    // latency for everyone else. Stop the replica first so the prober
-    // agrees it is dead (fresh connections are refused).
-    let mut replicas = replicas;
-    replicas.remove(0).stop();
-    router.health().force_down(0, 0);
-    let down_user = (0..n_users)
-        .find(|&x| shard_of(x, 3) == 0)
-        .expect("some user maps to shard 0");
-    h.bench("router_rec_downshard_fastfail", || {
-        black_box(client.rec_one(down_user, 20).expect("fast-fail ERR").len());
-    });
-
-    client.quit();
-    handle.stop();
-    for r in replicas {
-        r.stop();
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Supervisor respawn-to-READY wall clock: spawn the protocol-faithful
-    // mock replica and wait for its READY line — the dominant term of the
-    // supervisor's recovery path (process spawn + bind + announce),
-    // measured without checkpoint-loading noise. Skipped (loudly) when
-    // the mock_replica binary is not next to this one.
-    match mock_replica_path() {
-        Some(mock) => {
-            let argv = vec![mock];
-            h.bench("supervisor_spawn_ready_mock", || {
-                let (child, addr) = spawn_ready(&argv, std::time::Duration::from_secs(30))
-                    .expect("mock replica READY");
-                black_box(addr.len());
-                drop(child); // kill + reap
-            });
-        }
-        None => eprintln!(
-            "perf: mock_replica binary not found next to {:?}; \
-             skipping supervisor_spawn_ready_mock",
-            std::env::current_exe().ok()
-        ),
-    }
-}
-
-/// The `mock_replica` binary built alongside this one, if present
-/// (`target/<profile>/` for bin runs, one level up for `deps/` test bins).
-fn mock_replica_path() -> Option<String> {
-    let exe = std::env::current_exe().ok()?;
-    let dir = exe.parent()?;
-    for cand in [dir.join("mock_replica"), dir.parent()?.join("mock_replica")] {
-        if cand.is_file() {
-            return Some(cand.to_string_lossy().into_owned());
-        }
-    }
-    None
 }
