@@ -13,12 +13,13 @@
 #
 #   static   cargo fmt --check, clippy -D warnings, one-listener grep,
 #            one-probe-loop guard, one-front-door guard, lockfile
-#            hermeticity
+#            hermeticity, per-node-scorer guard
 #   build    cargo build --release
 #   tests    full test suite at GRAPHAUG_THREADS={1,3,4} and GRAPHAUG_SIMD=0
 #   bench    kernel-bench smoke run (tiny budget) and the bench tools'
 #            exit codes
-#   process  process-level smokes: kill/resume, serving parity + loadgen,
+#   process  process-level smokes: one experiment row against its
+#            committed CSV, kill/resume, serving parity + loadgen,
 #            ANN recall gate + REC/RECX drive, int8 drift gate +
 #            quant-parity sweep, shard router + chaos loadgen, supervisor
 #            chaos (SIGKILL a replicated primary under load), online
@@ -184,6 +185,16 @@ group_static() {
         exit 1
     fi
     echo "ok: all dependencies are local path crates"
+
+    stage "per-node edge scorer: no per-edge feature gather, no restated dot8"
+    # Eq. 4's first layer runs per node (DESIGN.md, "Design choices"); the
+    # fused E × 2d pair gather and dot8's partial-sum restatement that only
+    # the old matmul_nt kernel used were deleted with it.
+    if grep -rnE 'gather_concat_pair|PairGatherPlan|dot8_partial' crates/; then
+        echo "ERROR: the per-edge scorer's gather or dot8_partial is back" >&2
+        exit 1
+    fi
+    echo "ok: the scorer projects nodes, not edges"
 }
 
 group_build() {
@@ -627,7 +638,22 @@ stage_online() {
     done
 }
 
+stage_experiment_row() {
+    stage "experiment row: table7_mad_compare reproduces its committed CSV"
+    # The cheapest experiment binary that trains (GraphAug, NCL, LightGCN
+    # on the Gowalla preset, ~2 s) and prints no timing column, rerun at
+    # the protocol run_experiments.sh uses: results/ cannot drift from the
+    # code again without this diff failing.
+    GRAPHAUG_EPOCHS=25 target/release/table7_mad_compare >"$LOG_DIR/table7_mad_compare.log" 2>&1
+    if ! git diff --exit-code results/table7_mad_compare.csv; then
+        echo "ERROR: results/table7_mad_compare.csv no longer matches the code; rerun ./run_experiments.sh" >&2
+        exit 1
+    fi
+    echo "ok: results/table7_mad_compare.csv reproduced bit for bit"
+}
+
 group_process() {
+    stage_experiment_row
     stage_kill_resume
     stage_serving
     stage_ann

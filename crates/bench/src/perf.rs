@@ -95,12 +95,15 @@ pub fn spmm(h: &mut Harness) {
 }
 
 /// Dense matmul kernels at the embedding shapes the training loop uses —
-/// throughput reported in GFLOP/s (2·n·k·m flops per product).
+/// throughput reported in GFLOP/s (2·n·k·m flops per product). The edge
+/// scorer's first layer projects every node of the Gowalla preset (1 692)
+/// through one `d × h` half of `W1`; `matmul_tn` at that shape is the
+/// half's weight gradient.
 pub fn matmul(h: &mut Harness) {
     let mut rng = seeded_rng(5);
     for (label, n, k, m) in [
         ("nodes_x_mixing_694x32x32", 694usize, 32usize, 32usize),
-        ("edges_x_mlp_8000x64x16", 8000, 64, 16),
+        ("nodes_x_mlp_half_1692x32x16", 1692, 32, 16),
     ] {
         let a = xavier_uniform(n, k, &mut rng);
         let b = xavier_uniform(k, m, &mut rng);
@@ -115,12 +118,11 @@ pub fn matmul(h: &mut Harness) {
     }
 
     // The backward shapes of the same step: `Op::MatMul`'s input gradient
-    // `g × wᵀ` for both edge-MLP layers, its weight gradient for the
-    // one-column output layer, and the InfoNCE similarity block
-    // (`Op::MatMulNT` forward). Labels read n×k×m for an n×k by (m×k)ᵀ
-    // product.
+    // `g × wᵀ` for the per-node projection and the per-edge output layer,
+    // and the InfoNCE similarity block (`Op::MatMulNT` forward). Labels
+    // read n×k×m for an n×k by (m×k)ᵀ product.
     for (label, n, k, m) in [
-        ("edge_mlp_grad_8000x16x64", 8000usize, 16usize, 64usize),
+        ("mlp_half_grad_1692x16x32", 1692usize, 16usize, 32usize),
         ("mlp_out_grad_8000x1x16", 8000, 1, 16),
         ("infonce_256x32x256", 256, 32, 256),
     ] {
@@ -314,9 +316,10 @@ pub fn augmentor(h: &mut Harness) {
         black_box(g.value(l).as_slice()[0]);
     });
 
-    // The same scorer with its reverse pass — `Op::MatMul`'s `matmul_nt`
-    // input gradients and `matmul_tn` weight gradients over every edge,
-    // which a training step pays on top of the forward above.
+    // The same scorer with its reverse pass — the output layer's gradients
+    // over every edge, the gathers' scatter-adds, and the per-node
+    // projections' `matmul_nt` / `matmul_tn` — which a training step pays
+    // on top of the forward above.
     h.bench("edge_mlp_forward_backward_8k_edges", || {
         let (mut g, mlp, l, _) = record();
         let loss = g.sum_all(l);

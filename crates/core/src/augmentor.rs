@@ -14,7 +14,7 @@ use graphaug_rng::StdRng;
 
 use graphaug_graph::InteractionGraph;
 use graphaug_sparse::{sym_norm_weights, Csr};
-use graphaug_tensor::{init, Graph, Mat, NodeId, PairGatherPlan};
+use graphaug_tensor::{init, Graph, Mat, NodeId};
 
 /// Precomputed structure of the augmentable bipartite adjacency: the CSR
 /// pattern, the map from stored (directed) entries back to undirected edge
@@ -32,10 +32,6 @@ pub struct EdgeIndex {
     pub edge_users: Arc<Vec<u32>>,
     /// Per undirected edge: item endpoint (bipartite node id, offset by I).
     pub edge_items: Arc<Vec<u32>>,
-    /// Fused endpoint gather plan: `feat[e] = [h[u_e] | h[v_e]]` in one tape
-    /// op. Precomputed here so every `edge_logits` call is a single indexed
-    /// copy instead of two gathers plus a concat.
-    pub feat_plan: Arc<PairGatherPlan>,
 }
 
 impl EdgeIndex {
@@ -62,7 +58,6 @@ impl EdgeIndex {
             norm: Arc::new(Mat::from_vec(norm_vals.len(), 1, norm_vals)),
             pattern: Arc::new(pattern),
             dir_to_undir: Arc::new(dir_to_undir),
-            feat_plan: Arc::new(PairGatherPlan::build(n, &edge_users, &edge_items)),
             edge_users: Arc::new(edge_users),
             edge_items: Arc::new(edge_items),
         }
@@ -143,8 +138,17 @@ pub fn edge_logits(
     let masked = g.mul_const(shifted, mask);
     let disturbed = g.add_const(masked, noise);
 
-    let feat = g.gather_concat_pair(disturbed, Arc::clone(&idx.feat_plan));
-    let z1 = g.matmul(feat, mlp.w1);
+    // The first layer is linear over the concatenation, so it splits per
+    // endpoint: [h̃_u ‖ h̃_v]·W1 = h̃_u·W1[..d] + h̃_v·W1[d..]. Every node is
+    // projected once through each half (n × h) and the projections are
+    // gathered per edge — no E × 2d feature matrix is ever built.
+    let w1_user = g.slice_rows(mlp.w1, 0, d);
+    let w1_item = g.slice_rows(mlp.w1, d, 2 * d);
+    let p = g.matmul(disturbed, w1_user);
+    let q = g.matmul(disturbed, w1_item);
+    let pu = g.gather_rows(p, Arc::clone(&idx.edge_users));
+    let qv = g.gather_rows(q, Arc::clone(&idx.edge_items));
+    let z1 = g.add(pu, qv);
     let z1b = g.add_row_broadcast(z1, mlp.b1);
     let hidden = g.leaky_relu(z1b, settings.leaky_slope);
     let z2 = g.matmul(hidden, mlp.w2);

@@ -42,8 +42,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 pub mod simd;
 
 pub use simd::{
-    dot8, dot8_combine, dot8_i8, dot8_partial, l2sq8, set_simd_enabled, simd_available,
-    simd_enabled, F32x8, I8x32, DOT8_PARTIALS,
+    dot8, dot8_i8, l2sq8, set_simd_enabled, simd_available, simd_enabled, F32x8, I8x32,
 };
 
 /// Hard cap on the worker budget (also the maximum chunk fan-out produced by

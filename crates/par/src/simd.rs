@@ -139,15 +139,11 @@ impl F32x8 {
 /// tree, then an ascending scalar tail — deterministic for any thread count
 /// and identical between lane and scalar builds.
 ///
-/// This is the definition of the reduction order of `matmul_nt` and the
-/// `spmm_ew` weight gradient, and the kernel serving's exact scan, the IVF
-/// probe and the one-column `matmul` call per element. The two training
-/// kernels do not call it per element any more: they evaluate the same
-/// multiplies and adds, in the same association per element, for eight
-/// outputs at a time, so the tree below adds whole vectors and no
-/// horizontal reduction is left ([`dot8_partial`] / [`dot8_combine`] state
-/// the order in the form they use). Their tests hold them to this function
-/// bit for bit.
+/// This is the reduction order of the one-column `matmul`, of the tape's
+/// `ScaleByScalar` factor gradient, of the IVF probe and of the `spmm_ew`
+/// weight gradient. That last kernel evaluates the same multiplies and
+/// adds, in the same association per element, for eight entries at a time,
+/// and its test holds it to this function bit for bit.
 #[inline(always)]
 pub fn dot8(a: &[f32], b: &[f32]) -> f32 {
     let n = a.len().min(b.len());
@@ -170,31 +166,6 @@ pub fn dot8(a: &[f32], b: &[f32]) -> f32 {
         i += 1;
     }
     acc0.add(acc1).hsum() + tail
-}
-
-/// Number of partial sums [`dot8`] keeps: eight lanes of `acc0`, eight of
-/// `acc1`, and the scalar tail.
-pub const DOT8_PARTIALS: usize = 17;
-
-/// Which of [`dot8`]'s partial sums term `i` of an `n`-term product is added
-/// to: lane `i % 8` of `acc0` (slots `0..8`) or `acc1` (slots `8..16`) while
-/// `i` lies in a whole 8-block — even 8-blocks feed `acc0`, odd ones `acc1`,
-/// which is `i % 16` — and the tail (slot 16) after the last whole block.
-/// Every partial sum starts at `0.0` and takes its terms in ascending `i`.
-#[inline(always)]
-pub fn dot8_partial(i: usize, n: usize) -> usize {
-    if i < n - n % 8 {
-        i % 16
-    } else {
-        16
-    }
-}
-
-/// [`dot8`]'s result from its partial sums ([`dot8_partial`]):
-/// `acc0 + acc1` lane by lane, the [`F32x8::hsum`] pair tree, plus the tail.
-#[inline(always)]
-pub fn dot8_combine(p: &[f32; DOT8_PARTIALS]) -> f32 {
-    F32x8::load(&p[..8]).add(F32x8::load(&p[8..])).hsum() + p[16]
 }
 
 /// Squared Euclidean distance `Σ (a[i] − b[i])²` with the same fixed
@@ -421,38 +392,6 @@ mod tests {
             let got = dot8(&a, &b);
             let want: f64 = a.iter().zip(&b).map(|(&x, &y)| x as f64 * y as f64).sum();
             assert!((got as f64 - want).abs() < 1e-4, "n={n}");
-        }
-    }
-
-    /// `dot8_partial` / `dot8_combine` are `dot8`'s order restated, so
-    /// accumulating through them must reproduce it bit for bit — including
-    /// the `0.0 + x` first steps, which `-0.0` products make observable.
-    #[test]
-    fn partial_sums_and_combine_restate_dot8_bit_for_bit() {
-        for n in 0..70usize {
-            let a: Vec<f32> = (0..n)
-                .map(|i| {
-                    if i % 5 == 0 {
-                        -0.0
-                    } else {
-                        (i as f32 * 0.7).sin()
-                    }
-                })
-                .collect();
-            let b: Vec<f32> = (0..n)
-                .map(|i| {
-                    if i % 3 == 0 {
-                        0.0
-                    } else {
-                        (i as f32 * 0.3).cos()
-                    }
-                })
-                .collect();
-            let mut p = [0f32; DOT8_PARTIALS];
-            for i in 0..n {
-                p[dot8_partial(i, n)] += a[i] * b[i];
-            }
-            assert_eq!(dot8_combine(&p).to_bits(), dot8(&a, &b).to_bits(), "n={n}");
         }
     }
 

@@ -10,11 +10,10 @@
 //! compiled through `simd_dispatch!` into an AVX2 build and a scalar build
 //! of the same fixed-order source — the two are bit-identical, so
 //! `GRAPHAUG_SIMD` is purely a performance knob. The `spmm_ew` weight
-//! gradient is one [`dot8`] per stored entry (the reduction order it shares
-//! with `matmul_nt`), but at those widths it is not evaluated one entry at
-//! a time: a row's entries go eight per pass, `dot8`'s pair tree applied
-//! across the eight lane vectors instead of collapsing each on its own —
-//! same bits, no horizontal reduction (see `spmm_dw_span`).
+//! gradient is one [`dot8`] per stored entry, but at those widths it is not
+//! evaluated one entry at a time: a row's entries go eight per pass, `dot8`'s
+//! pair tree applied across the eight lane vectors instead of collapsing each
+//! on its own — same bits, no horizontal reduction (see `spmm_dw_span`).
 
 use graphaug_par::{dot8, simd_dispatch, F32x8};
 use std::sync::OnceLock;

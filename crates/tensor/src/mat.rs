@@ -20,13 +20,11 @@
 //!
 //! Per-element orders: `matmul` (widths > 1) accumulates in ascending k, and
 //! so does `matmul_tn` (its lane widths per 256-step block — see
-//! `matmul_tn_span`). The width-1 `matmul` column and every element of
-//! `matmul_nt` are [`graphaug_par::dot8`]: the column calls it, `matmul_nt`
-//! evaluates its partial sums and its tree across output columns instead of
-//! once per element (`matmul_nt_span`), which leaves no horizontal
-//! reduction in the training step's largest backward product.
+//! `matmul_tn_span`). The width-1 `matmul` column is [`graphaug_par::dot8`].
+//! `matmul_nt` is `matmul` over a transposed copy of its right operand, so
+//! it has exactly `matmul`'s orders.
 
-use graphaug_par::{dot8, dot8_combine, dot8_partial, simd_dispatch, F32x8, DOT8_PARTIALS};
+use graphaug_par::{dot8, simd_dispatch, F32x8};
 
 /// A dense `rows × cols` matrix stored in row-major order.
 ///
@@ -218,23 +216,12 @@ impl Mat {
         out
     }
 
-    /// `self × otherᵀ`, parallel over fixed chunks of output rows. Every
-    /// output element is the row-dot-row `dot8(self.row(i), other.row(j))`,
-    /// bit for bit; `other` is transposed once per call (at most 32 KB at
-    /// every training shape, and not once per span) so that the span kernel
-    /// can evaluate that reduction across output columns — term `i` of
-    /// consecutive columns is then one contiguous load.
+    /// `self × otherᵀ`: [`Mat::matmul`] over `other` transposed once per call
+    /// (at most 32 KB at every training shape), so it has `matmul`'s
+    /// per-element orders — bit for bit `self.matmul(&other.transpose())`.
     pub fn matmul_nt(&self, other: &Mat) -> Mat {
         assert_eq!(self.cols, other.cols, "matmul_nt inner dimension mismatch");
-        let (n, k, m) = (self.rows, self.cols, other.rows);
-        let mut out = Mat::zeros(n, m);
-        if m > 0 {
-            let bt = other.transpose();
-            graphaug_par::parallel_rows(out.as_mut_slice(), m, |row0, rows| {
-                matmul_nt_span(&self.data, &other.data, &bt.data, k, m, row0, rows);
-            });
-        }
-        out
+        self.matmul(&other.transpose())
     }
 
     /// `selfᵀ × other` without materializing the transpose, parallel over
@@ -303,73 +290,6 @@ simd_dispatch! {
                 32 => matmul_row_lanes::<4, 2>(arow, b, k, orow),
                 64 => matmul_row_lanes::<8, 1>(arow, b, k, orow),
                 _ => matmul_row_axpy4(arow, b, k, m, orow),
-            }
-        }
-    }
-}
-
-/// Column-tile width of [`matmul_nt_span`]: its 17 partial-sum rows of this
-/// many floats (4.3 KB) stay L1-resident next to the `Bᵀ` rows they sweep.
-const NT_TILE: usize = 64;
-
-simd_dispatch! {
-    /// Span kernel of `A × Bᵀ`: every output element is the row-dot-row
-    /// `dot8(a_row, b_row)`, bit for bit, but no element is reduced on its
-    /// own. `dot8` is 17 partial sums — lane `l` of its two accumulators and
-    /// the tail, each started at `0.0` and fed its terms in ascending order
-    /// ([`dot8_partial`]) — and a fixed tree over them ([`dot8_combine`]).
-    /// Here each partial sum is a row of up to [`NT_TILE`] output columns:
-    /// term `i` is one `x · Bᵀ[i]` sweep into the row `dot8_partial(i, k)`
-    /// names (its first term written as `0.0 + x·b`, which is what an add
-    /// into a zeroed accumulator computes and what makes `-0.0` come out
-    /// `+0.0`), and the tree then adds whole rows. Same multiplies, same
-    /// adds, same association per element; the loops are plain column
-    /// sweeps, so neither the lane nor the scalar build has a horizontal
-    /// reduction left. The `m % 8` leftover columns — too few for a sweep
-    /// to pay — call `dot8` on the rows of `b` themselves.
-    #[allow(clippy::too_many_arguments)]
-    fn matmul_nt_span(a: &[f32], b: &[f32], bt: &[f32], k: usize, m: usize, row0: usize, rows: &mut [f32]) {
-        let (k8, m8) = (k - k % 8, m - m % 8);
-        // Rows `dot8` never feeds at this `k` are never written and stay 0.0.
-        let mut part = [[0f32; NT_TILE]; DOT8_PARTIALS];
-        for (r, orow) in rows.chunks_exact_mut(m).enumerate() {
-            let arow = &a[(row0 + r) * k..(row0 + r) * k + k];
-            for (t, out) in orow[..m8].chunks_mut(NT_TILE).enumerate() {
-                let w = out.len();
-                for (i, &x) in arow.iter().enumerate() {
-                    let bcol = &bt[i * m + t * NT_TILE..][..w];
-                    // Below one whole 8-block every lane sum is `0.0`, so is
-                    // their tree, and `dot8` returns `0.0 + tail` — which is
-                    // `tail`, bit for bit: a sum that began `0.0 + x` is
-                    // never `-0.0`. The tail is then accumulated in place.
-                    let p = if k8 == 0 {
-                        &mut *out
-                    } else {
-                        &mut part[dot8_partial(i, k)][..w]
-                    };
-                    // The first term of a lane sum, or of the tail.
-                    if i < k8.min(16) || i == k8 {
-                        for (p, &bv) in p.iter_mut().zip(bcol) {
-                            *p = 0.0 + x * bv;
-                        }
-                    } else {
-                        for (p, &bv) in p.iter_mut().zip(bcol) {
-                            *p += x * bv;
-                        }
-                    }
-                }
-                if k8 > 0 {
-                    for (j, o) in out.iter_mut().enumerate() {
-                        let mut p = [0f32; DOT8_PARTIALS];
-                        for (p, row) in p.iter_mut().zip(&part) {
-                            *p = row[j];
-                        }
-                        *o = dot8_combine(&p);
-                    }
-                }
-            }
-            for j in m8..m {
-                orow[j] = dot8(arow, &b[j * k..j * k + k]);
             }
         }
     }

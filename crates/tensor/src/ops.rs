@@ -6,7 +6,6 @@
 
 use std::sync::Arc;
 
-use graphaug_par::{simd_dispatch, F32x8};
 use graphaug_sparse::Csr;
 
 use crate::mat::Mat;
@@ -36,169 +35,6 @@ impl SpPair {
         SpPair {
             mt: Arc::clone(&m),
             m,
-        }
-    }
-}
-
-/// A precomputed gather plan for the fused "gather two endpoint rows and
-/// concatenate" op used by the augmentor's edge scorer:
-/// `y[e] = [src[left[e]] | src[right[e]]]`.
-///
-/// Building the plan once per graph hoists all index arithmetic out of the
-/// per-step hot path — the forward pass is a single indexed row copy, and
-/// the backward pass is a *gather* (row-parallel, deterministic) instead of
-/// a serial scatter-add: `inv_ptr`/`inv_pos` form a CSR over source rows
-/// listing every output slot each source row feeds.
-pub struct PairGatherPlan {
-    /// Interleaved endpoint indices: `fwd[2e] = left[e]`, `fwd[2e+1] = right[e]`.
-    fwd: Vec<u32>,
-    /// Per source row: span into `inv_pos` (`len == n_src + 1`).
-    inv_ptr: Vec<usize>,
-    /// Output slots, encoded `e * 2 + half` (half 0 = left block, 1 = right).
-    inv_pos: Vec<u32>,
-    n_src: usize,
-}
-
-impl PairGatherPlan {
-    /// Builds the plan for `n_src` source rows and one `(left, right)` index
-    /// pair per output row.
-    pub fn build(n_src: usize, left: &[u32], right: &[u32]) -> Self {
-        assert_eq!(left.len(), right.len(), "endpoint lists must pair up");
-        assert!(left.len() * 2 <= u32::MAX as usize, "too many pairs");
-        let mut fwd = Vec::with_capacity(left.len() * 2);
-        for (&l, &r) in left.iter().zip(right) {
-            assert!((l as usize) < n_src && (r as usize) < n_src, "index bound");
-            fwd.push(l);
-            fwd.push(r);
-        }
-        let mut counts = vec![0usize; n_src + 1];
-        for &s in &fwd {
-            counts[s as usize + 1] += 1;
-        }
-        for i in 1..=n_src {
-            counts[i] += counts[i - 1];
-        }
-        let inv_ptr = counts.clone();
-        let mut cursor = counts;
-        let mut inv_pos = vec![0u32; fwd.len()];
-        for (pos, &s) in fwd.iter().enumerate() {
-            inv_pos[cursor[s as usize]] = pos as u32;
-            cursor[s as usize] += 1;
-        }
-        PairGatherPlan {
-            fwd,
-            inv_ptr,
-            inv_pos,
-            n_src,
-        }
-    }
-
-    /// Number of `(left, right)` pairs (output rows).
-    pub fn n_pairs(&self) -> usize {
-        self.fwd.len() / 2
-    }
-
-    /// Number of source rows the plan was built for.
-    pub fn n_src(&self) -> usize {
-        self.n_src
-    }
-
-    /// Forward kernel: writes `out[e] = [src[left[e]] | src[right[e]]]`,
-    /// where `src` is `n_src × d` and `out` is `n_pairs × 2d`. Parallel over
-    /// fixed chunks of output rows.
-    pub fn gather_into(&self, src: &[f32], d: usize, out: &mut [f32]) {
-        assert_eq!(src.len(), self.n_src * d, "source shape mismatch");
-        assert_eq!(out.len(), self.n_pairs() * 2 * d, "output shape mismatch");
-        if d == 0 {
-            return;
-        }
-        graphaug_par::parallel_rows(out, 2 * d, |row0, rows| {
-            gather_pair_span(&self.fwd, src, d, row0, rows);
-        });
-    }
-
-    /// Backward kernel: `dsrc[s] += Σ_{slots of s} dy[slot block]`, where
-    /// `dy` is `n_pairs × 2d`. Row-parallel over source rows with a fixed
-    /// per-row slot order — deterministic for any thread count.
-    pub fn scatter_acc_into(&self, dy: &[f32], d: usize, dsrc: &mut [f32]) {
-        assert_eq!(dy.len(), self.n_pairs() * 2 * d, "gradient shape mismatch");
-        assert_eq!(dsrc.len(), self.n_src * d, "source gradient shape mismatch");
-        if d == 0 {
-            return;
-        }
-        graphaug_par::parallel_rows(dsrc, d, |row0, rows| {
-            scatter_pair_span(&self.inv_ptr, &self.inv_pos, dy, d, row0, rows);
-        });
-    }
-}
-
-simd_dispatch! {
-    /// Span kernel of [`PairGatherPlan::gather_into`]. Lane-width row copies
-    /// when `d` is a multiple of 8 sidestep the per-row dynamic-size
-    /// `memcpy` dispatch, which dominates at the 128-byte rows of the edge
-    /// scorer. Copies are exact, so lane and scalar paths are bit-identical.
-    fn gather_pair_span(fwd: &[u32], src: &[f32], d: usize, row0: usize, rows: &mut [f32]) {
-        let w = 2 * d;
-        if d.is_multiple_of(graphaug_par::simd::LANES) {
-            let nl = d / graphaug_par::simd::LANES;
-            for (i, orow) in rows.chunks_exact_mut(w).enumerate() {
-                let e = row0 + i;
-                let l = fwd[2 * e] as usize * d;
-                let r = fwd[2 * e + 1] as usize * d;
-                let (lo, hi) = orow.split_at_mut(d);
-                for b in 0..nl {
-                    F32x8::load(&src[l + b * 8..]).store(&mut lo[b * 8..]);
-                    F32x8::load(&src[r + b * 8..]).store(&mut hi[b * 8..]);
-                }
-            }
-        } else {
-            for (i, orow) in rows.chunks_exact_mut(w).enumerate() {
-                let e = row0 + i;
-                let l = fwd[2 * e] as usize;
-                let r = fwd[2 * e + 1] as usize;
-                orow[..d].copy_from_slice(&src[l * d..l * d + d]);
-                orow[d..].copy_from_slice(&src[r * d..r * d + d]);
-            }
-        }
-    }
-}
-
-simd_dispatch! {
-    /// Span kernel of [`PairGatherPlan::scatter_acc_into`]. Additions run in
-    /// the same per-row ascending slot order as the scalar loop (lane blocks
-    /// only split the row *across* elements, never the per-element sum), so
-    /// lane and scalar paths are bit-identical.
-    fn scatter_pair_span(
-        inv_ptr: &[usize],
-        inv_pos: &[u32],
-        dy: &[f32],
-        d: usize,
-        row0: usize,
-        rows: &mut [f32],
-    ) {
-        if d.is_multiple_of(graphaug_par::simd::LANES) {
-            let nl = d / graphaug_par::simd::LANES;
-            for (i, orow) in rows.chunks_exact_mut(d).enumerate() {
-                let s = row0 + i;
-                for &pos in &inv_pos[inv_ptr[s]..inv_ptr[s + 1]] {
-                    let grow = &dy[pos as usize * d..pos as usize * d + d];
-                    for b in 0..nl {
-                        F32x8::load(&orow[b * 8..])
-                            .add(F32x8::load(&grow[b * 8..]))
-                            .store(&mut orow[b * 8..]);
-                    }
-                }
-            }
-        } else {
-            for (i, orow) in rows.chunks_exact_mut(d).enumerate() {
-                let s = row0 + i;
-                for &pos in &inv_pos[inv_ptr[s]..inv_ptr[s + 1]] {
-                    let grow = &dy[pos as usize * d..pos as usize * d + d];
-                    for (o, &x) in orow.iter_mut().zip(grow) {
-                        *o += x;
-                    }
-                }
-            }
         }
     }
 }
@@ -238,16 +74,16 @@ pub enum Op {
     },
     /// `y[i] = src[idx[i]]`
     GatherRows { src: NodeId, idx: Arc<Vec<u32>> },
-    /// `y[e] = [src[left[e]] | src[right[e]]]` via a precomputed
-    /// [`PairGatherPlan`] — the fused endpoint-feature op of the edge scorer
-    GatherConcatPair {
-        src: NodeId,
-        plan: Arc<PairGatherPlan>,
-    },
     /// `y = [a | b]` column-wise
     ConcatCols(NodeId, NodeId),
     /// `y = src[:, start..end]`
     SliceCols {
+        src: NodeId,
+        start: usize,
+        end: usize,
+    },
+    /// `y = src[start..end, :]`
+    SliceRows {
         src: NodeId,
         start: usize,
         end: usize,
@@ -317,36 +153,6 @@ mod tests {
         assert!(sigmoid(-50.0) < 1e-5);
         for x in [-3.0f32, -0.5, 0.7, 2.5] {
             assert!((sigmoid(x) + sigmoid(-x) - 1.0).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn pair_gather_plan_round_trips() {
-        let left = vec![0u32, 2, 1];
-        let right = vec![3u32, 3, 0];
-        let plan = PairGatherPlan::build(4, &left, &right);
-        assert_eq!(plan.n_pairs(), 3);
-        let d = 2usize;
-        let src: Vec<f32> = (0..4 * d).map(|x| x as f32).collect();
-        let mut out = vec![0f32; 3 * 2 * d];
-        plan.gather_into(&src, d, &mut out);
-        for e in 0..3 {
-            let (l, r) = (left[e] as usize, right[e] as usize);
-            assert_eq!(&out[e * 2 * d..e * 2 * d + d], &src[l * d..l * d + d]);
-            assert_eq!(&out[e * 2 * d + d..(e + 1) * 2 * d], &src[r * d..r * d + d]);
-        }
-        // Backward of an all-ones upstream gradient counts row occurrences.
-        let dy = vec![1f32; 3 * 2 * d];
-        let mut dsrc = vec![0f32; 4 * d];
-        plan.scatter_acc_into(&dy, d, &mut dsrc);
-        let mut counts = [0f32; 4];
-        for &s in left.iter().chain(&right) {
-            counts[s as usize] += 1.0;
-        }
-        for s in 0..4 {
-            for j in 0..d {
-                assert_eq!(dsrc[s * d + j], counts[s]);
-            }
         }
     }
 

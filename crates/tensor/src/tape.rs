@@ -9,10 +9,11 @@
 
 use std::sync::Arc;
 
+use graphaug_par::dot8;
 use graphaug_sparse::Csr;
 
 use crate::mat::Mat;
-use crate::ops::{sigmoid, softplus, Op, PairGatherPlan, SpPair};
+use crate::ops::{sigmoid, softplus, Op, SpPair};
 
 /// Identifier of a node on the tape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -173,19 +174,6 @@ impl Graph {
         self.push(Op::SpmmEw { pattern, w, h }, out)
     }
 
-    /// Fused endpoint-feature gather: `y[e] = [src[left[e]] | src[right[e]]]`
-    /// for a precomputed [`PairGatherPlan`]. Replaces the
-    /// `gather_rows + gather_rows + concat_cols` chain of the edge scorer
-    /// with one tape node and one indexed copy per call.
-    pub fn gather_concat_pair(&mut self, src: NodeId, plan: Arc<PairGatherPlan>) -> NodeId {
-        let sv = self.value(src);
-        assert_eq!(sv.rows(), plan.n_src(), "plan built for different source");
-        let d = sv.cols();
-        let mut v = Mat::zeros(plan.n_pairs(), 2 * d);
-        plan.gather_into(sv.as_slice(), d, v.as_mut_slice());
-        self.push(Op::GatherConcatPair { src, plan }, v)
-    }
-
     /// Row gather: `y[i] = src[idx[i]]`. Backward scatter-adds.
     pub fn gather_rows(&mut self, src: NodeId, idx: Arc<Vec<u32>>) -> NodeId {
         let sv = self.value(src);
@@ -219,6 +207,17 @@ impl Graph {
             v.row_mut(r).copy_from_slice(&sv.row(r)[start..end]);
         }
         self.push(Op::SliceCols { src, start, end }, v)
+    }
+
+    /// Row slice `src[start..end, :]`.
+    pub fn slice_rows(&mut self, src: NodeId, start: usize, end: usize) -> NodeId {
+        let sv = self.value(src);
+        assert!(start < end && end <= sv.rows(), "bad row slice");
+        let c = sv.cols();
+        let mut v = Mat::zeros(end - start, c);
+        v.as_mut_slice()
+            .copy_from_slice(&sv.as_slice()[start * c..end * c]);
+        self.push(Op::SliceRows { src, start, end }, v)
     }
 
     /// Logistic sigmoid, element-wise.
@@ -350,12 +349,12 @@ impl Graph {
             match &node.op {
                 Op::Leaf => {}
                 Op::Add(a, b) => {
-                    Self::acc(&mut left[a.0].grad, g.clone());
-                    Self::acc(&mut left[b.0].grad, g.clone());
+                    Self::acc_scaled(&mut left[a.0].grad, g, 1.0);
+                    Self::acc_scaled(&mut left[b.0].grad, g, 1.0);
                 }
                 Op::Sub(a, b) => {
-                    Self::acc(&mut left[a.0].grad, g.clone());
-                    Self::acc(&mut left[b.0].grad, g.map(|x| -x));
+                    Self::acc_scaled(&mut left[a.0].grad, g, 1.0);
+                    Self::acc_scaled(&mut left[b.0].grad, g, -1.0);
                 }
                 Op::Mul(a, b) => {
                     let da = g.zip_map(&left[b.0].value, |x, y| x * y);
@@ -363,19 +362,13 @@ impl Graph {
                     Self::acc(&mut left[a.0].grad, da);
                     Self::acc(&mut left[b.0].grad, db);
                 }
-                Op::Scale(a, c) => {
-                    let c = *c;
-                    Self::acc(&mut left[a.0].grad, g.map(|x| c * x));
-                }
-                Op::AddScalar(a, _) => {
-                    Self::acc(&mut left[a.0].grad, g.clone());
+                Op::Scale(a, c) => Self::acc_scaled(&mut left[a.0].grad, g, *c),
+                Op::AddScalar(a, _) | Op::AddConst(a, _) => {
+                    Self::acc_scaled(&mut left[a.0].grad, g, 1.0);
                 }
                 Op::MulConst(a, k) => {
                     let da = g.zip_map(k, |x, y| x * y);
                     Self::acc(&mut left[a.0].grad, da);
-                }
-                Op::AddConst(a, _) => {
-                    Self::acc(&mut left[a.0].grad, g.clone());
                 }
                 Op::MatMul(a, b) => {
                     let da = g.matmul_nt(&left[b.0].value);
@@ -397,7 +390,7 @@ impl Graph {
                             *o += x;
                         }
                     }
-                    Self::acc(&mut left[a.0].grad, g.clone());
+                    Self::acc_scaled(&mut left[a.0].grad, g, 1.0);
                     Self::acc(&mut left[bias.0].grad, db);
                 }
                 Op::Spmm { sp, h } => {
@@ -438,16 +431,6 @@ impl Graph {
                     );
                     left[h.0].grad = Some(dh);
                 }
-                Op::GatherConcatPair { src, plan } => {
-                    let d = g.cols() / 2;
-                    let src_rows = left[src.0].value.rows();
-                    let mut ds = left[src.0]
-                        .grad
-                        .take()
-                        .unwrap_or_else(|| Mat::zeros(src_rows, d));
-                    plan.scatter_acc_into(g.as_slice(), d, ds.as_mut_slice());
-                    left[src.0].grad = Some(ds);
-                }
                 Op::GatherRows { src, idx } => {
                     let d = g.cols();
                     let mut ds = Mat::zeros(left[src.0].value.rows(), d);
@@ -478,6 +461,20 @@ impl Graph {
                         ds.row_mut(r)[*start..*end].copy_from_slice(g.row(r));
                     }
                     Self::acc(&mut left[src.0].grad, ds);
+                }
+                Op::SliceRows { src, start, end } => {
+                    let (rows, c) = left[src.0].value.shape();
+                    let mut ds = left[src.0]
+                        .grad
+                        .take()
+                        .unwrap_or_else(|| Mat::zeros(rows, c));
+                    for (o, &x) in ds.as_mut_slice()[start * c..end * c]
+                        .iter_mut()
+                        .zip(g.as_slice())
+                    {
+                        *o += x;
+                    }
+                    left[src.0].grad = Some(ds);
                 }
                 Op::Sigmoid(a) => {
                     let da = g.zip_map(&node.value, |gx, y| gx * y * (1.0 - y));
@@ -580,14 +577,8 @@ impl Graph {
                 }
                 Op::ScaleByScalar(a, s) => {
                     let sv = left[s.0].value.item();
-                    let da = g.map(|x| sv * x);
-                    let ds: f32 = g
-                        .as_slice()
-                        .iter()
-                        .zip(left[a.0].value.as_slice())
-                        .map(|(gx, ax)| gx * ax)
-                        .sum();
-                    Self::acc(&mut left[a.0].grad, da);
+                    let ds = dot8(g.as_slice(), left[a.0].value.as_slice());
+                    Self::acc_scaled(&mut left[a.0].grad, g, sv);
                     Self::acc(&mut left[s.0].grad, Mat::scalar(ds));
                 }
             }
@@ -598,6 +589,16 @@ impl Graph {
         match slot {
             Some(m) => m.add_assign_scaled(&delta, 1.0),
             None => *slot = Some(delta),
+        }
+    }
+
+    /// `slot += c·g` without materialising `c·g` when the slot is already
+    /// populated — the bits of [`Graph::acc`] of `g.map(|x| c * x)`, and of a
+    /// clone or a negation at `c = ±1`, where the product is exact.
+    fn acc_scaled(slot: &mut Option<Mat>, g: &Mat, c: f32) {
+        match slot {
+            Some(m) => m.add_assign_scaled(g, c),
+            None => *slot = Some(g.map(|x| c * x)),
         }
     }
 }

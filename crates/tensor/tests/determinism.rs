@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard};
 
 use graphaug_sparse::Csr;
-use graphaug_tensor::{Graph, Mat, PairGatherPlan, SpPair};
+use graphaug_tensor::{Graph, Mat, SpPair};
 
 /// `set_thread_count`/`set_simd_enabled` are process-global; serialize the
 /// tests that flip them. (The determinism contract makes concurrent flips
@@ -96,11 +96,11 @@ fn dense_rows_csr(n_rows: usize, n_cols: usize) -> Csr {
 
 /// Every output width class of the dense kernels: the dot8 column (m = 1),
 /// each lane-specialized width (8/16/32/64), and the generic fallback (61);
-/// `m = 1` is also `matmul_tn`'s narrow path and `m = 61` gives `matmul_nt`
-/// leftover columns. The inner dimensions are the ones training uses — 1
-/// and 16 (the edge MLP's two layers), 32 (the embedding width) — plus 24
-/// (an odd count of 8-blocks) and `k = 300 > 256`, which also exercises
-/// `matmul_tn`'s kk-blocking and `matmul_nt`'s scalar tail.
+/// `m = 1` is also `matmul_tn`'s narrow path. The inner dimensions are the
+/// ones training uses — 1 and 16 (the edge MLP's output layer and its
+/// hidden width), 32 (the embedding width) — plus 24 (an odd count of
+/// 8-blocks) and `k = 300 > 256`, which also exercises `matmul_tn`'s
+/// kk-blocking.
 #[test]
 fn matmul_family_is_config_invariant() {
     let _g = lock();
@@ -160,30 +160,47 @@ fn spmm_kernels_are_config_invariant() {
     }
 }
 
+/// The edge scorer's first layer: both halves of a `2d × h` weight sliced
+/// off by rows, every node projected through each, the projections
+/// gathered per edge and summed — forward values and every gradient,
+/// including the scatter-adds of `gather_rows` and the in-place adds of
+/// `slice_rows`. `d = 16` gives whole 8-lanes, `d = 10` does not.
 #[test]
-fn pair_gather_is_config_invariant() {
+fn slice_rows_and_gather_rows_are_config_invariant() {
     let _g = lock();
     let n_src = 400usize;
-    let left: Vec<u32> = (0..900u32).map(|e| (e * 17) % n_src as u32).collect();
-    let right: Vec<u32> = (0..900u32).map(|e| (e * 29 + 3) % n_src as u32).collect();
-    let plan = PairGatherPlan::build(n_src, &left, &right);
-    // d = 16 exercises the lane row copies, d = 10 the memcpy fallback.
+    let left: Arc<Vec<u32>> = Arc::new((0..900).map(|e| (e * 17) % n_src as u32).collect());
+    let right: Arc<Vec<u32>> = Arc::new((0..900).map(|e| (e * 29 + 3) % n_src as u32).collect());
     for d in [16usize, 10] {
         let src = fill(n_src * d, 1.0);
-        let dy = fill(900 * 2 * d, 0.6);
-        assert_config_invariant(&format!("pair_gather d={d}"), || {
-            let mut out = vec![0f32; 900 * 2 * d];
-            plan.gather_into(&src, d, &mut out);
-            let mut dsrc = vec![0f32; n_src * d];
-            plan.scatter_acc_into(&dy, d, &mut dsrc);
-            vec![out, dsrc]
+        let w = fill(2 * d * 16, 0.6);
+        assert_config_invariant(&format!("slice_rows + gather_rows d={d}"), || {
+            let mut g = Graph::new();
+            let x = g.constant(Mat::from_vec(n_src, d, src.clone()));
+            let w1 = g.constant(Mat::from_vec(2 * d, 16, w.clone()));
+            let top = g.slice_rows(w1, 0, d);
+            let bottom = g.slice_rows(w1, d, 2 * d);
+            let p = g.matmul(x, top);
+            let q = g.matmul(x, bottom);
+            let pl = g.gather_rows(p, Arc::clone(&left));
+            let qr = g.gather_rows(q, Arc::clone(&right));
+            let z = g.add(pl, qr);
+            let sq = g.square(z);
+            let loss = g.mean_all(sq);
+            g.backward(loss);
+            vec![
+                g.value(z).as_slice().to_vec(),
+                g.grad(x).expect("x grad").as_slice().to_vec(),
+                g.grad(w1).expect("w1 grad").as_slice().to_vec(),
+            ]
         });
     }
 }
 
 /// End-to-end: a tape mixing dense matmuls, constant and edge-weighted SpMM,
-/// and the fused pair gather must produce bit-identical forward values *and*
-/// gradients under every thread count and kernel build.
+/// and the edge scorer's per-node projections and per-edge gathers must
+/// produce bit-identical forward values *and* gradients under every thread
+/// count and kernel build.
 #[test]
 fn tape_forward_and_backward_are_config_invariant() {
     let _g = lock();
@@ -192,30 +209,41 @@ fn tape_forward_and_backward_are_config_invariant() {
     let m = test_csr(n, n);
     let sp = SpPair::new(m.clone());
     let pattern = Arc::new(m);
-    let left: Vec<u32> = (0..300u32).map(|e| (e * 7) % n as u32).collect();
-    let right: Vec<u32> = (0..300u32).map(|e| (e * 11 + 5) % n as u32).collect();
-    let plan = Arc::new(PairGatherPlan::build(n, &left, &right));
+    let left: Arc<Vec<u32>> = Arc::new((0..300).map(|e| (e * 7) % n as u32).collect());
+    let right: Arc<Vec<u32>> = Arc::new((0..300).map(|e| (e * 11 + 5) % n as u32).collect());
 
     let run = || {
         let mut g = Graph::new();
         let h = g.constant(Mat::from_vec(n, d, fill(n * d, 1.0)));
         let w_mlp = g.constant(Mat::from_vec(d, d, fill(d * d, 0.4)));
         let ew = g.constant(Mat::from_vec(pattern.nnz(), 1, fill(pattern.nnz(), 0.5)));
+        let w1 = g.constant(Mat::from_vec(2 * d, 16, fill(2 * d * 16, 0.3)));
+        let w2 = g.constant(Mat::from_vec(16, 1, fill(16, 0.7)));
 
         let prop = g.spmm(&sp, h);
         let mixed = g.spmm_ew(Arc::clone(&pattern), ew, prop);
         let dense = g.matmul(mixed, w_mlp);
-        let feat = g.gather_concat_pair(dense, Arc::clone(&plan));
-        let sq = g.square(feat);
+        let w1_user = g.slice_rows(w1, 0, d);
+        let w1_item = g.slice_rows(w1, d, 2 * d);
+        let p = g.matmul(dense, w1_user);
+        let q = g.matmul(dense, w1_item);
+        let pl = g.gather_rows(p, Arc::clone(&left));
+        let qr = g.gather_rows(q, Arc::clone(&right));
+        let z1 = g.add(pl, qr);
+        let hidden = g.leaky_relu(z1, 0.2);
+        let logits = g.matmul(hidden, w2);
+        let sq = g.square(logits);
         let loss = g.mean_all(sq);
         g.backward(loss);
 
         vec![
             g.value(dense).as_slice().to_vec(),
-            g.value(feat).as_slice().to_vec(),
+            g.value(logits).as_slice().to_vec(),
             g.grad(h).expect("h grad").as_slice().to_vec(),
             g.grad(ew).expect("ew grad").as_slice().to_vec(),
             g.grad(w_mlp).expect("w grad").as_slice().to_vec(),
+            g.grad(w1).expect("w1 grad").as_slice().to_vec(),
+            g.grad(w2).expect("w2 grad").as_slice().to_vec(),
         ]
     };
     assert_config_invariant("tape_end_to_end", run);

@@ -205,6 +205,28 @@ fn grad_concat_and_slice() {
     grad_check(&[a, b], &f);
 }
 
+/// Two overlapping row slices of one input plus a disjoint one: the
+/// gradient adds into the right rows, accumulates where slices overlap and
+/// stays zero on rows no slice reads (row 4).
+#[test]
+fn grad_slice_rows() {
+    let x = Mat::from_fn(5, 3, |r, c| (r as f32 * 0.3 - c as f32 * 0.2) + 0.1);
+    let w = Mat::from_fn(3, 2, |r, c| (r + c) as f32 * 0.25 - 0.3);
+    let f: Box<LossFn> = Box::new(|g, ids| {
+        let top = g.slice_rows(ids[0], 0, 3);
+        let mid = g.slice_rows(ids[0], 1, 4);
+        let s = g.add(top, mid);
+        let y = g.matmul(s, ids[1]);
+        let t = g.tanh(y);
+        let first = g.slice_rows(ids[0], 0, 1);
+        let sq = g.square(first);
+        let a = g.sum_all(t);
+        let b = g.sum_all(sq);
+        g.add(a, b)
+    });
+    grad_check(&[x, w], &f);
+}
+
 #[test]
 fn grad_unary_activations() {
     for which in 0..6 {

@@ -5,6 +5,8 @@
 //! generation, shrink-by-halving, replayable failure seeds — instead of the
 //! external `proptest` crate, so the suite works fully offline.
 
+use std::sync::Arc;
+
 use graphaug_rng::prop::{check, Gen, DEFAULT_CASES};
 use graphaug_rng::prop_assert;
 use graphaug_tensor::{Graph, Mat, NodeId};
@@ -252,47 +254,137 @@ fn signed_zero_mat(g: &mut Gen, rows: usize, cols: usize) -> Mat {
     Mat::from_vec(rows, cols, g.signed_zero_f32s(rows * cols))
 }
 
-/// The definition of `matmul_nt`, kept only here: one `dot8` per output
-/// element. The kernel computes columns eight and more at a time; this
-/// fails if that ever changes a multiply, an add or their association.
-/// `k` walks every block shape of `dot8` (tail only, one 8-block, odd and
-/// even 16-block counts, with and without a tail), `m` every column split
-/// (leftover columns only, whole tiles, tiles plus leftovers, several
-/// tiles), and 70 rows span two parallel chunks.
+/// `matmul_nt` is specified as `matmul` over the transposed right operand:
+/// every element accumulates in ascending `k`, bit for bit. `k` and `m`
+/// walk every width class of `matmul` (the `dot8` column, the lane widths,
+/// the generic fallback) with and without a tail, and 70 rows span two
+/// parallel chunks.
 #[test]
-fn matmul_nt_is_dot8_per_element_bit_for_bit() {
-    check("matmul_nt_is_dot8_per_element_bit_for_bit", 3, |g| {
-        for k in [1usize, 7, 8, 9, 15, 16, 17, 24, 31, 32, 40, 64, 300] {
-            for m in [1usize, 7, 8, 9, 16, 61, 64, 256] {
+fn matmul_nt_is_matmul_of_transpose_bit_for_bit() {
+    check("matmul_nt_is_matmul_of_transpose_bit_for_bit", 3, |g| {
+        for k in [1usize, 7, 8, 9, 16, 17, 32, 64, 300] {
+            for m in [1usize, 7, 8, 16, 32, 61, 64, 256] {
                 let n = if k == 16 && m == 64 { 70 } else { 3 };
-                let mut a = signed_zero_mat(g, n, k);
-                let mut b = signed_zero_mat(g, m, k);
-                // One product whose every term is `-0.0`: `dot8` answers
-                // `+0.0` only because each partial sum starts as `0.0 + x`,
-                // so a kernel that writes the first term bare is caught
-                // here (wherever `k` leaves a scalar tail to carry the sign).
-                a.row_mut(0).fill(-0.0);
-                b.row_mut(0).iter_mut().for_each(|v| *v = v.abs());
+                let a = signed_zero_mat(g, n, k);
+                let b = signed_zero_mat(g, m, k);
                 let got = a.matmul_nt(&b);
-                for i in 0..n {
-                    for j in 0..m {
-                        let want = graphaug_tensor::dot8(a.row(i), b.row(j));
-                        prop_assert!(
-                            got.get(i, j).to_bits() == want.to_bits(),
-                            "k={} m={} [{},{}]: kernel {:e} vs dot8 {:e}",
-                            k,
-                            m,
-                            i,
-                            j,
-                            got.get(i, j),
-                            want
-                        );
-                    }
+                let want = a.matmul(&b.transpose());
+                for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    prop_assert!(
+                        x.to_bits() == y.to_bits(),
+                        "k={} m={} element {}: {:e} vs {:e}",
+                        k,
+                        m,
+                        i,
+                        x,
+                        y
+                    );
                 }
             }
         }
         Ok(())
     });
+}
+
+/// `ScaleByScalar`'s factor gradient is `dot8(g, a)` bit for bit: the loss
+/// `Σ k ⊙ (s · a)` hands the op `g = k` exactly, at lengths with and
+/// without whole 8- and 16-blocks.
+#[test]
+fn scale_by_scalar_factor_gradient_is_dot8_bit_for_bit() {
+    check(
+        "scale_by_scalar_factor_gradient_is_dot8_bit_for_bit",
+        DEFAULT_CASES,
+        |gen| {
+            let rows = gen.len_in(1, 40);
+            let cols = gen.len_in(1, 9);
+            let a = signed_zero_mat(gen, rows, cols);
+            let k = signed_zero_mat(gen, rows, cols);
+            let want = graphaug_tensor::dot8(k.as_slice(), a.as_slice());
+            let mut g = Graph::new();
+            let an = g.constant(a);
+            let s = g.constant(Mat::scalar(gen.random_range(-2.0f32..2.0)));
+            let y = g.scale_by_scalar(an, s);
+            let ky = g.mul_const(y, Arc::new(k));
+            let loss = g.sum_all(ky);
+            g.backward(loss);
+            let got = g.grad(s).unwrap().item();
+            prop_assert!(
+                got.to_bits() == want.to_bits(),
+                "{rows}x{cols}: tape {got:e} vs dot8 {want:e}"
+            );
+            Ok(())
+        },
+    );
+}
+
+/// The ops whose backward adds `c·g` into an operand's gradient in place
+/// reproduce clone-then-add bit for bit: for each, a leaf takes its first
+/// gradient from a later consumer (`x ⊙ k2`, so the slot is populated) and
+/// then the op's `c·g` with `g = k1`; the expected bits are the old
+/// `k2 + 1.0·(g.map(c·x))`. A second leaf reached only through the op
+/// checks the empty-slot path (`g.map(c·x)` itself).
+#[test]
+fn in_place_gradient_accumulation_matches_clone_then_add_bit_for_bit() {
+    check(
+        "in_place_gradient_accumulation_matches_clone_then_add_bit_for_bit",
+        DEFAULT_CASES,
+        |gen| {
+            let (rows, cols) = (gen.len_in(1, 12), gen.len_in(1, 12));
+            let x = signed_zero_mat(gen, rows, cols);
+            let other = signed_zero_mat(gen, rows, cols);
+            let bias = signed_zero_mat(gen, 1, cols);
+            let k1 = Arc::new(signed_zero_mat(gen, rows, cols));
+            let k2 = Arc::new(signed_zero_mat(gen, rows, cols));
+            let c = gen.random_range(-2.0f32..2.0);
+            let sv = gen.random_range(-2.0f32..2.0);
+            for op in 0..8 {
+                let mut g = Graph::new();
+                let xn = g.constant(x.clone());
+                let on = g.constant(other.clone());
+                // (output, factor on x's gradient, factor on `on`'s, if any)
+                let (y, cx, co) = match op {
+                    0 => (g.add(xn, on), 1.0, Some(1.0)),
+                    1 => (g.sub(xn, on), 1.0, Some(-1.0)),
+                    2 => (g.sub(on, xn), -1.0, Some(1.0)),
+                    3 => (g.scale(xn, c), c, None),
+                    4 => (g.add_scalar(xn, c), 1.0, None),
+                    5 => (g.add_const(xn, Arc::new(other.clone())), 1.0, None),
+                    6 => {
+                        let s = g.constant(Mat::scalar(sv));
+                        (g.scale_by_scalar(xn, s), sv, None)
+                    }
+                    _ => {
+                        let b = g.constant(bias.clone());
+                        (g.add_row_broadcast(xn, b), 1.0, None)
+                    }
+                };
+                let ky = g.mul_const(y, Arc::clone(&k1));
+                let l1 = g.sum_all(ky);
+                let kx = g.mul_const(xn, Arc::clone(&k2));
+                let l2 = g.sum_all(kx);
+                let loss = g.add(l1, l2);
+                g.backward(loss);
+
+                let mut want = (*k2).clone();
+                want.add_assign_scaled(&k1.map(|v| cx * v), 1.0);
+                prop_assert!(
+                    bits(g.grad(xn).unwrap()) == bits(&want),
+                    "op {op}: populated slot"
+                );
+                if let Some(co) = co {
+                    prop_assert!(
+                        bits(g.grad(on).unwrap()) == bits(&k1.map(|v| co * v)),
+                        "op {op}: empty slot"
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+fn bits(m: &Mat) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 /// `matmul_tn` below eight output columns: every element is the serial
