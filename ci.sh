@@ -13,7 +13,8 @@
 #
 #   static   cargo fmt --check, clippy -D warnings, one-listener grep,
 #            one-probe-loop guard, one-front-door guard, lockfile
-#            hermeticity, per-node-scorer guard
+#            hermeticity, per-node-scorer guard, intrinsics only in
+#            par/src/simd.rs
 #   build    cargo build --release
 #   tests    full test suite at GRAPHAUG_THREADS={1,3,4} and GRAPHAUG_SIMD=0
 #   bench    kernel-bench smoke run (tiny budget) and the bench tools'
@@ -195,6 +196,21 @@ group_static() {
         exit 1
     fi
     echo "ok: the scorer projects nodes, not edges"
+
+    stage "intrinsics: std::arch and _mm only in crates/par/src/simd.rs"
+    # The int8 row kernel is the workspace's one hand-written AVX2 build
+    # (DESIGN.md, "Lane kernels"); every other kernel is plain Rust that
+    # simd_dispatch! compiles twice. I8x32 fixed a reduction order exact
+    # integer sums never needed and compiled to the slow kernel it replaced.
+    if grep -rnE 'std::arch|_mm' crates/ | grep -v '^crates/par/src/simd.rs:'; then
+        echo "ERROR: an intrinsic outside crates/par/src/simd.rs" >&2
+        exit 1
+    fi
+    if grep -rn 'I8x32' crates/; then
+        echo "ERROR: I8x32 is back; int8 rows go through score_rows_i8" >&2
+        exit 1
+    fi
+    echo "ok: one audited file of intrinsics, no I8x32"
 }
 
 group_build() {
@@ -236,14 +252,15 @@ group_bench() {
     # The training step is mostly `Graph::backward`, and for nine PRs no
     # recorded line timed any of it; a line that drops out of the recorder
     # is a kernel nobody may claim to have sped up (ROADMAP needle 1).
+    # The same holds for the int8 row kernel, a cold `REC`'s candidate scorer.
     local line
-    for line in 'matmul_nt/' 'spmm_ew_dw' 'edge_mlp_forward_backward'; do
+    for line in 'matmul_nt/' 'spmm_ew_dw' 'edge_mlp_forward_backward' 'quant/score_rows_i8_'; do
         if ! grep -q "\"name\": \"$line" /tmp/graphaug_bench_smoke.json; then
             echo "ERROR: no '$line' line in the bench smoke report" >&2
             exit 1
         fi
     done
-    echo "ok: matmul_nt/, spmm_ew_dw, edge_mlp_forward_backward recorded"
+    echo "ok: matmul_nt/, spmm_ew_dw, edge_mlp_forward_backward, quant/score_rows_i8_ recorded"
 
     stage "bench smoke: no socket-level lines on the kernel ledger"
     # benchmark/ times serving, routing, ingestion and fine-tuning per layer

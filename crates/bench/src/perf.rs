@@ -415,8 +415,9 @@ pub fn ann(h: &mut Harness) {
     }
 }
 
-/// Int8 quantization benchmarks: the raw `dot8_i8` kernel against its f32
-/// counterpart, quantized-IVF build cost (what a hot reload adds on top of
+/// Int8 quantization benchmarks: the scalar `dot8_i8` against its f32
+/// counterpart, the int8 row kernel at a cold `REC`'s candidate count,
+/// quantized-IVF build cost (what a hot reload adds on top of
 /// the f32 index), and the quantized uncached top-20 at the same 100k-item
 /// d32 catalog the `ann` suite measures — so `quant_rec_uncached_100k`
 /// reads directly against `ann_topk20_uncached_100k_d32`. The resident
@@ -442,8 +443,9 @@ pub fn quant(h: &mut Harness) {
         })
     }
 
-    // Raw kernel: one 4096-wide int8 dot (128 I8x32 blocks) vs the f32
-    // kernel on the same data, dequantized.
+    // One 4096-wide int8 dot through `dot8_i8`'s plain loop (the row
+    // kernel's scalar reference) vs the f32 kernel on the same data,
+    // dequantized.
     let n = 4096usize;
     let mut rng = seeded_rng(17);
     let mut fa = vec![0f32; n];
@@ -463,6 +465,29 @@ pub fn quant(h: &mut Harness) {
     });
     h.bench("f32_dot_4096", || {
         black_box(graphaug_par::dot8(black_box(&fa), black_box(&fb)));
+    });
+
+    // The row kernel at a cold `REC`'s shape: one d32 user row against the
+    // 3 158 packed candidates the benchmark's probed lists hold on average.
+    let (cands, dim) = (3158usize, 32usize);
+    let mut fr = vec![0f32; cands * dim];
+    seeded_rng(19).fill_normal_f32(&mut fr, 1.0);
+    let rows: Vec<i8> = fr
+        .iter()
+        .map(|&v| (v * 40.0).clamp(-127.0, 127.0) as i8)
+        .collect();
+    let scales: Vec<f32> = (0..cands).map(|r| 0.01 + r as f32 * 1e-6).collect();
+    let mut scores = Vec::with_capacity(cands);
+    h.bench("quant/score_rows_i8_3158x32", || {
+        scores.clear();
+        graphaug_par::score_rows_i8(
+            black_box(&rows),
+            black_box(&scales),
+            black_box(&qa[..dim]),
+            0.02,
+            &mut scores,
+        );
+        black_box(&scores);
     });
 
     // 100k-item d32 catalog, identical to the `ann` suite's 100k scale.

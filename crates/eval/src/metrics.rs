@@ -76,18 +76,44 @@ pub fn topk_indices(scores: &[f32], k: usize) -> Vec<u32> {
 /// in — which is what lets a full-probe ANN search (`nprobe = nlists`, all
 /// items visited in cluster order) reproduce the dense exact ranking
 /// hex-exactly.
-pub fn topk_pairs(candidates: impl IntoIterator<Item = (u32, f32)>, k: usize) -> Vec<(u32, f32)> {
+///
+/// A candidate for which `masked(index)` holds competes with score `-inf`
+/// (the dense path's seen-item mask), and the result is exactly that of
+/// masking every candidate up front. The predicate is asked lazily: once
+/// `k` candidates are kept, only a candidate whose *raw* score would enter
+/// the top-`k` is looked up — masking can only lower a score, so one that
+/// loses unmasked loses masked too.
+pub fn topk_pairs(
+    candidates: impl IntoIterator<Item = (u32, f32)>,
+    k: usize,
+    masked: impl Fn(u32) -> bool,
+) -> Vec<(u32, f32)> {
     if k == 0 {
         return Vec::new();
     }
-    let mut heap = std::collections::BinaryHeap::with_capacity(k + 1);
-    for (i, s) in candidates {
-        let cand = Worst(s, i);
-        if heap.len() < k {
-            heap.push(cand);
-        } else if cand < *heap.peek().expect("heap holds k entries") {
-            heap.pop();
-            heap.push(cand);
+    let mask = |i: u32, s: f32| Worst(if masked(i) { f32::NEG_INFINITY } else { s }, i);
+    let mut candidates = candidates.into_iter();
+    let mut heap = std::collections::BinaryHeap::with_capacity(k);
+    for (i, s) in candidates.by_ref() {
+        heap.push(mask(i, s));
+        if heap.len() == k {
+            break;
+        }
+    }
+    if let Some(&first) = heap.peek() {
+        let mut worst = first;
+        for (i, s) in candidates {
+            // Most candidates lose to the k-th score outright. A NaN falls
+            // through to the comparator, which panics unless it is masked —
+            // as it did when every candidate was masked first.
+            if s < worst.0 || (!s.is_nan() && Worst(s, i) >= worst) {
+                continue;
+            }
+            let cand = mask(i, s);
+            if cand < worst {
+                *heap.peek_mut().expect("heap holds k entries") = cand;
+                worst = *heap.peek().expect("heap holds k entries");
+            }
         }
     }
     let mut kept = heap.into_vec();
@@ -170,7 +196,11 @@ mod tests {
         let scores = vec![0.1, 0.9, 0.3, 0.9, 0.5, -2.0, 0.9];
         for k in 0..=scores.len() + 2 {
             let dense = topk_indices(&scores, k);
-            let pairs = topk_pairs(scores.iter().enumerate().map(|(i, &s)| (i as u32, s)), k);
+            let pairs = topk_pairs(
+                scores.iter().enumerate().map(|(i, &s)| (i as u32, s)),
+                k,
+                |_| false,
+            );
             assert_eq!(
                 pairs.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
                 dense,
@@ -197,16 +227,56 @@ mod tests {
         shuffled.swap(0, 3);
         for k in 1..=scores.len() {
             assert_eq!(
-                topk_pairs(forward.iter().copied(), k),
-                topk_pairs(shuffled.iter().copied(), k),
+                topk_pairs(forward.iter().copied(), k, |_| false),
+                topk_pairs(shuffled.iter().copied(), k, |_| false),
                 "k={k}"
             );
         }
         // Ties break toward the lower index, same as topk_indices.
         assert_eq!(
-            topk_pairs(shuffled.iter().copied(), 3),
+            topk_pairs(shuffled.iter().copied(), 3, |_| false),
             vec![(0, 0.5), (1, 0.5), (3, 0.5)]
         );
+    }
+
+    #[test]
+    fn masked_topk_pairs_equals_masking_every_candidate_up_front() {
+        // Duplicate-heavy scores (ties at every k-th score, raw `-inf`
+        // among them), masks from none through every other item to all of
+        // them, k from 0 past the candidate count; candidates arrive in a
+        // scrambled order.
+        let n = 23u32;
+        let cands: Vec<(u32, f32)> = (0..n)
+            .map(|j| {
+                let i = (j * 7) % n;
+                let palette = [0.5f32, -1.0, 0.5, 2.0, 0.0, -0.0, 0.5, f32::NEG_INFINITY];
+                (i, palette[i as usize % palette.len()])
+            })
+            .collect();
+        let masks: [fn(u32) -> bool; 4] = [
+            |_| false,
+            |i| i % 2 == 0,
+            |i| i % 7 == 0 || i % 7 == 2,
+            |_| true,
+        ];
+        for (m, masked) in masks.iter().enumerate() {
+            let eager: Vec<(u32, f32)> = cands
+                .iter()
+                .map(|&(i, s)| (i, if masked(i) { f32::NEG_INFINITY } else { s }))
+                .collect();
+            for k in 0..=n as usize + 3 {
+                let bits = |v: Vec<(u32, f32)>| {
+                    v.into_iter()
+                        .map(|(i, s)| (i, s.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    bits(topk_pairs(cands.iter().copied(), k, masked)),
+                    bits(topk_pairs(eager.iter().copied(), k, |_| false)),
+                    "mask {m} k={k}"
+                );
+            }
+        }
     }
 
     #[test]

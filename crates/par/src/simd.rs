@@ -12,6 +12,12 @@
 //! baseline target) from one `#[inline(always)]` body and dispatching at
 //! runtime — see [`simd_dispatch!`](crate::simd_dispatch).
 //!
+//! The one exception is the int8 row scorer [`score_rows_i8`], whose AVX2
+//! build is written with `std::arch` intrinsics: its sums are exact
+//! integers, so it needs no reduction-order discipline, and no plain-Rust
+//! form came close to `vpmovsxbw` + `vpmaddwd`. This file is the only place
+//! in the workspace that names an intrinsic.
+//!
 //! # Configuration
 //!
 //! * `GRAPHAUG_SIMD=0` — force the scalar builds even when AVX2 is
@@ -202,90 +208,139 @@ pub fn l2sq8(a: &[f32], b: &[f32]) -> f32 {
     acc0.add(acc1).hsum() + tail
 }
 
-/// Lane width of [`I8x32`].
-pub const I8_LANES: usize = 32;
+/// Int8 dot product with an exact `i32` accumulator, as one ascending
+/// loop. This is [`score_rows_i8`]'s portable build and the reference its
+/// AVX2 build is tested against: every intermediate is an integer, so any
+/// evaluation order gives the same sum, and lane/scalar and thread-count
+/// invariance hold *by construction* — the drift a quantized ranking can
+/// show against the f32 oracle comes only from the quantization itself.
+/// Callers must keep `min(a.len, b.len) · 128² ≤ i32::MAX` (any embedding
+/// dimension up to 2¹⁷), which the serving stack's tables satisfy by orders
+/// of magnitude.
+#[inline(always)]
+pub fn dot8_i8(a: &[i8], b: &[i8]) -> i32 {
+    a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
+}
 
-/// Thirty-two `i8` lanes for the quantized scoring kernels. One [`I8x32`]
-/// block is the int8 analogue of four [`F32x8`] blocks: a single 256-bit
-/// register holds 32 weights instead of 8, which is where the ~4× memory-
-/// bandwidth win of int8 tables comes from.
+/// Scores packed int8 rows against one user row: for each `user.len()`-wide
+/// row of `rows`, with `scales[r]` the scale of row `r`, pushes
+/// `dot8_i8(user, row) as f32 * (user_scale * scales[r])` onto `out`.
 ///
-/// Unlike the f32 lanes, the widening dot product accumulates in `i32`,
-/// which is *exact*: integer addition is associative, so lane/scalar and
-/// thread-count invariance hold for any evaluation order. The reduction
-/// order below is still fixed in source (8 sublane accumulators, then the
-/// same `((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))` tree as [`F32x8::hsum`]) so
-/// the kernel reads like its f32 siblings and the contract never rests on
-/// an associativity argument alone.
-#[derive(Clone, Copy, Debug)]
-#[repr(align(32))]
-pub struct I8x32(pub [i8; 32]);
-
-impl I8x32 {
-    /// All-zero lanes.
-    #[inline(always)]
-    pub fn zero() -> Self {
-        I8x32([0; 32])
+/// This is the quantized tables' one scorer (the full scan and the IVF
+/// candidate loop both call it), so an item scores the same bits wherever
+/// its row is packed. The build is chosen once per call: with
+/// [`simd_enabled`], rows go four at a time, each 32-weight block
+/// sign-extended to `i16` (`vpmovsxbw`) and multiply-added pairwise into
+/// eight `i32` lanes (`vpmaddwd`), the rest of a row through [`dot8_i8`];
+/// otherwise, and for the last one to three rows, each row runs
+/// [`dot8_i8`]. Both
+/// sums are exact and both builds convert and scale them with the same two
+/// roundings, so both push identical bits.
+pub fn score_rows_i8(
+    rows: &[i8],
+    scales: &[f32],
+    user: &[i8],
+    user_scale: f32,
+    out: &mut Vec<f32>,
+) {
+    assert_eq!(rows.len(), scales.len() * user.len(), "one scale per row");
+    let start = out.len();
+    out.resize(start + scales.len(), 0.0);
+    let out = &mut out[start..];
+    #[cfg(target_arch = "x86_64")]
+    if simd_enabled() {
+        // SAFETY: `simd_enabled` is true only when AVX2 was detected on the
+        // running CPU.
+        return unsafe { score_rows_i8_avx2(rows, scales, user, user_scale, out) };
     }
+    score_rows_i8_scalar(rows, scales, user, user_scale, out);
+}
 
-    /// Loads the first 32 elements of `s`.
-    #[inline(always)]
-    pub fn load(s: &[i8]) -> Self {
-        let mut out = [0i8; 32];
-        out.copy_from_slice(&s[..32]);
-        I8x32(out)
-    }
-
-    /// Widening dot product of all 32 lane pairs: each `i8×i8` product is
-    /// computed in `i32` (max magnitude 127² = 16129, so 8 sublane
-    /// accumulators never overflow below ~2¹⁷ blocks) and collapsed with
-    /// the fixed [`F32x8::hsum`]-shaped tree.
-    #[inline(always)]
-    pub fn dot(self, o: Self) -> i32 {
-        let (a, b) = (self.0, o.0);
-        let mut s = [0i32; 8];
-        let mut j = 0usize;
-        while j < 32 {
-            s[0] += a[j] as i32 * b[j] as i32;
-            s[1] += a[j + 1] as i32 * b[j + 1] as i32;
-            s[2] += a[j + 2] as i32 * b[j + 2] as i32;
-            s[3] += a[j + 3] as i32 * b[j + 3] as i32;
-            s[4] += a[j + 4] as i32 * b[j + 4] as i32;
-            s[5] += a[j + 5] as i32 * b[j + 5] as i32;
-            s[6] += a[j + 6] as i32 * b[j + 6] as i32;
-            s[7] += a[j + 7] as i32 * b[j + 7] as i32;
-            j += 8;
-        }
-        ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+/// The per-row formula of [`score_rows_i8`], one score per row into `out`.
+#[inline(always)]
+fn score_rows_i8_scalar(
+    rows: &[i8],
+    scales: &[f32],
+    user: &[i8],
+    user_scale: f32,
+    out: &mut [f32],
+) {
+    let dim = user.len();
+    for (r, (dst, &scale)) in out.iter_mut().zip(scales).enumerate() {
+        *dst = dot8_i8(user, &rows[r * dim..(r + 1) * dim]) as f32 * (user_scale * scale);
     }
 }
 
-/// Int8 dot product over 32-wide blocks with an exact `i32` accumulator and
-/// an ascending scalar tail. This is the quantized-table scoring kernel:
-/// `score = dot8_i8(q_user, q_item) as f32 * (scale_user * scale_item)`.
-///
-/// Because every intermediate is an integer, the result is bit-identical
-/// between the lane and scalar builds and for any thread count *by
-/// construction* — the drift a quantized ranking can show against the f32
-/// oracle comes only from the quantization itself, never from evaluation
-/// order. Callers must keep `min(a.len, b.len) · 16129 < i32::MAX`
-/// (any embedding dimension below ~133k), which the serving stack's
-/// `dim ≤ 4096`-scale tables satisfy by orders of magnitude.
-#[inline(always)]
-pub fn dot8_i8(a: &[i8], b: &[i8]) -> i32 {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = 0i32;
-    let mut i = 0usize;
-    while i + 32 <= n {
-        acc += I8x32::load(&a[i..]).dot(I8x32::load(&b[i..]));
-        i += 32;
+/// [`score_rows_i8`]'s AVX2 build, one score per row into `out`. Written
+/// with intrinsics because the plain loop compiled under `avx2` measured
+/// over twice as slow (DESIGN.md, "Lane kernels"). Groups of four rows
+/// share each widened user block, one `vphaddd` reduction and one vector
+/// convert-and-scale; the last one to three rows take the scalar formula.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn score_rows_i8_avx2(rows: &[i8], scales: &[f32], user: &[i8], user_scale: f32, out: &mut [f32]) {
+    use std::arch::x86_64::*;
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn load32(s: &[i8]) -> __m256i {
+        let s = &s[..32];
+        // SAFETY: `s` is 32 bytes long, and `loadu` has no alignment
+        // requirement.
+        unsafe { _mm256_loadu_si256(s.as_ptr().cast()) }
     }
-    while i < n {
-        acc += a[i] as i32 * b[i] as i32;
-        i += 1;
+
+    let dim = user.len();
+    let body = dim - dim % 32;
+    let full = scales.len() - scales.len() % 4;
+    let user_scale4 = _mm_set1_ps(user_scale);
+    for (g, (scales, out)) in scales[..full]
+        .chunks_exact(4)
+        .zip(out.chunks_exact_mut(4))
+        .enumerate()
+    {
+        let group = &rows[4 * g * dim..4 * (g + 1) * dim];
+        let row = |i: usize| &group[i * dim..(i + 1) * dim];
+        let mut acc = [_mm256_setzero_si256(); 4];
+        for j in (0..body).step_by(32) {
+            let u = load32(&user[j..]);
+            let ulo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(u));
+            let uhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(u));
+            for (i, a) in acc.iter_mut().enumerate() {
+                let x = load32(&row(i)[j..]);
+                let lo = _mm256_madd_epi16(_mm256_cvtepi8_epi16(_mm256_castsi256_si128(x)), ulo);
+                let hi =
+                    _mm256_madd_epi16(_mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(x)), uhi);
+                *a = _mm256_add_epi32(*a, _mm256_add_epi32(lo, hi));
+            }
+        }
+        // Lane i of `dots` is row i's exact dot product.
+        let t = _mm256_hadd_epi32(
+            _mm256_hadd_epi32(acc[0], acc[1]),
+            _mm256_hadd_epi32(acc[2], acc[3]),
+        );
+        let mut dots = _mm_add_epi32(_mm256_castsi256_si128(t), _mm256_extracti128_si256::<1>(t));
+        if body < dim {
+            let tail = |i: usize| dot8_i8(&user[body..], &row(i)[body..]);
+            dots = _mm_add_epi32(dots, _mm_setr_epi32(tail(0), tail(1), tail(2), tail(3)));
+        }
+        // SAFETY: `scales` and `out` hold four `f32`s each, and `loadu` /
+        // `storeu` have no alignment requirement.
+        unsafe {
+            let combined = _mm_mul_ps(user_scale4, _mm_loadu_ps(scales.as_ptr()));
+            _mm_storeu_ps(
+                out.as_mut_ptr(),
+                _mm_mul_ps(_mm_cvtepi32_ps(dots), combined),
+            );
+        }
     }
-    acc
+    score_rows_i8_scalar(
+        &rows[full * dim..],
+        &scales[full..],
+        user,
+        user_scale,
+        &mut out[full..],
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -466,6 +521,48 @@ mod tests {
         probe_i8(&a, &b, std::slice::from_mut(&mut out[1]));
         set_simd_enabled(was);
         assert_eq!(out[0], out[1]);
+    }
+
+    #[test]
+    fn score_rows_i8_lane_build_matches_the_portable_one_bit_for_bit() {
+        // Block boundaries and tails (1, 7, 31, 32, 33, 64, 100), row
+        // counts around the group of four, the extremes ±127 and −128 (an
+        // all −128 row against an all −128 user is the largest `vpmaddwd`
+        // pair sum), against the per-row formula.
+        let was = simd_enabled();
+        for dim in [1usize, 7, 31, 32, 33, 64, 100] {
+            for n in [0usize, 3, 4, 9] {
+                let rows: Vec<i8> = (0..n * dim)
+                    .map(|i| match (i / dim, i % 11) {
+                        (0, _) => -128,
+                        (1, _) => 127,
+                        (_, 0) => -128,
+                        (_, 1) => 127,
+                        (_, 2) => -127,
+                        _ => ((i * 37 + 11) % 255) as i8,
+                    })
+                    .collect();
+                let mixed: Vec<i8> = (0..dim).map(|i| [-128i8, 127, -127][i % 3]).collect();
+                let scales: Vec<f32> = (0..n).map(|r| 0.013 * (r as f32 + 0.5)).collect();
+                for user in [mixed, vec![-128i8; dim]] {
+                    let want: Vec<u32> = (0..n)
+                        .map(|r| {
+                            let row = &rows[r * dim..(r + 1) * dim];
+                            (dot8_i8(&user, row) as f32 * (0.7 * scales[r])).to_bits()
+                        })
+                        .collect();
+                    for simd in [true, false] {
+                        set_simd_enabled(simd);
+                        let mut out = vec![1.5];
+                        score_rows_i8(&rows, &scales, &user, 0.7, &mut out);
+                        assert_eq!(out[0], 1.5, "appends, never clears");
+                        let got: Vec<u32> = out[1..].iter().map(|s| s.to_bits()).collect();
+                        assert_eq!(got, want, "dim={dim} n={n} simd={simd}");
+                    }
+                }
+            }
+        }
+        set_simd_enabled(was);
     }
 
     #[test]

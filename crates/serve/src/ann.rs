@@ -29,13 +29,16 @@
 //! # Exact-parity contract
 //!
 //! Two rules make full probe ≡ full scan for *any* `R`. A candidate's
-//! score is [`IvfRows::scores`] — the representation's own full-scan
+//! score is [`IvfRows::scores_into`] — the representation's own full-scan
 //! formula over bit-exact packed copies of the source rows — and the final
 //! selection is `graphaug_eval::topk_pairs`, which shares the full scan's
-//! total-order tie-break. Since every item lives in exactly one inverted
-//! list, probing **all** lists (`nprobe = nlists`) visits the full catalog
-//! and reproduces the full-scan ranking hex-exactly — the degenerate
-//! configuration the parity proptests pin.
+//! total-order tie-break and masks seen items to `-inf` exactly as the full
+//! scan does (lazily: only a candidate whose raw score would enter the
+//! top-`k` is looked up, and masking can only lower a score). Since every
+//! item lives in exactly one inverted list, probing **all** lists
+//! (`nprobe = nlists`) visits the full catalog and reproduces the full-scan
+//! ranking hex-exactly — the degenerate configuration the parity proptests
+//! pin.
 
 use std::borrow::Cow;
 
@@ -271,8 +274,8 @@ impl CoarsePartition {
 /// What an [`Ivf`] needs from a row representation: the matrix to cluster,
 /// a packed copy in list order, and the representation's own scorer.
 pub trait IvfRows: Sized {
-    /// One user's row in this representation — what [`Self::scores`] ranks
-    /// the packed rows against.
+    /// One user's row in this representation — what [`Self::scores_into`]
+    /// ranks the packed rows against.
     type Query<'a>: Copy
     where
         Self: 'a;
@@ -285,15 +288,10 @@ pub trait IvfRows: Sized {
     /// order.
     fn gather(&self, order: &[u32]) -> Self;
 
-    /// The scores of rows `lo..hi` against `query`, in row order, by this
-    /// representation's **full-scan** formula — so a row scores the same
-    /// bits from a packed list as from the source table.
-    fn scores<'a>(
-        &'a self,
-        lo: usize,
-        hi: usize,
-        query: Self::Query<'a>,
-    ) -> impl Iterator<Item = f32>;
+    /// Pushes the scores of rows `lo..hi` against `query` onto `out`, in
+    /// row order, by this representation's **full-scan** formula — so a row
+    /// scores the same bits from a packed list as from the source table.
+    fn scores_into<'a>(&'a self, lo: usize, hi: usize, query: Self::Query<'a>, out: &mut Vec<f32>);
 }
 
 /// Bit-exact f32 rows, scored with the exact scorer's summation
@@ -315,11 +313,13 @@ impl IvfRows for Mat {
         Mat::from_vec(order.len(), self.cols(), data)
     }
 
-    fn scores<'a>(&'a self, lo: usize, hi: usize, query: &'a [f32]) -> impl Iterator<Item = f32> {
+    fn scores_into<'a>(&'a self, lo: usize, hi: usize, query: &'a [f32], out: &mut Vec<f32>) {
         let dim = self.cols();
-        self.as_slice()[lo * dim..hi * dim]
-            .chunks_exact(dim)
-            .map(move |row| row.iter().zip(query).map(|(a, b)| a * b).sum())
+        out.extend(
+            self.as_slice()[lo * dim..hi * dim]
+                .chunks_exact(dim)
+                .map(|row| row.iter().zip(query).map(|(a, b)| a * b).sum::<f32>()),
+        );
     }
 }
 
@@ -385,7 +385,7 @@ impl<R: IvfRows> Ivf<R> {
         let part = &self.part;
         let scored = (0..part.nlists as u32)
             .map(|c| (c, dot8(query, &part.centroids[c as usize * part.dim..])));
-        topk_pairs(scored, nprobe.clamp(1, part.nlists))
+        topk_pairs(scored, nprobe.clamp(1, part.nlists), |_| false)
             .into_iter()
             .map(|(c, _)| c)
             .collect()
@@ -405,23 +405,15 @@ impl<R: IvfRows> Ivf<R> {
         k: usize,
     ) -> (Vec<(u32, f32)>, u32) {
         let lists = self.probe(urow, nprobe);
-        let cands = lists
-            .iter()
-            .map(|&l| self.list(l as usize).len())
-            .sum::<usize>() as u32;
-        let candidates = lists
-            .iter()
-            .flat_map(|&l| {
-                let (lo, hi) = self.part.list_range(l as usize);
-                self.part.list_items[lo..hi]
-                    .iter()
-                    .zip(self.rows.scores(lo, hi, query))
-            })
-            .map(|(&v, score)| match seen.binary_search(&v) {
-                Ok(_) => (v, f32::NEG_INFINITY),
-                Err(_) => (v, score),
-            });
-        (topk_pairs(candidates, k), cands)
+        let cands = lists.iter().map(|&l| self.list(l as usize).len()).sum();
+        let mut scores = Vec::with_capacity(cands);
+        for &l in &lists {
+            let (lo, hi) = self.part.list_range(l as usize);
+            self.rows.scores_into(lo, hi, query, &mut scores);
+        }
+        let items = lists.iter().flat_map(|&l| self.list(l as usize)).copied();
+        let top = topk_pairs(items.zip(scores), k, |v| seen.binary_search(&v).is_ok());
+        (top, cands as u32)
     }
 
     /// A stable fingerprint of the partition (centroid bit patterns,

@@ -22,7 +22,7 @@
 //!    hex-identically.
 //! 3. **Quantized tables** ([`quant`]) — optional int8 per-row-scaled
 //!    copies of both embedding tables (~4× smaller resident state) scored
-//!    with the exact-integer `dot8_i8` kernel, plus a quantized IVF index
+//!    with the exact-integer `score_rows_i8` kernel, plus a quantized IVF index
 //!    packing int8 rows per inverted list. A build-time drift gate
 //!    (sampled recall vs the f32 oracle) and an every-Nth self-audit keep
 //!    quantization noise bounded; below the floor, serving falls back to

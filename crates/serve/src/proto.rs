@@ -112,22 +112,54 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Renders a served recommendation as its `OK` line.
+/// Renders a served recommendation as its `OK` line, written digit by
+/// digit into one buffer sized up front (no per-item `String`).
 pub fn ok_line(rec: &Recommendation) -> String {
-    let mut items = String::new();
-    let mut bits = String::new();
+    // 20 digits per `u64`, 10 per item id plus 8 hex digits and 2 commas.
+    let mut line = String::with_capacity(32 + 3 * 20 + rec.items.len() * 20);
+    line.push_str("OK gen=");
+    push_decimal(&mut line, rec.generation);
+    line.push_str(" user=");
+    push_decimal(&mut line, rec.user as u64);
+    line.push_str(" k=");
+    push_decimal(&mut line, rec.k as u64);
+    line.push_str(" items=");
     for (i, s) in rec.items.iter().enumerate() {
         if i > 0 {
-            items.push(',');
-            bits.push(',');
+            line.push(',');
         }
-        items.push_str(&s.item.to_string());
-        bits.push_str(&format!("{:08x}", s.score.to_bits()));
+        push_decimal(&mut line, s.item as u64);
     }
-    format!(
-        "OK gen={} user={} k={} items={} bits={}",
-        rec.generation, rec.user, rec.k, items, bits
-    )
+    line.push_str(" bits=");
+    for (i, s) in rec.items.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        let bits = s.score.to_bits();
+        for shift in (0..32).step_by(4).rev() {
+            line.push(HEX_DIGITS[(bits >> shift) as usize & 0xf] as char);
+        }
+    }
+    line
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends `v` in decimal, as `{}` renders it.
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[start..] {
+        out.push(d as char);
+    }
 }
 
 /// The typed class of a router-originated `ERR` line, if any.
@@ -349,6 +381,51 @@ mod tests {
             assert_eq!(a.item, b.item);
             assert_eq!(a.score.to_bits(), b.score.to_bits(), "bit-exact scores");
         }
+    }
+
+    #[test]
+    fn ok_line_is_byte_identical_to_the_format_rendering() {
+        fn formatted(rec: &Recommendation) -> String {
+            let items: Vec<String> = rec.items.iter().map(|s| s.item.to_string()).collect();
+            let bits: Vec<String> = rec
+                .items
+                .iter()
+                .map(|s| format!("{:08x}", s.score.to_bits()))
+                .collect();
+            format!(
+                "OK gen={} user={} k={} items={} bits={}",
+                rec.generation,
+                rec.user,
+                rec.k,
+                items.join(","),
+                bits.join(",")
+            )
+        }
+        // -inf, -0.0, 0.0, +inf, 1.0 — then random bit patterns.
+        let special = [0xff80_0000u32, 0x8000_0000, 0, 0x7f80_0000, 0x3f80_0000];
+        graphaug_rng::prop::check("proto_ok_line_bytes", 256, |g| {
+            let n = g.len_in(0, 12);
+            let items = g.vec_of(n, |g| ScoredItem {
+                item: match g.bounded_u64(4) {
+                    0 => u32::MAX,
+                    1 => g.bounded_u64(10) as u32,
+                    _ => g.bounded_u64(1 << 32) as u32,
+                },
+                score: f32::from_bits(match g.bounded_u64(2) {
+                    0 => special[g.bounded_u64(special.len() as u64) as usize],
+                    _ => g.bounded_u64(1 << 32) as u32,
+                }),
+            });
+            let rec = Recommendation {
+                user: [0, u32::MAX, g.bounded_u64(1 << 32) as u32][g.bounded_u64(3) as usize],
+                k: [0, n, MAX_K][g.bounded_u64(3) as usize],
+                generation: [0, u64::MAX, g.bounded_u64(1 << 40)][g.bounded_u64(3) as usize],
+                items: Arc::new(items),
+                from_cache: false,
+            };
+            graphaug_rng::prop_assert_eq!(ok_line(&rec), formatted(&rec));
+            Ok(())
+        });
     }
 
     #[test]

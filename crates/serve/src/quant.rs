@@ -5,7 +5,7 @@
 //! move the ceiling is to move fewer bytes. This module freezes each
 //! embedding matrix into [`QuantRows`] — one `i8` weight per f32 weight
 //! plus one f32 scale per row (~4× smaller) — and scores with the exact
-//! integer kernel [`graphaug_par::dot8_i8`] (32 weights per op).
+//! integer row kernel [`graphaug_par::score_rows_i8`].
 //!
 //! # Quantization scheme
 //!
@@ -35,7 +35,7 @@
 
 use std::borrow::Cow;
 
-use graphaug_par::{dot8_i8, parallel_spans, SendMutPtr};
+use graphaug_par::{parallel_spans, score_rows_i8, SendMutPtr};
 use graphaug_tensor::Mat;
 
 use crate::ann::{Fnv, Ivf, IvfRows};
@@ -234,26 +234,19 @@ impl IvfRows for QuantRows {
         }
     }
 
-    fn scores<'a>(
+    /// Exact integer dot, then one f32 multiply by the combined scale —
+    /// the one formula behind the full-catalog scan and the IVF candidate
+    /// scan, so both produce bit-identical scores for the same item.
+    fn scores_into<'a>(
         &'a self,
         lo: usize,
         hi: usize,
         (qu, su): (&'a [i8], f32),
-    ) -> impl Iterator<Item = f32> {
-        self.q[lo * self.dim..hi * self.dim]
-            .chunks_exact(self.dim)
-            .zip(&self.scales[lo..hi])
-            .map(move |(qi, &si)| score_q(qu, su, qi, si))
+        out: &mut Vec<f32>,
+    ) {
+        let rows = &self.q[lo * self.dim..hi * self.dim];
+        score_rows_i8(rows, &self.scales[lo..hi], qu, su, out);
     }
-}
-
-/// The quantized score of one candidate: exact integer dot, then one f32
-/// multiply by the combined scale — the full-scan formula behind
-/// [`QuantRows`]'s [`IvfRows::scores`], so the full-catalog scan and the IVF
-/// candidate scan produce bit-identical scores for the same item.
-#[inline]
-pub fn score_q(qu: &[i8], user_scale: f32, qi: &[i8], item_scale: f32) -> f32 {
-    dot8_i8(qu, qi) as f32 * (user_scale * item_scale)
 }
 
 #[cfg(test)]
@@ -318,12 +311,14 @@ mod tests {
     }
 
     #[test]
-    fn score_q_matches_f64_reference() {
+    fn quant_scores_match_f64_reference() {
         let m = random_mat(6, 32, 13);
         let q = QuantRows::quantize(&m);
         for a in 0..3 {
+            let mut got = Vec::new();
+            q.scores_into(3, 6, (q.row(a), q.scale(a)), &mut got);
             for b in 3..6 {
-                let got = score_q(q.row(a), q.scale(a), q.row(b), q.scale(b)) as f64;
+                let got = got[b - 3] as f64;
                 let want: f64 = q
                     .row(a)
                     .iter()

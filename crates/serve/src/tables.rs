@@ -696,7 +696,7 @@ impl ModelTables {
     /// back to exact). Also reports how the request was answered.
     ///
     /// The quantized path mirrors the f32 paths structurally: the full
-    /// scan is [`QuantRows`]'s `scores` over the whole item table +
+    /// scan is [`QuantRows`]'s `scores_into` over the whole item table +
     /// seen-mask + [`topk_indices`]; the IVF scan is the same
     /// [`Ivf::search`] the f32 tier runs, over packed int8 rows. Both
     /// compute identical per-item scores, so quant-IVF at
@@ -730,7 +730,8 @@ impl ModelTables {
                 (top, qb.nprobe as u32, cands)
             }
             None => {
-                let scores = qb.item_q.scores(0, self.n_items(), query).collect();
+                let mut scores = Vec::new();
+                qb.item_q.scores_into(0, self.n_items(), query, &mut scores);
                 (self.rank_unseen(user, scores, k), 0, self.n_items() as u32)
             }
         };

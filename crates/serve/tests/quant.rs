@@ -117,28 +117,39 @@ fn prop_quantize_roundtrip_error_is_bounded_by_half_a_step() {
     });
 }
 
-/// Property: `dot8_i8` is bit-identical between the lane kernel and the
-/// scalar fallback, at every supported thread count — the integer
-/// accumulation is exact, so there is nothing to round differently.
+/// Property: the int8 row kernel scores every row with the bits of the
+/// scalar `dot8_i8` formula, in its lane and its scalar build, at every
+/// supported thread count — the integer accumulation is exact, so there is
+/// nothing to round differently.
 #[test]
 fn prop_dot8_i8_lane_and_scalar_agree_at_every_thread_count() {
     let _guard = lock();
     check("quant_dot_lane_scalar_parity", DEFAULT_CASES / 2, |g| {
-        let n = g.len_in(0, 200);
-        let a = g.vec_of(n, |g| g.random_range(-128i64..128) as i8);
-        let b = g.vec_of(n, |g| g.random_range(-128i64..128) as i8);
+        let dim = g.len_in(0, 200);
+        let n = g.len_in(0, 6);
+        let user = g.vec_of(dim, |g| g.random_range(-128i64..128) as i8);
+        let rows = g.vec_of(n * dim, |g| g.random_range(-128i64..128) as i8);
+        let scales = g.vec_of(n, |g| g.random_range(0.0f32..0.1));
+        let want: Vec<u32> = (0..n)
+            .map(|r| {
+                let dot = graphaug_par::dot8_i8(&user, &rows[r * dim..(r + 1) * dim]);
+                (dot as f32 * (0.03 * scales[r])).to_bits()
+            })
+            .collect();
         let mut results = Vec::new();
         for threads in [1usize, 3, 4] {
             graphaug_par::set_thread_count(threads);
             for simd in [true, false] {
                 graphaug_par::set_simd_enabled(simd);
-                results.push(graphaug_par::dot8_i8(&a, &b));
+                let mut out = Vec::new();
+                graphaug_par::score_rows_i8(&rows, &scales, &user, 0.03, &mut out);
+                results.push(out.iter().map(|s| s.to_bits()).collect::<Vec<_>>());
             }
         }
         graphaug_par::set_simd_enabled(true);
         graphaug_par::set_thread_count(1);
-        for &r in &results {
-            prop_assert_eq!(results[0], r);
+        for r in &results {
+            prop_assert_eq!(r, &want);
         }
         Ok(())
     });
@@ -196,6 +207,68 @@ fn quant_full_probe_equals_quant_full_scan_hex() {
             let (via_scan, how) = scan_tables.top_k_quant(user, k).unwrap();
             assert!(how.used_quant);
             assert_eq!(hex_list(&via_ivf), hex_list(&via_scan), "user={user} k={k}");
+        }
+    }
+}
+
+/// The quantized IVF serves exactly what the eager formula it replaced
+/// served: every probed candidate scored `dot8_i8 · (s_u · s_i)` one row at
+/// a time, every seen item masked to `-inf` before selection, then
+/// `topk_pairs` — hex for hex at one probe, the default width and a full
+/// probe, for every user and for `k` from 0 past the catalog size.
+#[test]
+fn quant_ivf_equals_the_eager_per_row_formula_hex() {
+    use graphaug_eval::{topk_pairs, Recommender};
+
+    let graph = toy_graph();
+    let dir = TempDir::new("eager");
+    train_into(dir.path(), &graph);
+    let (generation, state) = checkpoint::load_latest_valid(dir.path()).unwrap();
+    let nlists = 16;
+    for nprobe in [1usize, 0, nlists] {
+        let ivf = IvfParams::new()
+            .nlists(nlists)
+            .nprobe(nprobe)
+            .recall_floor(0.0);
+        let source = ModelSource::new(toy_model(), graph.clone(), dir.path())
+            .ann(ivf)
+            .quant(QuantParams::new().drift_floor(0.0));
+        let tables = ModelTables::build(&source, generation, &state, state.fingerprint()).unwrap();
+        let qb = tables.quant().unwrap();
+        let index = qb.ivf().expect("quant IVF built");
+        let (user_emb, item_emb) = tables.embeddings().unwrap();
+        // Quantization is a pure function of the f32 table: these are the
+        // bytes the index packed.
+        let items = QuantRows::quantize(item_emb);
+        let users = qb.user_rows();
+        for user in 0..tables.n_users() as u32 {
+            let (qu, su) = (users.row(user as usize), users.scale(user as usize));
+            let seen = tables.seen(user);
+            for k in [0usize, 1, 5, 20, 44, 60] {
+                let (served, how) = tables.top_k_quant(user, k).unwrap();
+                assert!(how.used_quant);
+                let lists = index.probe(user_emb.row(user as usize), how.probes as usize);
+                let eager = lists
+                    .iter()
+                    .flat_map(|&l| index.list(l as usize))
+                    .map(|&v| {
+                        let (qi, si) = (items.row(v as usize), items.scale(v as usize));
+                        let score = graphaug_par::dot8_i8(qu, qi) as f32 * (su * si);
+                        match seen.binary_search(&v) {
+                            Ok(_) => (v, f32::NEG_INFINITY),
+                            Err(_) => (v, score),
+                        }
+                    });
+                let want: Vec<ScoredItem> = topk_pairs(eager, k, |_| false)
+                    .into_iter()
+                    .map(|(item, score)| ScoredItem { item, score })
+                    .collect();
+                assert_eq!(
+                    hex_list(&served),
+                    hex_list(&want),
+                    "nprobe={nprobe} user={user} k={k}"
+                );
+            }
         }
     }
 }
