@@ -14,7 +14,7 @@
 #   static   cargo fmt --check, clippy -D warnings, one-listener grep,
 #            one-probe-loop guard, one-front-door guard, lockfile
 #            hermeticity, per-node-scorer guard, intrinsics only in
-#            par/src/simd.rs
+#            par/src/simd.rs, one propagation operator
 #   build    cargo build --release
 #   tests    full test suite at GRAPHAUG_THREADS={1,3,4} and GRAPHAUG_SIMD=0
 #   bench    kernel-bench smoke run (tiny budget) and the bench tools'
@@ -211,6 +211,21 @@ group_static() {
         exit 1
     fi
     echo "ok: one audited file of intrinsics, no I8x32"
+
+    stage "one propagation operator: spmm_ew only in tensor, no *_ew functions"
+    # Every graph encoder propagates through `Graph::propagate` over an `Adj`
+    # value (DESIGN.md, "One propagation operator"); a direct `.spmm_ew(`
+    # call or an `_ew` twin of an encoder is the fork that wrote each
+    # encoder once per adjacency kind.
+    if grep -rn '\.spmm_ew(' crates/*/src | grep -v '^crates/tensor/src/'; then
+        echo "ERROR: spmm_ew called outside crates/tensor/src; propagate an Adj" >&2
+        exit 1
+    fi
+    if grep -rnE 'fn [A-Za-z0-9_]*_ew\b' crates/core/src crates/baselines/src; then
+        echo "ERROR: an *_ew function in core or baselines; take an Adj" >&2
+        exit 1
+    fi
+    echo "ok: one propagation operator"
 }
 
 group_build() {
@@ -715,7 +730,8 @@ group_lines() {
             { lines++ }
             !/^[[:space:]]*($|\/\/)/ { code++ }
             END { printf "%-22s %9d %9d\n", dir, lines, code }'
-    done
+    done | awk '{ print; lines += $2; code += $3 }
+        END { printf "%-22s %9d %9d\n", "total", lines, code }'
 }
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,7 @@
 
 use std::sync::Arc;
 
-use graphaug_core::nn::{
-    bpr_loss, infonce_loss, lightgcn_propagate, lightgcn_propagate_ew, BprBatch,
-};
+use graphaug_core::nn::{bpr_loss, infonce_loss, lightgcn_propagate, BprBatch};
 use graphaug_core::EdgeIndex;
 use graphaug_graph::{InteractionGraph, TripletSampler};
 use graphaug_tensor::init::xavier_uniform;
@@ -81,15 +79,8 @@ impl Cgi {
         let noisy = g.add_const(logits, gumbel);
         let sharp = g.scale(noisy, 1.0 / self.gumbel_temperature);
         let soft = g.sigmoid(sharp);
-        let directed = g.gather_rows(soft, Arc::clone(&self.edge_index.dir_to_undir));
-        let weights = g.mul_const(directed, Arc::clone(&self.edge_index.norm));
-        lightgcn_propagate_ew(
-            g,
-            &self.edge_index.pattern,
-            weights,
-            emb,
-            self.core.opts.layers,
-        )
+        let view = self.edge_index.view(g, soft);
+        lightgcn_propagate(g, view, emb, self.core.opts.layers)
     }
 }
 

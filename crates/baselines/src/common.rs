@@ -108,22 +108,6 @@ impl Trainable for GraphAug {
     }
 }
 
-/// Splits a cached `(I+J) × d` node-embedding matrix into user and item
-/// blocks.
-pub fn split_embeddings(all: &Mat, n_users: usize, n_items: usize) -> (Mat, Mat) {
-    let d = all.cols();
-    debug_assert_eq!(all.rows(), n_users + n_items);
-    let mut u = Mat::zeros(n_users, d);
-    let mut i = Mat::zeros(n_items, d);
-    for r in 0..n_users {
-        u.row_mut(r).copy_from_slice(all.row(r));
-    }
-    for r in 0..n_items {
-        i.row_mut(r).copy_from_slice(all.row(n_users + r));
-    }
-    (u, i)
-}
-
 /// Builds a constant random edge-keep weight vector for SGL-style edge
 /// dropout over a directed pattern: kept entries carry `norm/keep_prob`
 /// (inverted-dropout scaling), dropped entries are 0. The two directed
@@ -240,7 +224,7 @@ pub fn softmax_cols(g: &mut Graph, x: NodeId, k: usize) -> Vec<NodeId> {
 // Uniform training driver for tape-based CF models.
 // ---------------------------------------------------------------------------
 
-use graphaug_core::nn::BprBatch;
+use graphaug_core::nn::{split_embeddings, BprBatch};
 use graphaug_graph::TripletSampler;
 use graphaug_tensor::{Optimizer, ParamId, ParamStore, SpPair};
 

@@ -11,13 +11,11 @@
 
 use std::sync::Arc;
 
-use graphaug_core::nn::{
-    bpr_loss, infonce_loss, lightgcn_propagate, lightgcn_propagate_ew, BprBatch,
-};
+use graphaug_core::nn::{bpr_loss, infonce_loss, lightgcn_propagate, BprBatch};
 use graphaug_core::EdgeIndex;
 use graphaug_graph::{InteractionGraph, TripletSampler};
 use graphaug_tensor::init::xavier_uniform;
-use graphaug_tensor::{Graph, Mat, NodeId, ParamId};
+use graphaug_tensor::{Adj, Graph, Mat, NodeId, ParamId};
 
 use crate::common::{
     edge_dropout_weights, impl_recommender_trainable, refresh_cf, with_weight_decay, BaselineOpts,
@@ -170,8 +168,11 @@ impl EdgeClCf {
             self.keep_prob,
             &mut self.core.rng,
         );
-        let wn = g.constant((*w).clone());
-        lightgcn_propagate_ew(g, &self.edge_index.pattern, wn, emb, self.core.opts.layers)
+        let view = Adj::Weighted {
+            pattern: &self.edge_index.pattern,
+            weights: g.constant((*w).clone()),
+        };
+        lightgcn_propagate(g, view, emb, self.core.opts.layers)
     }
 }
 

@@ -10,11 +10,11 @@
 
 use std::sync::Arc;
 
-use graphaug_core::nn::{bpr_loss, BprBatch};
+use graphaug_core::nn::{bpr_loss, lightgcn_propagate, BprBatch};
 use graphaug_core::EdgeIndex;
 use graphaug_graph::InteractionGraph;
 use graphaug_tensor::init::xavier_uniform;
-use graphaug_tensor::{Graph, NodeId, ParamId};
+use graphaug_tensor::{Adj, Graph, NodeId, ParamId};
 
 use crate::common::{
     impl_recommender_trainable, refresh_cf, softmax_cols, with_weight_decay, BaselineOpts, CfCore,
@@ -73,9 +73,9 @@ impl DisenCf {
         Self::new(DisenKind::Dgcf, opts, train)
     }
 
-    /// Computes per-factor routing weights (each `2E × 1`, normalization
-    /// applied) from the given chunk embeddings.
-    fn routing_weights(&self, g: &mut Graph, chunks: &[NodeId]) -> Vec<NodeId> {
+    /// Computes the per-factor routed views of the graph from the given
+    /// chunk embeddings.
+    fn routing_views(&self, g: &mut Graph, chunks: &[NodeId]) -> Vec<Adj<'_>> {
         let idx = &self.edge_index;
         let mut scores: Option<NodeId> = None;
         for &chunk in chunks {
@@ -90,13 +90,7 @@ impl DisenCf {
         }
         let stacked = scores.expect("at least one factor");
         let factor_weights = softmax_cols(g, stacked, self.n_factors);
-        factor_weights
-            .into_iter()
-            .map(|w| {
-                let directed = g.gather_rows(w, Arc::clone(&idx.dir_to_undir));
-                g.mul_const(directed, Arc::clone(&idx.norm))
-            })
-            .collect()
+        factor_weights.into_iter().map(|w| idx.view(g, w)).collect()
     }
 
     fn encode(&self, g: &mut Graph, emb: NodeId) -> NodeId {
@@ -111,19 +105,11 @@ impl DisenCf {
         };
         let mut current = chunks.clone();
         for _ in 0..routing_iters {
-            let weights = self.routing_weights(g, &current);
+            let views = self.routing_views(g, &current);
             current = chunks
                 .iter()
-                .zip(&weights)
-                .map(|(&chunk, &w)| {
-                    let mut z = chunk;
-                    let mut acc = chunk;
-                    for _ in 0..self.core.opts.layers {
-                        z = g.spmm_ew(Arc::clone(&self.edge_index.pattern), w, z);
-                        acc = g.add(acc, z);
-                    }
-                    g.scale(acc, 1.0 / (self.core.opts.layers as f32 + 1.0))
-                })
+                .zip(views)
+                .map(|(&chunk, view)| lightgcn_propagate(g, view, chunk, self.core.opts.layers))
                 .collect();
         }
         let mut out = current[0];

@@ -10,7 +10,8 @@ use std::hint::black_box;
 use graphaug_core::augmentor::{
     edge_logits, sample_view, AugmentorNodes, AugmentorSettings, EdgeIndex,
 };
-use graphaug_core::mixhop::{encode_mixhop, encode_vanilla, mixing_row_shape};
+use graphaug_core::mixhop::{encode_mixhop, mixing_row_shape};
+use graphaug_core::nn::lightgcn_propagate;
 use graphaug_core::{GraphAug, GraphAugConfig};
 use graphaug_data::{generate, Dataset, SyntheticConfig};
 use graphaug_eval::{evaluate, topk_indices};
@@ -167,7 +168,7 @@ pub fn mixhop_forward(h: &mut Harness) {
     h.bench("vanilla_forward_L2", || {
         let mut tape = Graph::new();
         let hn = tape.constant(h0.clone());
-        let out = encode_vanilla(&mut tape, &adj, hn, 2);
+        let out = lightgcn_propagate(&mut tape, &adj, hn, 2);
         black_box(tape.value(out).as_slice()[0]);
     });
 }

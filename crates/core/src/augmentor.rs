@@ -6,7 +6,8 @@
 //! and thresholds at `ξ` via a straight-through constant mask. The resulting
 //! per-edge weights multiply the fixed symmetric-normalization coefficients
 //! of the bipartite adjacency, producing a *differentiable* sampled view —
-//! gradients reach the MLP and the encoder through `spmm_ew`.
+//! an [`Adj::Weighted`] whose gradients reach the MLP and the encoder
+//! through `Graph::propagate`.
 
 use std::sync::Arc;
 
@@ -14,7 +15,7 @@ use graphaug_rng::StdRng;
 
 use graphaug_graph::InteractionGraph;
 use graphaug_sparse::{sym_norm_weights, Csr};
-use graphaug_tensor::{init, Graph, Mat, NodeId};
+use graphaug_tensor::{init, Adj, Graph, Mat, NodeId};
 
 /// Precomputed structure of the augmentable bipartite adjacency: the CSR
 /// pattern, the map from stored (directed) entries back to undirected edge
@@ -67,6 +68,19 @@ impl EdgeIndex {
     pub fn n_edges(&self) -> usize {
         self.edge_users.len()
     }
+
+    /// The view adjacency whose undirected edge weights are the `E × 1`
+    /// node `w`: each weight goes to both stored directions of its edge and
+    /// is scaled by the clean symmetric normalization. This is the one
+    /// constructor of learned views.
+    pub fn view(&self, g: &mut Graph, w: NodeId) -> Adj<'_> {
+        let directed = g.gather_rows(w, Arc::clone(&self.dir_to_undir));
+        let weights = g.mul_const(directed, Arc::clone(&self.norm));
+        Adj::Weighted {
+            pattern: &self.pattern,
+            weights,
+        }
+    }
 }
 
 /// Tape nodes of the augmentor MLP parameters.
@@ -98,12 +112,10 @@ pub struct AugmentorSettings {
 }
 
 /// Output of one sampled view.
-pub struct SampledView {
-    /// `(2E × 1)` tape node: per stored-entry weights of the view adjacency
-    /// (soft keep probability × normalization), ready for `spmm_ew`.
-    pub weights: NodeId,
-    /// `(E × 1)` tape node: the underlying keep probabilities `p((u,v)|H̄)`.
-    pub edge_probs: NodeId,
+pub struct SampledView<'a> {
+    /// The view adjacency: per stored entry, soft keep probability ×
+    /// normalization ([`EdgeIndex::view`]).
+    pub adj: Adj<'a>,
     /// Fraction of edges surviving the hard threshold (diagnostic).
     pub kept_fraction: f32,
 }
@@ -158,22 +170,21 @@ pub fn edge_logits(
 /// Draws one reparameterized view (Eq. 5) from fresh Gumbel noise.
 ///
 /// `ā = σ((logit p + logit ε′)/τ₁)`; entries with `ā ≤ ξ` are zeroed by a
-/// straight-through constant mask. The returned weights are mapped onto both
-/// directed copies of each edge and scaled by the clean normalization.
-pub fn sample_view(
+/// straight-through constant mask. The returned view carries each weight on
+/// both directed copies of its edge, scaled by the clean normalization.
+pub fn sample_view<'a>(
     g: &mut Graph,
     logits: NodeId,
-    idx: &EdgeIndex,
+    idx: &'a EdgeIndex,
     settings: &AugmentorSettings,
     rng: &mut StdRng,
-) -> SampledView {
+) -> SampledView<'a> {
     let e = idx.n_edges();
     assert_eq!(
         g.value(logits).shape(),
         (e, 1),
         "one logit per undirected edge"
     );
-    let edge_probs = g.sigmoid(logits);
 
     // logit(p) + logit(ε′), ε′ ~ U(0,1): the logistic-noise (Gumbel
     // difference) form of the binary concrete distribution, drawn through
@@ -199,14 +210,8 @@ pub fn sample_view(
         }
     }));
     let hard = g.mul_const(soft, mask);
-
-    // Broadcast undirected weights to both stored directions, then apply
-    // the constant symmetric normalization.
-    let directed = g.gather_rows(hard, Arc::clone(&idx.dir_to_undir));
-    let weights = g.mul_const(directed, Arc::clone(&idx.norm));
     SampledView {
-        weights,
-        edge_probs,
+        adj: idx.view(g, hard),
         kept_fraction: kept as f32 / e.max(1) as f32,
     }
 }
@@ -273,8 +278,15 @@ mod tests {
         assert_eq!(g.value(logits).shape(), (6, 1));
     }
 
+    fn weights(g: &Graph, view: &SampledView<'_>) -> Mat {
+        let Adj::Weighted { weights, .. } = view.adj else {
+            panic!("a sampled view is edge-weighted");
+        };
+        g.value(weights).clone()
+    }
+
     #[test]
-    fn sampled_views_differ_but_share_probabilities() {
+    fn sampled_views_differ() {
         let train = toy_graph();
         let idx = EdgeIndex::build(&train);
         let mut g = Graph::new();
@@ -287,11 +299,9 @@ mod tests {
         let logits = edge_logits(&mut g, h_bar, &idx, &mlp, &settings(), &mut rng);
         let v1 = sample_view(&mut g, logits, &idx, &settings(), &mut rng);
         let v2 = sample_view(&mut g, logits, &idx, &settings(), &mut rng);
-        assert_eq!(g.value(v1.weights).shape(), (12, 1));
-        // Same underlying probabilities…
-        assert_eq!(g.value(v1.edge_probs), g.value(v2.edge_probs));
-        // …different Gumbel draws.
-        assert_ne!(g.value(v1.weights), g.value(v2.weights));
+        assert_eq!(weights(&g, &v1).shape(), (12, 1));
+        // Same logits, different Gumbel draws.
+        assert_ne!(weights(&g, &v1), weights(&g, &v2));
     }
 
     #[test]
@@ -306,12 +316,7 @@ mod tests {
         let logits = edge_logits(&mut g, h_bar, &idx, &mlp, &settings(), &mut rng);
         let v = sample_view(&mut g, logits, &idx, &settings(), &mut rng);
         // 0 ≤ weight ≤ norm coefficient (soft prob ∈ [0,1]).
-        for (w, n) in g
-            .value(v.weights)
-            .as_slice()
-            .iter()
-            .zip(idx.norm.as_slice())
-        {
+        for (w, n) in weights(&g, &v).as_slice().iter().zip(idx.norm.as_slice()) {
             assert!(*w >= 0.0 && *w <= *n + 1e-6);
         }
     }

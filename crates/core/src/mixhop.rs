@@ -1,4 +1,4 @@
-//! The graph mixhop encoder (paper Eq. 11–13) and its vanilla ablation.
+//! The graph mixhop encoder (paper Eq. 11–13).
 //!
 //! Per layer, the embeddings propagated over the hop powers `Ã⁰, Ã¹, Ã²` are
 //! combined by a **learnable mixing row** — the `l`-th row of the paper's
@@ -11,16 +11,15 @@
 //! Following the transform-free design the paper adopts for modern graph CF
 //! (LightGCN / GCCF — the paper's refs 3 and 27: dense per-layer transforms degrade
 //! recommendation quality), the combination is a scalar mixture rather than
-//! a concatenation-projection; `benches/mixhop_forward.rs` and the Fig. 2
-//! ablation quantify this choice.
+//! a concatenation-projection; `bench_baseline mixhop_forward` and the
+//! Fig. 2 ablation quantify this choice.
 //!
-//! The "w/o Mixhop" ablation ([`encode_vanilla`]) degenerates to single-hop
-//! propagation with a mean readout — exactly LightGCN-style message passing.
+//! The "w/o Mixhop" ablation is single-hop propagation with a mean readout
+//! — exactly LightGCN message passing, [`crate::nn::lightgcn_propagate`].
+//! Both encoders take either adjacency kind ([`Adj`]): the clean graph or a
+//! sampled view.
 
-use std::sync::Arc;
-
-use graphaug_sparse::Csr;
-use graphaug_tensor::{Graph, NodeId, SpPair};
+use graphaug_tensor::{Adj, Graph, NodeId};
 
 /// Shape of one layer's mixing-row parameter: `(1, n_hops)` for the mixhop
 /// encoder; the vanilla ablation has no per-layer parameters.
@@ -43,9 +42,9 @@ fn simplex_weights(g: &mut Graph, alpha: NodeId, k: usize) -> Vec<NodeId> {
         .collect()
 }
 
-/// One mixhop layer over a constant adjacency: `Σ_m softmax(α)_m Ã^m H`
-/// with the `1 × |hops|` mixing row `alpha` (hops sorted ascending).
-fn mixhop_layer(g: &mut Graph, adj: &SpPair, h: NodeId, alpha: NodeId, hops: &[usize]) -> NodeId {
+/// One mixhop layer: `Σ_m softmax(α)_m Ã^m H` with the `1 × |hops|` mixing
+/// row `alpha` (hops sorted ascending).
+fn mixhop_layer(g: &mut Graph, adj: Adj<'_>, h: NodeId, alpha: NodeId, hops: &[usize]) -> NodeId {
     let max_hop = *hops.last().expect("at least one hop");
     let weights = simplex_weights(g, alpha, hops.len());
     let mut power = h;
@@ -61,62 +60,29 @@ fn mixhop_layer(g: &mut Graph, adj: &SpPair, h: NodeId, alpha: NodeId, hops: &[u
             slot += 1;
         }
         if m < max_hop {
-            power = g.spmm(adj, power);
+            power = g.propagate(adj, power);
         }
     }
     out.expect("non-empty hops")
-}
-
-/// One mixhop layer over an edge-weighted view (sampled augmentation).
-fn mixhop_layer_ew(
-    g: &mut Graph,
-    pattern: &Arc<Csr>,
-    weights: NodeId,
-    h: NodeId,
-    alpha: NodeId,
-    hops: &[usize],
-) -> NodeId {
-    let max_hop = *hops.last().expect("at least one hop");
-    let mix = simplex_weights(g, alpha, hops.len());
-    let mut power = h;
-    let mut out: Option<NodeId> = None;
-    let mut slot = 0usize;
-    for m in 0..=max_hop {
-        if hops.contains(&m) {
-            let term = g.scale_by_scalar(power, mix[slot]);
-            out = Some(match out {
-                Some(acc) => g.add(acc, term),
-                None => term,
-            });
-            slot += 1;
-        }
-        if m < max_hop {
-            power = g.spmm_ew(Arc::clone(pattern), weights, power);
-        }
-    }
-    out.expect("non-empty hops")
-}
-
-fn check_hops(hops: &[usize]) {
-    assert!(
-        !hops.is_empty() && hops.windows(2).all(|w| w[0] < w[1]),
-        "hops must be sorted"
-    );
 }
 
 /// Full mixhop encoding: one mixing row per layer, mean readout over the
 /// layer outputs `{H¹, …, H^L}` (the hop-0 term inside every layer already
 /// carries the self signal, so including `H⁰` in the readout would
 /// over-weight it and wash out propagation).
-pub fn encode_mixhop(
+pub fn encode_mixhop<'a>(
     g: &mut Graph,
-    adj: &SpPair,
+    adj: impl Into<Adj<'a>>,
     h0: NodeId,
     mixing_rows: &[NodeId],
     hops: &[usize],
 ) -> NodeId {
-    check_hops(hops);
+    assert!(
+        !hops.is_empty() && hops.windows(2).all(|w| w[0] < w[1]),
+        "hops must be sorted"
+    );
     assert!(!mixing_rows.is_empty(), "need at least one mixhop layer");
+    let adj = adj.into();
     let mut h = h0;
     let mut acc: Option<NodeId> = None;
     for &alpha in mixing_rows {
@@ -130,65 +96,13 @@ pub fn encode_mixhop(
     g.scale(total, 1.0 / mixing_rows.len() as f32)
 }
 
-/// Full mixhop encoding over an edge-weighted sampled view (same readout
-/// convention as [`encode_mixhop`]).
-pub fn encode_mixhop_ew(
-    g: &mut Graph,
-    pattern: &Arc<Csr>,
-    weights: NodeId,
-    h0: NodeId,
-    mixing_rows: &[NodeId],
-    hops: &[usize],
-) -> NodeId {
-    check_hops(hops);
-    assert!(!mixing_rows.is_empty(), "need at least one mixhop layer");
-    let mut h = h0;
-    let mut acc: Option<NodeId> = None;
-    for &alpha in mixing_rows {
-        h = mixhop_layer_ew(g, pattern, weights, h, alpha, hops);
-        acc = Some(match acc {
-            Some(a) => g.add(a, h),
-            None => h,
-        });
-    }
-    let total = acc.expect("non-empty layers");
-    g.scale(total, 1.0 / mixing_rows.len() as f32)
-}
-
-/// Vanilla single-hop propagation (the "w/o Mixhop" ablation): `H ← ÃH` per
-/// layer with a mean readout — LightGCN-style message passing, no mixing
-/// parameters.
-pub fn encode_vanilla(g: &mut Graph, adj: &SpPair, h0: NodeId, layers: usize) -> NodeId {
-    let mut h = h0;
-    let mut acc = h0;
-    for _ in 0..layers {
-        h = g.spmm(adj, h);
-        acc = g.add(acc, h);
-    }
-    g.scale(acc, 1.0 / (layers as f32 + 1.0))
-}
-
-/// Vanilla propagation over an edge-weighted view.
-pub fn encode_vanilla_ew(
-    g: &mut Graph,
-    pattern: &Arc<Csr>,
-    weights: NodeId,
-    h0: NodeId,
-    layers: usize,
-) -> NodeId {
-    let mut h = h0;
-    let mut acc = h0;
-    for _ in 0..layers {
-        h = g.spmm_ew(Arc::clone(pattern), weights, h);
-        acc = g.add(acc, h);
-    }
-    g.scale(acc, 1.0 / (layers as f32 + 1.0))
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use graphaug_tensor::Mat;
+    use graphaug_sparse::Csr;
+    use graphaug_tensor::{Mat, SpPair};
 
     fn path_adj() -> SpPair {
         SpPair::symmetric(Csr::from_coo(
@@ -247,7 +161,11 @@ mod tests {
         let alpha = g.constant(Mat::from_vec(1, 3, vec![0.2, 0.5, 0.3]));
         let dense = encode_mixhop(&mut g, &adj, h0, &[alpha], &[0, 1, 2]);
         let wn = g.constant(Mat::from_vec(4, 1, csr.data().to_vec()));
-        let ew = encode_mixhop_ew(&mut g, &pattern, wn, h0, &[alpha], &[0, 1, 2]);
+        let view = Adj::Weighted {
+            pattern: &pattern,
+            weights: wn,
+        };
+        let ew = encode_mixhop(&mut g, view, h0, &[alpha], &[0, 1, 2]);
         for (a, b) in g.value(dense).as_slice().iter().zip(g.value(ew).as_slice()) {
             assert!((a - b).abs() < 1e-5);
         }

@@ -9,16 +9,16 @@ use graphaug_eval::Recommender;
 use graphaug_graph::{InteractionGraph, TripletSampler};
 use graphaug_tensor::init::{seeded_rng, xavier_uniform};
 use graphaug_tensor::{
-    Graph, Mat, NodeId, Optimizer, ParamId, ParamStore, ParamStoreState, RestoreError, SpPair,
+    Adj, Graph, Mat, NodeId, Optimizer, ParamId, ParamStore, ParamStoreState, RestoreError, SpPair,
 };
 
 use crate::augmentor::{edge_logits, sample_view, AugmentorNodes, AugmentorSettings, EdgeIndex};
 use crate::config::{EncoderKind, GraphAugConfig};
 use crate::gib::gib_kl;
-use crate::mixhop::{
-    encode_mixhop, encode_mixhop_ew, encode_vanilla, encode_vanilla_ew, mixing_row_shape,
+use crate::mixhop::{encode_mixhop, mixing_row_shape};
+use crate::nn::{
+    bpr_loss, infonce_loss, lightgcn_propagate, split_embeddings, weight_decay, BprBatch,
 };
-use crate::nn::{bpr_loss, infonce_loss, weight_decay, BprBatch};
 
 /// Per-step diagnostics reported by [`GraphAug::train_step`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -248,18 +248,18 @@ impl GraphAug {
         (h0, enc, mlp, pairs)
     }
 
-    fn encode_main(&self, g: &mut Graph, h0: NodeId, enc: &[NodeId]) -> NodeId {
+    /// The configured encoder over `adj`: the clean graph (`&self.adj`) or
+    /// a sampled view.
+    fn encode<'a>(
+        &self,
+        g: &mut Graph,
+        adj: impl Into<Adj<'a>>,
+        h0: NodeId,
+        enc: &[NodeId],
+    ) -> NodeId {
         match self.cfg.encoder {
-            EncoderKind::Mixhop => encode_mixhop(g, &self.adj, h0, enc, &self.cfg.hops),
-            EncoderKind::Vanilla => encode_vanilla(g, &self.adj, h0, self.cfg.n_layers),
-        }
-    }
-
-    fn encode_view(&self, g: &mut Graph, weights: NodeId, h0: NodeId, enc: &[NodeId]) -> NodeId {
-        let pattern = &self.edge_index.pattern;
-        match self.cfg.encoder {
-            EncoderKind::Mixhop => encode_mixhop_ew(g, pattern, weights, h0, enc, &self.cfg.hops),
-            EncoderKind::Vanilla => encode_vanilla_ew(g, pattern, weights, h0, self.cfg.n_layers),
+            EncoderKind::Mixhop => encode_mixhop(g, adj, h0, enc, &self.cfg.hops),
+            EncoderKind::Vanilla => lightgcn_propagate(g, adj, h0, self.cfg.n_layers),
         }
     }
 
@@ -298,7 +298,7 @@ impl GraphAug {
     ) -> StepStats {
         let mut g = Graph::new();
         let (h0, enc, mlp, pairs) = self.param_nodes(&mut g);
-        let h_main = self.encode_main(&mut g, h0, &enc);
+        let h_main = self.encode(&mut g, &self.adj, h0, &enc);
 
         let (users, pos, neg) = sampler.sample_batch(self.cfg.bpr_batch);
         let batch = BprBatch::from_raw(users, pos, neg, self.train_graph.n_users());
@@ -322,8 +322,8 @@ impl GraphAug {
             let v1 = sample_view(&mut g, logits, &self.edge_index, &settings, &mut self.rng);
             let v2 = sample_view(&mut g, logits, &self.edge_index, &settings, &mut self.rng);
             stats.kept_fraction = 0.5 * (v1.kept_fraction + v2.kept_fraction);
-            let z1 = self.encode_view(&mut g, v1.weights, h0, &enc);
-            let z2 = self.encode_view(&mut g, v2.weights, h0, &enc);
+            let z1 = self.encode(&mut g, v1.adj, h0, &enc);
+            let z2 = self.encode(&mut g, v2.adj, h0, &enc);
 
             if self.cfg.use_gib {
                 // −I(Z′;Y) lower bound: recommendation likelihood on both
@@ -473,25 +473,10 @@ impl GraphAug {
     /// graph (the paper's forecasting phase uses `Ĥ = GE(G)`).
     pub fn refresh_embeddings(&mut self) {
         let mut g = Graph::new();
-        let h0 = self.store.node(&mut g, self.p_h0);
-        let enc: Vec<NodeId> = self
-            .p_enc
-            .iter()
-            .map(|&p| self.store.node(&mut g, p))
-            .collect();
-        let h = self.encode_main(&mut g, h0, &enc);
-        let emb = g.value(h);
-        let (nu, d) = (self.train_graph.n_users(), self.cfg.embed_dim);
-        let mut user_emb = Mat::zeros(nu, d);
-        let mut item_emb = Mat::zeros(self.train_graph.n_items(), d);
-        for u in 0..nu {
-            user_emb.row_mut(u).copy_from_slice(emb.row(u));
-        }
-        for v in 0..self.train_graph.n_items() {
-            item_emb.row_mut(v).copy_from_slice(emb.row(nu + v));
-        }
-        self.user_emb = user_emb;
-        self.item_emb = item_emb;
+        let (h0, enc, _, _) = self.param_nodes(&mut g);
+        let h = self.encode(&mut g, &self.adj, h0, &enc);
+        let (nu, ni) = (self.train_graph.n_users(), self.train_graph.n_items());
+        (self.user_emb, self.item_emb) = split_embeddings(g.value(h), nu, ni);
     }
 
     /// Deterministic keep-probabilities `p((u,v)|H̄)` for every training
@@ -500,7 +485,7 @@ impl GraphAug {
     pub fn edge_keep_probabilities(&mut self) -> Vec<f32> {
         let mut g = Graph::new();
         let (h0, enc, mlp, _) = self.param_nodes(&mut g);
-        let h_main = self.encode_main(&mut g, h0, &enc);
+        let h_main = self.encode(&mut g, &self.adj, h0, &enc);
         let settings = AugmentorSettings {
             feature_keep_prob: 1.0,
             feature_noise_std: 0.0,

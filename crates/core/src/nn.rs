@@ -3,11 +3,12 @@
 //! These tape-level builders are used both by GraphAug and by every baseline
 //! in `graphaug-baselines`: BPR pairwise ranking (paper Eq. 15), InfoNCE
 //! contrastive alignment (Eq. 14), the standard-normal KL term of the GIB
-//! bound (Eq. 9), LightGCN-style propagation, and weight decay.
+//! bound (Eq. 9), LightGCN-style propagation, weight decay, and the
+//! user / item split of a node-embedding table.
 
 use std::sync::Arc;
 
-use graphaug_tensor::{Graph, NodeId, SpPair};
+use graphaug_tensor::{Adj, Graph, Mat, NodeId};
 
 /// A BPR mini-batch as tape-ready index vectors. `pos`/`neg` are *node* ids
 /// in the bipartite indexing (item `v` lives at `n_users + v`).
@@ -113,40 +114,46 @@ pub fn weight_decay(g: &mut Graph, params: &[NodeId]) -> NodeId {
 }
 
 /// LightGCN propagation: `L` rounds of `H ← Ã H` with a mean readout over
-/// `{H⁰, …, H^L}` — no transforms, no nonlinearity.
-pub fn lightgcn_propagate(g: &mut Graph, adj: &SpPair, h0: NodeId, layers: usize) -> NodeId {
+/// `{H⁰, …, H^L}` — no transforms, no nonlinearity. `adj` is the clean
+/// adjacency (`&SpPair`) or a weighted view ([`Adj::Weighted`]); this is
+/// also GraphAug's "w/o Mixhop" encoder.
+pub fn lightgcn_propagate<'a>(
+    g: &mut Graph,
+    adj: impl Into<Adj<'a>>,
+    h0: NodeId,
+    layers: usize,
+) -> NodeId {
+    let adj = adj.into();
     let mut h = h0;
     let mut acc = h0;
     for _ in 0..layers {
-        h = g.spmm(adj, h);
+        h = g.propagate(adj, h);
         acc = g.add(acc, h);
     }
     g.scale(acc, 1.0 / (layers as f32 + 1.0))
 }
 
-/// Same propagation over an edge-weighted view (pattern + weight node),
-/// used for sampled/corrupted graph views.
-pub fn lightgcn_propagate_ew(
-    g: &mut Graph,
-    pattern: &Arc<graphaug_sparse::Csr>,
-    weights: NodeId,
-    h0: NodeId,
-    layers: usize,
-) -> NodeId {
-    let mut h = h0;
-    let mut acc = h0;
-    for _ in 0..layers {
-        h = g.spmm_ew(Arc::clone(pattern), weights, h);
-        acc = g.add(acc, h);
+/// Splits an `(I+J) × d` node-embedding matrix into its user and item
+/// blocks (rows `0..I` and `I..I+J`).
+pub fn split_embeddings(all: &Mat, n_users: usize, n_items: usize) -> (Mat, Mat) {
+    let d = all.cols();
+    debug_assert_eq!(all.rows(), n_users + n_items);
+    let mut u = Mat::zeros(n_users, d);
+    let mut i = Mat::zeros(n_items, d);
+    for r in 0..n_users {
+        u.row_mut(r).copy_from_slice(all.row(r));
     }
-    g.scale(acc, 1.0 / (layers as f32 + 1.0))
+    for r in 0..n_items {
+        i.row_mut(r).copy_from_slice(all.row(n_users + r));
+    }
+    (u, i)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphaug_sparse::Csr;
-    use graphaug_tensor::Mat;
+    use graphaug_tensor::SpPair;
 
     #[test]
     fn bpr_prefers_higher_positive_scores() {
@@ -226,7 +233,11 @@ mod tests {
         let h0 = g.constant(Mat::from_fn(3, 2, |r, c| (r * 2 + c) as f32 * 0.3));
         let dense_out = lightgcn_propagate(&mut g, &adj, h0, 2);
         let w = g.constant(Mat::from_vec(3, 1, csr.data().to_vec()));
-        let ew_out = lightgcn_propagate_ew(&mut g, &pattern, w, h0, 2);
+        let view = Adj::Weighted {
+            pattern: &pattern,
+            weights: w,
+        };
+        let ew_out = lightgcn_propagate(&mut g, view, h0, 2);
         for (a, b) in g
             .value(dense_out)
             .as_slice()

@@ -37,7 +37,7 @@ mod pool;
 pub mod tape;
 
 pub use mat::Mat;
-pub use ops::{sigmoid, softplus, SpPair};
+pub use ops::{sigmoid, softplus, Adj, SpPair};
 pub use optim::{Optimizer, ParamId, ParamState, ParamStore, ParamStoreState, RestoreError};
 pub use tape::{Graph, NodeId};
 

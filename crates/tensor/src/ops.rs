@@ -39,6 +39,30 @@ impl SpPair {
     }
 }
 
+/// The adjacency operand of [`crate::Graph::propagate`]: a constant sparse
+/// matrix (the clean graph), or a fixed pattern whose stored values are the
+/// `nnz × 1` tape node `weights` (a learned or sampled view, differentiable
+/// in its weights).
+#[derive(Clone, Copy)]
+pub enum Adj<'a> {
+    /// A constant adjacency, propagated by `Graph::spmm`.
+    Fixed(&'a SpPair),
+    /// A pattern with edge weights on the tape, propagated by
+    /// `Graph::spmm_ew`.
+    Weighted {
+        /// The sparsity pattern (values unused).
+        pattern: &'a Arc<Csr>,
+        /// Per stored entry, in CSR order.
+        weights: NodeId,
+    },
+}
+
+impl<'a> From<&'a SpPair> for Adj<'a> {
+    fn from(sp: &'a SpPair) -> Self {
+        Adj::Fixed(sp)
+    }
+}
+
 /// Tape operation records. Field names follow `y = op(…)` conventions.
 pub enum Op {
     /// Leaf holding a constant or a parameter snapshot.
@@ -161,6 +185,30 @@ mod tests {
         let c = Csr::identity(3);
         let p = SpPair::symmetric(c);
         assert!(Arc::ptr_eq(&p.m, &p.mt));
+    }
+
+    #[test]
+    fn propagate_is_the_direct_spmm_call_for_either_adjacency() {
+        use crate::Graph;
+        let csr = Csr::from_coo(3, 3, vec![(0, 1, 0.5), (1, 0, 0.25), (2, 2, 1.0)]);
+        let sp = SpPair::new(csr.clone());
+        let pattern = Arc::new(csr);
+        let mut g = Graph::new();
+        let h = g.constant(Mat::from_fn(3, 2, |r, c| (r * 2 + c) as f32 * 0.3 - 0.4));
+        let w = g.constant(Mat::from_vec(3, 1, vec![0.7, -0.2, 1.3]));
+        let fixed = [g.spmm(&sp, h), g.propagate((&sp).into(), h)];
+        let weighted = [
+            g.spmm_ew(Arc::clone(&pattern), w, h),
+            g.propagate(
+                Adj::Weighted {
+                    pattern: &pattern,
+                    weights: w,
+                },
+                h,
+            ),
+        ];
+        assert_eq!(g.value(fixed[0]), g.value(fixed[1]));
+        assert_eq!(g.value(weighted[0]), g.value(weighted[1]));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use graphaug_par::dot8;
 use graphaug_sparse::Csr;
 
 use crate::mat::Mat;
-use crate::ops::{sigmoid, softplus, Op, SpPair};
+use crate::ops::{sigmoid, softplus, Adj, Op, SpPair};
 
 /// Identifier of a node on the tape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -172,6 +172,15 @@ impl Graph {
         let mut out = Mat::zeros(pattern.n_rows(), d);
         pattern.spmm_ew_into(wv.as_slice(), hv.as_slice(), d, out.as_mut_slice());
         self.push(Op::SpmmEw { pattern, w, h }, out)
+    }
+
+    /// One propagation step `Ã h` over either kind of adjacency — the one
+    /// operator every graph encoder calls.
+    pub fn propagate(&mut self, adj: Adj<'_>, h: NodeId) -> NodeId {
+        match adj {
+            Adj::Fixed(sp) => self.spmm(sp, h),
+            Adj::Weighted { pattern, weights } => self.spmm_ew(Arc::clone(pattern), weights, h),
+        }
     }
 
     /// Row gather: `y[i] = src[idx[i]]`. Backward scatter-adds.
