@@ -14,7 +14,7 @@
 #   static   cargo fmt --check, clippy -D warnings, one-listener grep,
 #            one-probe-loop guard, one-front-door guard, lockfile
 #            hermeticity, per-node-scorer guard, intrinsics only in
-#            par/src/simd.rs, one propagation operator
+#            par/src/simd.rs, one propagation operator, one epoch loop
 #   build    cargo build --release
 #   tests    full test suite at GRAPHAUG_THREADS={1,3,4} and GRAPHAUG_SIMD=0
 #   bench    kernel-bench smoke run (tiny budget) and the bench tools'
@@ -226,6 +226,22 @@ group_static() {
         exit 1
     fi
     echo "ok: one propagation operator"
+
+    stage "one epoch loop: for epoch in only in core/src/train.rs, one fn fit_with"
+    # Every arm trains through `graphaug_core::fit_with` (DESIGN.md, "One
+    # training loop"); a second epoch loop is how the same Adam-on-BPR
+    # protocol came to be written four times. `Runtime`'s guarded loop steps
+    # one batch at a time and keeps no `for epoch in`.
+    if grep -rn 'for epoch in' crates/*/src | grep -v '^crates/core/src/train.rs:'; then
+        echo "ERROR: an epoch loop outside crates/core/src/train.rs" >&2
+        exit 1
+    fi
+    if [ "$(grep -rnE 'fn fit_with\b' crates/*/src | wc -l)" -ne 1 ]; then
+        grep -rnE 'fn fit_with\b' crates/*/src >&2
+        echo "ERROR: fn fit_with must be defined exactly once" >&2
+        exit 1
+    fi
+    echo "ok: one epoch loop"
 }
 
 group_build() {

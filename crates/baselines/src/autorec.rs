@@ -5,7 +5,7 @@
 //! weight so the decoder does not degenerate to all-ones.
 
 use graphaug_eval::Recommender;
-use graphaug_graph::InteractionGraph;
+use graphaug_graph::{InteractionGraph, TripletSampler};
 use graphaug_tensor::init::xavier_uniform;
 use graphaug_tensor::{Graph, Mat, Optimizer, ParamId, ParamStore};
 use std::sync::Arc;
@@ -85,49 +85,55 @@ impl Recommender for AutoRec {
     }
 }
 
+/// AutoRec trains on whole interaction rows of users drawn from its own
+/// RNG, so its steps leave the driver's triplet sampler untouched.
 impl Trainable for AutoRec {
-    fn fit_with(&mut self, on_epoch: &mut dyn FnMut(usize, &Mat, &Mat)) {
+    fn train_graph(&self) -> &InteractionGraph {
+        &self.train
+    }
+    fn epochs(&self) -> usize {
+        self.opts.epochs
+    }
+    fn steps_per_epoch(&self) -> usize {
+        self.opts.steps_per_epoch
+    }
+    fn sampler_seed(&self) -> u64 {
+        self.opts.seed
+    }
+    fn step(&mut self, _: &mut TripletSampler<'_>) {
         let n_users = self.train.n_users();
-        let batch = 128.min(n_users);
-        let empty_u = Mat::zeros(self.train.n_users(), 1);
-        let empty_i = Mat::zeros(self.train.n_items(), 1);
-        for epoch in 0..self.opts.epochs {
-            for _ in 0..self.opts.steps_per_epoch {
-                let users: Vec<u32> = (0..batch)
-                    .map(|_| self.rng.random_range(0..n_users as u32))
-                    .collect();
-                let rows = interaction_rows(&self.train, &users);
-                // Observed entries weigh 1, unobserved 0.05 (implicit
-                // negatives keep the decoder from saturating).
-                let mask = Arc::new(rows.map(|x| if x > 0.0 { 1.0 } else { 0.05 }));
-                let target = Arc::new(rows.map(|x| -x));
-                let mut g = Graph::new();
-                let w1 = self.store.node(&mut g, self.p_w1);
-                let b1 = self.store.node(&mut g, self.p_b1);
-                let w2 = self.store.node(&mut g, self.p_w2);
-                let b2 = self.store.node(&mut g, self.p_b2);
-                let input = g.constant(rows);
-                let z1 = g.matmul(input, w1);
-                let z1b = g.add_row_broadcast(z1, b1);
-                let hid = g.sigmoid(z1b);
-                let z2 = g.matmul(hid, w2);
-                let recon = g.add_row_broadcast(z2, b2);
-                let diff = g.add_const(recon, Arc::clone(&target));
-                let sq = g.square(diff);
-                let weighted = g.mul_const(sq, Arc::clone(&mask));
-                let loss = g.mean_all(weighted);
-                g.backward(loss);
-                let pairs = [
-                    (self.p_w1, w1),
-                    (self.p_b1, b1),
-                    (self.p_w2, w2),
-                    (self.p_b2, b2),
-                ];
-                self.store
-                    .apply_grads(&g, &pairs, Optimizer::adam(self.opts.learning_rate));
-            }
-            on_epoch(epoch, &empty_u, &empty_i);
-        }
+        let users: Vec<u32> = (0..128.min(n_users))
+            .map(|_| self.rng.random_range(0..n_users as u32))
+            .collect();
+        let rows = interaction_rows(&self.train, &users);
+        // Observed entries weigh 1, unobserved 0.05 (implicit negatives
+        // keep the decoder from saturating).
+        let mask = Arc::new(rows.map(|x| if x > 0.0 { 1.0 } else { 0.05 }));
+        let target = Arc::new(rows.map(|x| -x));
+        let mut g = Graph::new();
+        let w1 = self.store.node(&mut g, self.p_w1);
+        let b1 = self.store.node(&mut g, self.p_b1);
+        let w2 = self.store.node(&mut g, self.p_w2);
+        let b2 = self.store.node(&mut g, self.p_b2);
+        let input = g.constant(rows);
+        let z1 = g.matmul(input, w1);
+        let z1b = g.add_row_broadcast(z1, b1);
+        let hid = g.sigmoid(z1b);
+        let z2 = g.matmul(hid, w2);
+        let recon = g.add_row_broadcast(z2, b2);
+        let diff = g.add_const(recon, target);
+        let sq = g.square(diff);
+        let weighted = g.mul_const(sq, mask);
+        let loss = g.mean_all(weighted);
+        g.backward(loss);
+        let pairs = [
+            (self.p_w1, w1),
+            (self.p_b1, b1),
+            (self.p_w2, w2),
+            (self.p_b2, b2),
+        ];
+        self.store
+            .apply_grads(&g, &pairs, Optimizer::adam(self.opts.learning_rate));
     }
 }
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use graphaug_core::nn::{bpr_loss, infonce_loss, lightgcn_propagate, BprBatch};
 use graphaug_core::EdgeIndex;
-use graphaug_graph::{InteractionGraph, TripletSampler};
+use graphaug_graph::InteractionGraph;
 use graphaug_tensor::init::xavier_uniform;
 use graphaug_tensor::{Graph, Mat, NodeId, ParamId};
 
@@ -105,15 +105,7 @@ impl CfModel for Cgi {
         let loss = bpr_loss(g, main, batch);
         let view = self.sampled_view(g, logits, emb);
         let n_cl = self.core.opts.cl_batch;
-        let mut sampler = TripletSampler::new(&self.core.train, self.core.rng.random());
-        let users = Arc::new(sampler.sample_active_users(n_cl));
-        let off = self.core.train.n_users() as u32;
-        let n_items = self.core.train.n_items() as u32;
-        let items: Arc<Vec<u32>> = Arc::new(
-            (0..n_cl.min(n_items as usize))
-                .map(|_| off + self.core.rng.random_range(0..n_items))
-                .collect(),
-        );
+        let (users, items) = self.core.contrastive_indices(n_cl);
         let cu = infonce_loss(g, main, view, &users, self.core.opts.temperature);
         let ci = infonce_loss(g, main, view, &items, self.core.opts.temperature);
         let cl = g.add(cu, ci);

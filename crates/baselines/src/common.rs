@@ -4,8 +4,6 @@ use std::sync::Arc;
 
 use graphaug_rng::StdRng;
 
-use graphaug_core::GraphAug;
-use graphaug_eval::Recommender;
 use graphaug_graph::InteractionGraph;
 use graphaug_tensor::{Graph, Mat, NodeId};
 
@@ -88,25 +86,9 @@ impl BaselineOpts {
     }
 }
 
-/// A uniformly trainable model: every baseline (and GraphAug, via the
-/// adapter below) exposes epoch-wise training with an embedding callback so
-/// the harness can record convergence curves (Fig. 4).
-pub trait Trainable: Recommender {
-    /// Trains the model, invoking `on_epoch(epoch, user_emb, item_emb)`
-    /// after every epoch.
-    fn fit_with(&mut self, on_epoch: &mut dyn FnMut(usize, &Mat, &Mat));
-
-    /// Trains without a callback.
-    fn fit(&mut self) {
-        self.fit_with(&mut |_, _, _| {});
-    }
-}
-
-impl Trainable for GraphAug {
-    fn fit_with(&mut self, on_epoch: &mut dyn FnMut(usize, &Mat, &Mat)) {
-        GraphAug::fit_with(self, |e, u, i| on_epoch(e, u, i));
-    }
-}
+/// The training driver's trait lives in `graphaug-core`; re-exported so
+/// `graphaug_baselines::Trainable` keeps naming it.
+pub use graphaug_core::Trainable;
 
 /// Builds a constant random edge-keep weight vector for SGL-style edge
 /// dropout over a directed pattern: kept entries carry `norm/keep_prob`
@@ -221,7 +203,7 @@ pub fn softmax_cols(g: &mut Graph, x: NodeId, k: usize) -> Vec<NodeId> {
 }
 
 // ---------------------------------------------------------------------------
-// Uniform training driver for tape-based CF models.
+// Shared training hooks for tape-based CF models.
 // ---------------------------------------------------------------------------
 
 use graphaug_core::nn::{split_embeddings, BprBatch};
@@ -262,12 +244,26 @@ impl CfCore {
             rng,
         }
     }
+
+    /// Draws `n` contrastive user indices (active users, from a sampler
+    /// seeded off the model RNG) and up to `n` random item indices (offset
+    /// by the user count) from the model RNG.
+    pub fn contrastive_indices(&mut self, n: usize) -> (Arc<Vec<u32>>, Arc<Vec<u32>>) {
+        let mut sampler = TripletSampler::new(&self.train, self.rng.random());
+        let users = Arc::new(sampler.sample_active_users(n));
+        let n_items = self.train.n_items() as u32;
+        let off = self.train.n_users() as u32;
+        let items: Vec<u32> = (0..n.min(n_items as usize))
+            .map(|_| off + self.rng.random_range(0..n_items))
+            .collect();
+        (users, Arc::new(items))
+    }
 }
 
-/// The per-model hooks consumed by [`fit_cf`]: an evaluation encoder and a
-/// per-step loss builder. Implementing this plus the
-/// `impl_recommender_trainable!` macro gives a model the full
-/// [`Recommender`]/[`Trainable`] surface.
+/// The per-model hooks behind [`cf_step`] and [`cf_end_epoch`]: an
+/// evaluation encoder and a per-step loss builder. Implementing this plus
+/// the `impl_recommender_trainable!` macro gives a model the full
+/// `Recommender`/[`Trainable`] surface.
 pub trait CfModel {
     /// Shared state accessor.
     fn core(&self) -> &CfCore;
@@ -296,28 +292,24 @@ pub fn refresh_cf<M: CfModel + ?Sized>(m: &mut M) {
     c.item_emb = i;
 }
 
-/// The shared epoch/step training loop (Adam on BPR batches), with an
-/// embedding callback after every epoch.
-pub fn fit_cf<M: CfModel + ?Sized>(m: &mut M, on_epoch: &mut dyn FnMut(usize, &Mat, &Mat)) {
-    let train = m.core().train.clone();
-    let opts = m.core().opts.clone();
-    let mut sampler = TripletSampler::new(&train, opts.seed ^ 0x5a5a_1234);
-    for epoch in 0..opts.epochs {
-        for _ in 0..opts.steps_per_epoch {
-            let (users, pos, neg) = sampler.sample_batch(opts.bpr_batch);
-            let batch = BprBatch::from_raw(users, pos, neg, train.n_users());
-            let mut g = Graph::new();
-            let (loss, pairs) = m.build_step(&mut g, &batch);
-            g.backward(loss);
-            m.core_mut()
-                .store
-                .apply_grads(&g, &pairs, Optimizer::adam(opts.learning_rate));
-        }
-        m.on_epoch_end(epoch);
-        refresh_cf(m);
-        let c = m.core();
-        on_epoch(epoch, &c.user_emb, &c.item_emb);
-    }
+/// One Adam step on a BPR batch drawn from `sampler`.
+pub fn cf_step<M: CfModel + ?Sized>(m: &mut M, sampler: &mut TripletSampler<'_>) {
+    let opts = &m.core().opts;
+    let lr = opts.learning_rate;
+    let (users, pos, neg) = sampler.sample_batch(opts.bpr_batch);
+    let batch = BprBatch::from_raw(users, pos, neg, m.core().train.n_users());
+    let mut g = Graph::new();
+    let (loss, pairs) = m.build_step(&mut g, &batch);
+    g.backward(loss);
+    m.core_mut()
+        .store
+        .apply_grads(&g, &pairs, Optimizer::adam(lr));
+}
+
+/// The model's own end-of-epoch hook, then a refresh of its cached tables.
+pub fn cf_end_epoch<M: CfModel + ?Sized>(m: &mut M, epoch: usize) {
+    m.on_epoch_end(epoch);
+    refresh_cf(m);
 }
 
 /// Adds the weight-decay term over all parameter nodes to `loss`.
@@ -346,11 +338,23 @@ macro_rules! impl_recommender_trainable {
             }
         }
         impl $crate::common::Trainable for $ty {
-            fn fit_with(
-                &mut self,
-                on_epoch: &mut dyn FnMut(usize, &graphaug_tensor::Mat, &graphaug_tensor::Mat),
-            ) {
-                $crate::common::fit_cf(self, on_epoch);
+            fn train_graph(&self) -> &graphaug_graph::InteractionGraph {
+                &self.core().train
+            }
+            fn epochs(&self) -> usize {
+                self.core().opts.epochs
+            }
+            fn steps_per_epoch(&self) -> usize {
+                self.core().opts.steps_per_epoch
+            }
+            fn sampler_seed(&self) -> u64 {
+                self.core().opts.seed ^ 0x5a5a_1234
+            }
+            fn step(&mut self, sampler: &mut graphaug_graph::TripletSampler<'_>) {
+                $crate::common::cf_step(self, sampler);
+            }
+            fn end_epoch(&mut self, epoch: usize) {
+                $crate::common::cf_end_epoch(self, epoch);
             }
         }
     };

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use graphaug_core::nn::{bpr_loss, infonce_loss, lightgcn_propagate, BprBatch};
 use graphaug_core::EdgeIndex;
-use graphaug_graph::{InteractionGraph, TripletSampler};
+use graphaug_graph::InteractionGraph;
 use graphaug_tensor::init::xavier_uniform;
 use graphaug_tensor::{Adj, Graph, Mat, NodeId, ParamId};
 
@@ -21,19 +21,6 @@ use crate::common::{
     edge_dropout_weights, impl_recommender_trainable, refresh_cf, with_weight_decay, BaselineOpts,
     CfCore, CfModel,
 };
-
-/// Draws `n` random contrastive user indices and `n` random (offset) item
-/// indices from the core's RNG.
-fn contrastive_indices(core: &mut CfCore, n: usize) -> (Arc<Vec<u32>>, Arc<Vec<u32>>) {
-    let mut sampler = TripletSampler::new(&core.train, core.rng.random());
-    let users = Arc::new(sampler.sample_active_users(n));
-    let n_items = core.train.n_items() as u32;
-    let off = core.train.n_users() as u32;
-    let items: Vec<u32> = (0..n.min(n_items as usize))
-        .map(|_| off + core.rng.random_range(0..n_items))
-        .collect();
-    (users, Arc::new(items))
-}
 
 // ---------------------------------------------------------------------------
 // SLRec
@@ -93,7 +80,7 @@ impl CfModel for SlRec {
         let v1 = self.feature_dropout(g, emb, 0.8);
         let v2 = self.feature_dropout(g, emb, 0.8);
         let n_cl = self.core.opts.cl_batch;
-        let (users, items) = contrastive_indices(&mut self.core, n_cl);
+        let (users, items) = self.core.contrastive_indices(n_cl);
         let cu = infonce_loss(g, v1, v2, &users, self.core.opts.temperature);
         let ci = infonce_loss(g, v1, v2, &items, self.core.opts.temperature);
         let c = g.add(cu, ci);
@@ -200,7 +187,7 @@ impl CfModel for EdgeClCf {
         let v1 = self.dropout_view(g, emb);
         let v2 = self.dropout_view(g, emb);
         let n_cl = self.core.opts.cl_batch;
-        let (users, items) = contrastive_indices(&mut self.core, n_cl);
+        let (users, items) = self.core.contrastive_indices(n_cl);
         let tau = self.core.opts.temperature;
         let cl = match self.kind {
             EdgeClKind::Sgl => {

@@ -6,10 +6,8 @@
 //! bottleneck). Local and global views are aligned with InfoNCE over users
 //! and items, on top of BPR.
 
-use std::sync::Arc;
-
 use graphaug_core::nn::{bpr_loss, infonce_loss, lightgcn_propagate, BprBatch};
-use graphaug_graph::{InteractionGraph, TripletSampler};
+use graphaug_graph::InteractionGraph;
 use graphaug_tensor::init::xavier_uniform;
 use graphaug_tensor::{Graph, NodeId, ParamId};
 
@@ -82,15 +80,7 @@ impl CfModel for Hccf {
         let loss = bpr_loss(g, local, batch);
         // Local–global alignment (users and items).
         let n_cl = self.core.opts.cl_batch;
-        let mut sampler = TripletSampler::new(&self.core.train, self.core.rng.random());
-        let users = Arc::new(sampler.sample_active_users(n_cl));
-        let off = self.core.train.n_users() as u32;
-        let n_items = self.core.train.n_items() as u32;
-        let items: Arc<Vec<u32>> = Arc::new(
-            (0..n_cl.min(n_items as usize))
-                .map(|_| off + self.core.rng.random_range(0..n_items))
-                .collect(),
-        );
+        let (users, items) = self.core.contrastive_indices(n_cl);
         let cu = infonce_loss(g, local, global, &users, self.core.opts.temperature);
         let ci = infonce_loss(g, local, global, &items, self.core.opts.temperature);
         let c = g.add(cu, ci);

@@ -145,46 +145,49 @@ impl Recommender for Ncf {
 }
 
 impl Trainable for Ncf {
-    fn fit_with(&mut self, on_epoch: &mut dyn FnMut(usize, &Mat, &Mat)) {
-        let train = self.train.clone();
-        let mut sampler = TripletSampler::new(&train, self.opts.seed ^ 0x6e6366);
-        let empty_u = Mat::zeros(self.train.n_users(), 1);
-        let empty_i = Mat::zeros(self.train.n_items(), 1);
-        for epoch in 0..self.opts.epochs {
-            for _ in 0..self.opts.steps_per_epoch {
-                let (users, pos, neg) = sampler.sample_batch(self.opts.bpr_batch);
-                let off = self.train.n_users() as u32;
-                let users = Arc::new(users);
-                let pos = Arc::new(pos.into_iter().map(|v| v + off).collect::<Vec<_>>());
-                let neg = Arc::new(neg.into_iter().map(|v| v + off).collect::<Vec<_>>());
-                let mut g = Graph::new();
-                let gmf = self.store.node(&mut g, self.p_gmf);
-                let mlp = self.store.node(&mut g, self.p_mlp_emb);
-                let w1 = self.store.node(&mut g, self.p_w1);
-                let b1 = self.store.node(&mut g, self.p_b1);
-                let w2 = self.store.node(&mut g, self.p_w2);
-                let b2 = self.store.node(&mut g, self.p_b2);
-                let out = self.store.node(&mut g, self.p_out);
-                let s_pos = self.score_node(&mut g, gmf, mlp, w1, b1, w2, b2, out, &users, &pos);
-                let s_neg = self.score_node(&mut g, gmf, mlp, w1, b1, w2, b2, out, &users, &neg);
-                let margin = g.sub(s_neg, s_pos);
-                let sp = g.softplus(margin);
-                let loss = g.mean_all(sp);
-                g.backward(loss);
-                let pairs = [
-                    (self.p_gmf, gmf),
-                    (self.p_mlp_emb, mlp),
-                    (self.p_w1, w1),
-                    (self.p_b1, b1),
-                    (self.p_w2, w2),
-                    (self.p_b2, b2),
-                    (self.p_out, out),
-                ];
-                self.store
-                    .apply_grads(&g, &pairs, Optimizer::adam(self.opts.learning_rate));
-            }
-            on_epoch(epoch, &empty_u, &empty_i);
-        }
+    fn train_graph(&self) -> &InteractionGraph {
+        &self.train
+    }
+    fn epochs(&self) -> usize {
+        self.opts.epochs
+    }
+    fn steps_per_epoch(&self) -> usize {
+        self.opts.steps_per_epoch
+    }
+    fn sampler_seed(&self) -> u64 {
+        self.opts.seed ^ 0x6e6366
+    }
+    fn step(&mut self, sampler: &mut TripletSampler<'_>) {
+        let (users, pos, neg) = sampler.sample_batch(self.opts.bpr_batch);
+        let off = self.train.n_users() as u32;
+        let users = Arc::new(users);
+        let pos = Arc::new(pos.into_iter().map(|v| v + off).collect::<Vec<_>>());
+        let neg = Arc::new(neg.into_iter().map(|v| v + off).collect::<Vec<_>>());
+        let mut g = Graph::new();
+        let gmf = self.store.node(&mut g, self.p_gmf);
+        let mlp = self.store.node(&mut g, self.p_mlp_emb);
+        let w1 = self.store.node(&mut g, self.p_w1);
+        let b1 = self.store.node(&mut g, self.p_b1);
+        let w2 = self.store.node(&mut g, self.p_w2);
+        let b2 = self.store.node(&mut g, self.p_b2);
+        let out = self.store.node(&mut g, self.p_out);
+        let s_pos = self.score_node(&mut g, gmf, mlp, w1, b1, w2, b2, out, &users, &pos);
+        let s_neg = self.score_node(&mut g, gmf, mlp, w1, b1, w2, b2, out, &users, &neg);
+        let margin = g.sub(s_neg, s_pos);
+        let sp = g.softplus(margin);
+        let loss = g.mean_all(sp);
+        g.backward(loss);
+        let pairs = [
+            (self.p_gmf, gmf),
+            (self.p_mlp_emb, mlp),
+            (self.p_w1, w1),
+            (self.p_b1, b1),
+            (self.p_w2, w2),
+            (self.p_b2, b2),
+            (self.p_out, out),
+        ];
+        self.store
+            .apply_grads(&g, &pairs, Optimizer::adam(self.opts.learning_rate));
     }
 }
 

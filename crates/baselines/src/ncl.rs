@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use graphaug_core::nn::{bpr_loss, infonce_loss, BprBatch};
-use graphaug_graph::{InteractionGraph, TripletSampler};
+use graphaug_graph::InteractionGraph;
 use graphaug_tensor::init::xavier_uniform;
 use graphaug_tensor::{Graph, Mat, NodeId, ParamId};
 
@@ -121,15 +121,7 @@ impl CfModel for Ncl {
         let loss = bpr_loss(g, readout, batch);
 
         let n_cl = self.core.opts.cl_batch;
-        let mut sampler = TripletSampler::new(&self.core.train, self.core.rng.random());
-        let users = Arc::new(sampler.sample_active_users(n_cl));
-        let off = self.core.train.n_users();
-        let n_items = self.core.train.n_items() as u32;
-        let items: Arc<Vec<u32>> = Arc::new(
-            (0..n_cl.min(n_items as usize))
-                .map(|_| off as u32 + self.core.rng.random_range(0..n_items))
-                .collect(),
-        );
+        let (users, items) = self.core.contrastive_indices(n_cl);
 
         // Structural neighbor contrast: ego (layer 0) vs 2-hop (layer 2).
         let tau = self.core.opts.temperature;
@@ -141,6 +133,7 @@ impl CfModel for Ncl {
         // Prototype contrast (once the first EM pass has run).
         if let (Some((ua, uc)), Some((ia, ic))) = (&self.user_protos, &self.item_protos) {
             let pu = self.proto_loss(g, readout, &users, ua, 0, uc);
+            let off = self.core.train.n_users();
             let pi = self.proto_loss(g, readout, &items, ia, off, ic);
             let p = g.add(pu, pi);
             let pw = g.scale(p, self.proto_weight);

@@ -3,7 +3,7 @@
 //! dimensionality d.
 
 use graphaug_bench::{banner, graphaug_config, prepared_split, write_csv, KS};
-use graphaug_core::GraphAug;
+use graphaug_core::{GraphAug, Trainable};
 use graphaug_data::Dataset;
 use graphaug_eval::{evaluate, fmt4, TextTable};
 

@@ -49,6 +49,14 @@ fn load(path: &str) -> Result<InteractionGraph, String> {
     Ok(g)
 }
 
+/// Rejects a dense user index past the last row the data or model holds.
+fn check_user(user: usize, n_users: usize) -> Result<(), Fail> {
+    if user >= n_users {
+        return Err(format!("user {user} out of range (dataset has {n_users} users)").into());
+    }
+    Ok(())
+}
+
 fn set_epochs(epochs: Option<usize>) {
     if let Some(e) = epochs {
         std::env::set_var("GRAPHAUG_EPOCHS", e.to_string());
@@ -91,10 +99,7 @@ fn cmd_recommend(mut args: Args) -> Result<(), Fail> {
     let user: usize = args.positional("<user>")?;
     let opts = parse_opts(args)?;
     let g = load(&path)?;
-    if user >= g.n_users() {
-        let n = g.n_users();
-        return Err(format!("user {user} out of range (dataset has {n} users)").into());
-    }
+    check_user(user, g.n_users())?;
     set_epochs(opts.epochs);
     let mut model = build_any(&opts.model, &g);
     model.fit();
@@ -165,6 +170,7 @@ fn cmd_serve(mut args: Args) -> Result<(), Fail> {
     let opts = parse_opts(args)?;
     let text = std::fs::read_to_string(&emb_path).map_err(|e| e.to_string())?;
     let snap = import_embeddings(&text).map_err(|e| e.to_string())?;
+    check_user(user, snap.user_emb.rows())?;
     let scores = snap.score_items(user);
     let top = topk_indices(&scores, opts.top);
     println!("top-{} for user {user} (from {emb_path}):", opts.top);
@@ -237,5 +243,21 @@ mod tests {
         assert_eq!((opts.top, opts.epochs, opts.seed), (5, Some(5), 7));
         assert_eq!(opts.model, "GraphAug");
         assert_eq!(opts.models, ["A", "B"]);
+    }
+
+    #[test]
+    fn serve_rejects_a_user_past_the_embedding_file() {
+        let snap = graphaug_eval::EmbeddingSnapshot {
+            user_emb: graphaug_tensor::Mat::filled(1, 2, 0.5),
+            item_emb: graphaug_tensor::Mat::filled(3, 2, 0.25),
+        };
+        let path = std::env::temp_dir().join(format!("graphaug-serve-{}.emb", std::process::id()));
+        std::fs::write(&path, export_embeddings(&snap)).unwrap();
+        let result = cmd_serve(Args::new([path.to_string_lossy().into_owned(), "5".into()]));
+        std::fs::remove_file(&path).ok();
+        match result {
+            Err(Fail::Run(e)) => assert_eq!(e, "user 5 out of range (dataset has 1 users)"),
+            _ => panic!("serve must refuse user 5 of a 1-user file"),
+        }
     }
 }

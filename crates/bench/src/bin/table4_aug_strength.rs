@@ -5,7 +5,7 @@
 use graphaug_bench::{
     banner, epoch_budget, graphaug_config, prepared_split, selected_datasets, write_csv, KS,
 };
-use graphaug_core::GraphAug;
+use graphaug_core::{GraphAug, Trainable};
 use graphaug_eval::{evaluate, fmt4, TextTable};
 
 fn main() {

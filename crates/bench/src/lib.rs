@@ -19,12 +19,11 @@ pub mod perf;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use graphaug_baselines::{build_model, BaselineOpts, Trainable};
-use graphaug_core::{EncoderKind, GraphAug, GraphAugConfig};
+use graphaug_baselines::{build_model, BaselineOpts};
+use graphaug_core::{fit_with, EncoderKind, GraphAug, GraphAugConfig, Trainable};
 use graphaug_data::Dataset;
-use graphaug_eval::{evaluate, ConvergenceRecorder, EvalResult, Recommender, TextTable};
+use graphaug_eval::{evaluate, ConvergenceRecorder, EvalResult, TextTable};
 use graphaug_graph::{InteractionGraph, TrainTestSplit};
-use graphaug_tensor::Mat;
 
 /// Fixed split seed so every experiment sees the same holdout.
 pub const SPLIT_SEED: u64 = 2024;
@@ -109,53 +108,23 @@ pub struct RunOutcome {
 
 /// Trains `name` on the split and evaluates at [`KS`].
 pub fn run_model(name: &str, split: &TrainTestSplit) -> RunOutcome {
-    let mut model = build_any(name, &split.train);
-    let start = Instant::now();
-    model.fit();
-    let train_time = start.elapsed();
-    let result = evaluate(model.as_ref(), split, &KS);
-    RunOutcome {
-        result,
-        train_time,
-        curve: ConvergenceRecorder::new(),
-        model,
-    }
-}
-
-/// An embedding snapshot that scores by dot product — used to evaluate
-/// convergence curves mid-training without touching the model.
-struct Snapshot {
-    u: Mat,
-    i: Mat,
-}
-
-impl Recommender for Snapshot {
-    fn name(&self) -> &str {
-        "snapshot"
-    }
-    fn embeddings(&self) -> Option<(&Mat, &Mat)> {
-        Some((&self.u, &self.i))
-    }
+    train_and_evaluate(name, split, false)
 }
 
 /// Trains `name`, evaluating Recall@20 after **every epoch** (the Fig. 4
-/// convergence study — slower than [`run_model`]). Models without embedding
-/// snapshots (NCF, AutoRec) yield an empty curve.
+/// convergence study — slower than [`run_model`]).
 pub fn run_model_with_curve(name: &str, split: &TrainTestSplit) -> RunOutcome {
+    train_and_evaluate(name, split, true)
+}
+
+fn train_and_evaluate(name: &str, split: &TrainTestSplit, with_curve: bool) -> RunOutcome {
     let mut model = build_any(name, &split.train);
     let mut curve = ConvergenceRecorder::new();
-    let split2 = split.clone();
     let start = Instant::now();
-    model.fit_with(&mut |epoch, ue, ie| {
-        if ue.cols() <= 1 {
-            return;
+    fit_with(model.as_mut(), |epoch, m| {
+        if with_curve {
+            curve.record(epoch, evaluate(m, split, &[20]).recall(20));
         }
-        let snap = Snapshot {
-            u: ue.clone(),
-            i: ie.clone(),
-        };
-        let r = evaluate(&snap, &split2, &[20]);
-        curve.record(epoch, r.recall(20));
     });
     let train_time = start.elapsed();
     let result = evaluate(model.as_ref(), split, &KS);

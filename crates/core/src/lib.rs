@@ -14,12 +14,13 @@
 //!    propagations per layer to counteract oversmoothing (Eq. 11–13).
 //!
 //! Training jointly minimizes `BPR + β₁·GIB + β₂·InfoNCE + β₃·‖Θ‖²` (Eq. 16)
-//! — see [`GraphAug::fit`].
+//! — see [`GraphAug::train_step`]. Every arm of the evaluation, GraphAug and
+//! the baselines alike, trains through the one driver in [`train`].
 //!
 //! # Quickstart
 //!
 //! ```
-//! use graphaug_core::{GraphAug, GraphAugConfig};
+//! use graphaug_core::{GraphAug, GraphAugConfig, Trainable};
 //! use graphaug_data::{generate, SyntheticConfig};
 //! use graphaug_eval::{evaluate, Recommender};
 //! use graphaug_graph::TrainTestSplit;
@@ -38,7 +39,9 @@ pub mod gib;
 pub mod mixhop;
 pub mod model;
 pub mod nn;
+pub mod train;
 
 pub use augmentor::{AugmentorSettings, EdgeIndex, SampledView};
 pub use config::{EncoderKind, GraphAugConfig};
 pub use model::{GraphAug, ModelState, StepOptions, StepStats};
+pub use train::{fit_with, Trainable};

@@ -19,6 +19,7 @@ use crate::mixhop::{encode_mixhop, mixing_row_shape};
 use crate::nn::{
     bpr_loss, infonce_loss, lightgcn_propagate, split_embeddings, weight_decay, BprBatch,
 };
+use crate::train::Trainable;
 
 /// Per-step diagnostics reported by [`GraphAug::train_step`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -95,7 +96,7 @@ pub struct ModelState {
 }
 
 /// The GraphAug recommender (paper Sec. III). Construct with
-/// [`GraphAug::new`], train with [`GraphAug::fit`], then use the
+/// [`GraphAug::new`], train with [`Trainable::fit`], then use the
 /// [`Recommender`] interface for scoring.
 pub struct GraphAug {
     cfg: GraphAugConfig,
@@ -201,7 +202,8 @@ impl GraphAug {
         self.store.scalar_count()
     }
 
-    /// True once [`GraphAug::fit`]/[`GraphAug::fit_with`] has completed.
+    /// True once training has finished its last epoch, through
+    /// [`crate::fit_with`] or a driver that calls [`GraphAug::mark_trained`].
     pub fn is_trained(&self) -> bool {
         self.trained
     }
@@ -437,35 +439,9 @@ impl GraphAug {
     }
 
     /// Marks the model as fully trained — called by external training
-    /// drivers (e.g. `graphaug-runtime`) that run the epoch loop themselves
-    /// through [`GraphAug::train_step_with`] instead of [`GraphAug::fit`].
+    /// drivers (e.g. `graphaug-runtime`) that run their own loop through
+    /// [`GraphAug::train_step_with`] instead of [`crate::fit_with`].
     pub fn mark_trained(&mut self) {
-        self.trained = true;
-    }
-
-    /// The training graph this model was constructed over.
-    pub fn train_graph(&self) -> &InteractionGraph {
-        &self.train_graph
-    }
-
-    /// Trains for `cfg.epochs` epochs.
-    pub fn fit(&mut self) {
-        self.fit_with(|_, _, _| {});
-    }
-
-    /// Trains with a per-epoch callback receiving
-    /// `(epoch, user_embeddings, item_embeddings)` — used for convergence
-    /// curves (Fig. 4).
-    pub fn fit_with(&mut self, mut on_epoch: impl FnMut(usize, &Mat, &Mat)) {
-        let graph = self.train_graph.clone();
-        let mut sampler = TripletSampler::new(&graph, self.cfg.seed.wrapping_add(101));
-        for epoch in 0..self.cfg.epochs {
-            for _ in 0..self.cfg.steps_per_epoch {
-                self.train_step(&mut sampler);
-            }
-            self.refresh_embeddings();
-            on_epoch(epoch, &self.user_emb, &self.item_emb);
-        }
         self.trained = true;
     }
 
@@ -531,6 +507,30 @@ impl Recommender for GraphAug {
 
     fn embeddings(&self) -> Option<(&Mat, &Mat)> {
         Some((&self.user_emb, &self.item_emb))
+    }
+}
+
+impl Trainable for GraphAug {
+    fn train_graph(&self) -> &InteractionGraph {
+        &self.train_graph
+    }
+    fn epochs(&self) -> usize {
+        self.cfg.epochs
+    }
+    fn steps_per_epoch(&self) -> usize {
+        self.cfg.steps_per_epoch
+    }
+    fn sampler_seed(&self) -> u64 {
+        self.cfg.seed.wrapping_add(101)
+    }
+    fn step(&mut self, sampler: &mut TripletSampler<'_>) {
+        self.train_step(sampler);
+    }
+    fn end_epoch(&mut self, epoch: usize) {
+        self.refresh_embeddings();
+        if epoch + 1 == self.cfg.epochs {
+            self.mark_trained();
+        }
     }
 }
 
@@ -784,8 +784,10 @@ mod tests {
         let train = toy_train();
         let mut m = GraphAug::new(GraphAugConfig::fast_test().epochs(3), &train);
         let mut seen = Vec::new();
-        m.fit_with(|e, u, i| {
+        crate::fit_with(&mut m, |e, m| {
+            let (u, i) = m.embeddings().unwrap();
             assert!(u.all_finite() && i.all_finite());
+            assert_eq!(m.is_trained(), e == 2);
             seen.push(e);
         });
         assert_eq!(seen, vec![0, 1, 2]);

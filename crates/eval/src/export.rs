@@ -100,7 +100,9 @@ pub fn export_embeddings(model: &dyn Recommender) -> String {
     out
 }
 
-/// Parses a dump produced by [`export_embeddings`].
+/// Parses a dump produced by [`export_embeddings`]. Rows are collected as
+/// they parse and the header's counts are checked at the end, so memory
+/// stays bounded by the bytes read whatever the header claims.
 pub fn import_embeddings(text: &str) -> Result<EmbeddingSnapshot, ImportError> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines
@@ -126,9 +128,8 @@ pub fn import_embeddings(text: &str) -> Result<EmbeddingSnapshot, ImportError> {
     let n_items = parse_field(&tokens, "items", 2)?;
     let dim = parse_field(&tokens, "dim", 4)?;
 
-    let mut user_emb = Mat::zeros(n_users, dim);
-    let mut item_emb = Mat::zeros(n_items, dim);
-    let (mut nu, mut ni) = (0usize, 0usize);
+    // (row values, rows found, rows the header promised) per table.
+    let mut tables = [(Vec::new(), 0usize, n_users), (Vec::new(), 0usize, n_items)];
     for (idx, line) in lines {
         let line = line.trim();
         if line.is_empty() {
@@ -147,48 +148,35 @@ pub fn import_embeddings(text: &str) -> Result<EmbeddingSnapshot, ImportError> {
                 reason: format!("expected {dim} values, got {}", vals.len()),
             });
         }
-        match tag {
-            "u" => {
-                if nu >= n_users {
-                    return Err(ImportError::WrongCount {
-                        expected: n_users,
-                        found: nu + 1,
-                    });
-                }
-                user_emb.row_mut(nu).copy_from_slice(&vals);
-                nu += 1;
-            }
-            "i" => {
-                if ni >= n_items {
-                    return Err(ImportError::WrongCount {
-                        expected: n_items,
-                        found: ni + 1,
-                    });
-                }
-                item_emb.row_mut(ni).copy_from_slice(&vals);
-                ni += 1;
-            }
+        let (rows, found, expected) = match tag {
+            "u" => &mut tables[0],
+            "i" => &mut tables[1],
             other => {
                 return Err(ImportError::BadRow {
                     line: idx + 1,
                     reason: format!("unknown row tag {other:?}"),
                 })
             }
+        };
+        if *found == *expected {
+            return Err(ImportError::WrongCount {
+                expected: *expected,
+                found: *found + 1,
+            });
         }
+        rows.extend(vals);
+        *found += 1;
     }
-    if nu != n_users {
-        return Err(ImportError::WrongCount {
-            expected: n_users,
-            found: nu,
-        });
-    }
-    if ni != n_items {
-        return Err(ImportError::WrongCount {
-            expected: n_items,
-            found: ni,
-        });
-    }
-    Ok(EmbeddingSnapshot { user_emb, item_emb })
+    let [users, items] = tables.map(|(rows, found, expected)| {
+        if found != expected {
+            return Err(ImportError::WrongCount { expected, found });
+        }
+        Ok(Mat::from_vec(expected, dim, rows))
+    });
+    Ok(EmbeddingSnapshot {
+        user_emb: users?,
+        item_emb: items?,
+    })
 }
 
 #[cfg(test)]
@@ -247,6 +235,18 @@ mod tests {
             Err(ImportError::BadRow { line, .. }) => assert_eq!(line, 3),
             other => panic!("expected BadRow, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_huge_header_is_rejected_without_allocating_it() {
+        let text = "graphaug-embeddings v1\nusers 4000000000 items 1 dim 4000000000\n";
+        assert_eq!(
+            import_embeddings(text),
+            Err(ImportError::WrongCount {
+                expected: 4_000_000_000,
+                found: 0
+            })
+        );
     }
 
     #[test]

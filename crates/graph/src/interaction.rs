@@ -186,13 +186,9 @@ impl InteractionGraph {
         bipartite_adjacency(self.n_users, self.n_items, &self.edges)
     }
 
-    /// `D^{-1/2}(A + I)D^{-1/2}` over the bipartite adjacency — the Ã used by
-    /// every GNN encoder (paper Sec. III-C).
-    pub fn normalized_adjacency(&self) -> Csr {
-        sym_norm(&self.adjacency(), true)
-    }
-
-    /// Same, without self-loops (LightGCN-style propagation).
+    /// `D^{-1/2} A D^{-1/2}` over the bipartite adjacency, without
+    /// self-loops — the Ã every GNN encoder propagates over (paper
+    /// Sec. III-C, LightGCN-style).
     pub fn normalized_adjacency_plain(&self) -> Csr {
         sym_norm(&self.adjacency(), false)
     }
@@ -256,19 +252,6 @@ impl InteractionGraph {
         Ok(())
     }
 
-    /// Returns a new graph keeping only edges accepted by `keep`.
-    pub fn filter_edges(&self, keep: impl Fn(u32, u32) -> bool) -> InteractionGraph {
-        InteractionGraph::new(
-            self.n_users,
-            self.n_items,
-            self.edges
-                .iter()
-                .copied()
-                .filter(|&(u, v)| keep(u, v))
-                .collect(),
-        )
-    }
-
     /// Returns a new graph with additional edges merged in (duplicates
     /// against existing interactions are dropped).
     pub fn with_extra_edges(&self, extra: &[(u32, u32)]) -> InteractionGraph {
@@ -319,20 +302,19 @@ mod tests {
         let adj = g.adjacency();
         assert_eq!(adj.n_rows(), 7);
         assert_eq!(adj.nnz(), 10);
-        let norm = g.normalized_adjacency();
+        let norm = g.normalized_adjacency_plain();
         norm.check_invariants().unwrap();
-        // Self-loops present.
+        assert_eq!(norm.nnz(), 10);
+        // No self-loops.
         for i in 0..7 {
             let (cols, _) = norm.row(i);
-            assert!(cols.contains(&(i as u32)));
+            assert!(!cols.contains(&(i as u32)));
         }
     }
 
     #[test]
-    fn filter_and_extend() {
+    fn extend_drops_duplicate_edges() {
         let g = g();
-        let filtered = g.filter_edges(|u, _| u != 0);
-        assert_eq!(filtered.n_interactions(), 3);
         let extended = g.with_extra_edges(&[(1, 1), (0, 1)]);
         assert_eq!(extended.n_interactions(), 6);
     }

@@ -182,15 +182,6 @@ impl Xoshiro256PlusPlus {
         (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
     }
 
-    /// Gumbel(0, 1) draw `−ln(−ln u)` — the noise of the concrete/Gumbel
-    /// reparameterization in paper Eq. 5. Mean is the Euler–Mascheroni
-    /// constant γ ≈ 0.5772.
-    #[inline]
-    pub fn gumbel_f32(&mut self) -> f32 {
-        let u = self.random_range(1e-6f32..(1.0 - 1e-6));
-        -(-u.ln()).ln()
-    }
-
     /// Standard logistic draw `ln(u/(1−u))` — the difference of two Gumbels,
     /// i.e. the additive noise of the *binary* concrete distribution used
     /// for per-edge keep decisions.
@@ -198,13 +189,6 @@ impl Xoshiro256PlusPlus {
     pub fn logistic_f32(&mut self) -> f32 {
         let u = self.random_range(1e-6f32..(1.0 - 1e-6));
         (u / (1.0 - u)).ln()
-    }
-
-    /// Splits off an independently-seeded child generator (for handing a
-    /// fresh stream to a sub-sampler without correlating it with the
-    /// parent's continuation).
-    pub fn fork(&mut self) -> Self {
-        Xoshiro256PlusPlus::seed_from_u64(self.next_u64())
     }
 
     /// The raw 256-bit generator state, for checkpointing. Restoring the
@@ -553,21 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn gumbel_mean_is_euler_mascheroni() {
-        // Gumbel(0,1) has mean γ ≈ 0.57722 and variance π²/6.
-        let mut r = seeded_rng(13);
-        let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| r.gumbel_f32() as f64).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!((mean - 0.577_215_66).abs() < 0.01, "mean {mean}");
-        assert!(
-            (var - std::f64::consts::PI.powi(2) / 6.0).abs() < 0.05,
-            "var {var}"
-        );
-    }
-
-    #[test]
     fn logistic_is_symmetric_with_gumbel_difference_variance() {
         // Logistic(0,1) = Gumbel − Gumbel: mean 0, variance π²/3.
         let mut r = seeded_rng(17);
@@ -641,14 +610,5 @@ mod tests {
             a != 0 || b != 0,
             "zero state must not produce a zero stream"
         );
-    }
-
-    #[test]
-    fn fork_decorrelates_child_from_parent() {
-        let mut parent = seeded_rng(31);
-        let mut child = parent.fork();
-        let a: Vec<u64> = (0..8).map(|_| parent.next_u64()).collect();
-        let b: Vec<u64> = (0..8).map(|_| child.next_u64()).collect();
-        assert_ne!(a, b);
     }
 }

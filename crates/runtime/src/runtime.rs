@@ -5,7 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
-use graphaug_core::{GraphAug, GraphAugConfig, StepOptions};
+use graphaug_core::{GraphAug, GraphAugConfig, StepOptions, Trainable};
 use graphaug_graph::{GraphInvariantError, InteractionGraph, SamplerState, TripletSampler};
 use graphaug_tensor::RestoreError;
 
@@ -210,10 +210,10 @@ impl Runtime {
     pub fn new(cfg: RuntimeConfig, graph: &InteractionGraph) -> Result<Runtime, RuntimeError> {
         graph.validate().map_err(RuntimeError::InvalidGraph)?;
         let model = GraphAug::new(cfg.model.clone(), graph);
-        // The sampler seed offset mirrors `GraphAug::fit_with`, so an
-        // unsupervised `fit` and a `Runtime` run with identical settings
-        // walk identical batch streams.
-        let sampler_state = TripletSampler::new(graph, cfg.model.seed.wrapping_add(101)).state();
+        // The sampler seed is the training driver's, so an unsupervised
+        // `fit` and a `Runtime` run with identical settings walk identical
+        // batch streams.
+        let sampler_state = TripletSampler::new(graph, model.sampler_seed()).state();
         let checkpointer = match &cfg.checkpoint_dir {
             Some(dir) => Some(Checkpointer::new(dir)?),
             None => None,
@@ -338,11 +338,6 @@ impl Runtime {
     /// The model being trained.
     pub fn model(&self) -> &GraphAug {
         &self.model
-    }
-
-    /// Consumes the runtime, yielding the trained model.
-    pub fn into_model(self) -> GraphAug {
-        self.model
     }
 
     /// Epochs completed so far.

@@ -47,7 +47,6 @@
 //! oracle the `RECX` verb pins. Both gates fail closed: a disabled build
 //! serves f32 bits.
 
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -596,9 +595,4 @@ pub fn spawn_watcher(engine: Arc<Engine>, period: Duration) -> Watcher {
         stop,
         handle: Some(handle),
     }
-}
-
-/// Convenience: does `dir` currently hold any checkpoint generations?
-pub fn has_checkpoints(dir: &Path) -> bool {
-    checkpoint::newest_generation(dir).is_some()
 }

@@ -22,23 +22,6 @@ pub fn normal(rows: usize, cols: usize, std: f32, rng: &mut StdRng) -> Mat {
     Mat::from_fn(rows, cols, |_, _| rng.normal_f32() * std)
 }
 
-/// Near-identity initialization for hop-combination weights: an
-/// `(n_blocks·d) × d` matrix whose `d × d` blocks are `I / n_blocks` plus
-/// small uniform noise.
-///
-/// A GNN layer `H ← δ([Ã⁰H | Ã¹H | …] W)` initialized this way starts as
-/// plain hop *averaging* (LightGCN-like propagation) and lets training
-/// refine the mixture — random init instead scrambles the embedding space
-/// at every layer and costs most of the optimization budget to undo.
-pub fn identity_blocks(n_blocks: usize, d: usize, noise: f32, rng: &mut StdRng) -> Mat {
-    assert!(n_blocks >= 1);
-    let scale = 1.0 / n_blocks as f32;
-    Mat::from_fn(n_blocks * d, d, |r, c| {
-        let base = if r % d == c { scale } else { 0.0 };
-        base + rng.random_range(-noise..noise)
-    })
-}
-
 /// Fills `out` with `N(0, std²)` draws (Marsaglia polar), one derived
 /// stream per fixed-grid chunk. Thread-count invariant.
 pub fn par_fill_normal(out: &mut [f32], std: f32, seed: u64) {

@@ -1,4 +1,4 @@
-//! Parameter storage and first-order optimizers.
+//! Parameter storage and the Adam optimizer.
 //!
 //! Parameters live in a [`ParamStore`] that outlives the per-step tapes.
 //! Each training step snapshots parameters onto the tape with
@@ -20,41 +20,29 @@ struct ParamSlot {
     v: Mat,
 }
 
-/// Optimizer choice for [`ParamStore::apply_grads`].
+/// The update rule of [`ParamStore::apply_grads`]: Adam with the usual bias
+/// correction.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Optimizer {
-    /// Vanilla stochastic gradient descent.
-    Sgd {
-        /// Learning rate.
-        lr: f32,
-    },
-    /// Adam with the usual bias correction.
-    Adam {
-        /// Learning rate.
-        lr: f32,
-        /// First-moment decay (typically 0.9).
-        beta1: f32,
-        /// Second-moment decay (typically 0.999).
-        beta2: f32,
-        /// Denominator fuzz (typically 1e-8).
-        eps: f32,
-    },
+pub struct Optimizer {
+    /// Learning rate.
+    pub lr: f32,
+    /// First-moment decay (typically 0.9).
+    pub beta1: f32,
+    /// Second-moment decay (typically 0.999).
+    pub beta2: f32,
+    /// Denominator fuzz (typically 1e-8).
+    pub eps: f32,
 }
 
 impl Optimizer {
     /// Adam with standard hyperparameters at the given learning rate.
     pub fn adam(lr: f32) -> Self {
-        Optimizer::Adam {
+        Optimizer {
             lr,
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
         }
-    }
-
-    /// Plain SGD at the given learning rate.
-    pub fn sgd(lr: f32) -> Self {
-        Optimizer::Sgd { lr }
     }
 }
 
@@ -179,16 +167,6 @@ impl ParamStore {
         self.slots.iter().map(|s| s.value.len()).sum()
     }
 
-    /// Sum of squared Frobenius norms of all parameters (weight-decay term).
-    pub fn frob_sq_total(&self) -> f32 {
-        self.slots.iter().map(|s| s.value.frob_sq()).sum()
-    }
-
-    /// The shared Adam step counter (number of optimizer steps applied).
-    pub fn step_count(&self) -> u64 {
-        self.t
-    }
-
     /// Snapshots every parameter value, both Adam moments, and the step
     /// counter — the optimizer half of a training checkpoint.
     pub fn snapshot(&self) -> ParamStoreState {
@@ -274,31 +252,25 @@ impl ParamStore {
     fn step_one_scaled(&mut self, id: ParamId, grad: &Mat, opt: Optimizer, scale: f32) {
         let slot = &mut self.slots[id.0];
         assert_eq!(slot.value.shape(), grad.shape(), "gradient shape mismatch");
-        match opt {
-            Optimizer::Sgd { lr } => {
-                slot.value.add_assign_scaled(grad, -lr * scale);
-            }
-            Optimizer::Adam {
-                lr,
-                beta1,
-                beta2,
-                eps,
-            } => {
-                let t = self.t.max(1) as i32;
-                let bc1 = 1.0 - beta1.powi(t);
-                let bc2 = 1.0 - beta2.powi(t);
-                let val = slot.value.as_mut_slice();
-                let m = slot.m.as_mut_slice();
-                let v = slot.v.as_mut_slice();
-                for i in 0..val.len() {
-                    let gi = grad.as_slice()[i] * scale;
-                    m[i] = beta1 * m[i] + (1.0 - beta1) * gi;
-                    v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi;
-                    let mhat = m[i] / bc1;
-                    let vhat = v[i] / bc2;
-                    val[i] -= lr * mhat / (vhat.sqrt() + eps);
-                }
-            }
+        let Optimizer {
+            lr,
+            beta1,
+            beta2,
+            eps,
+        } = opt;
+        let t = self.t.max(1) as i32;
+        let bc1 = 1.0 - beta1.powi(t);
+        let bc2 = 1.0 - beta2.powi(t);
+        let val = slot.value.as_mut_slice();
+        let m = slot.m.as_mut_slice();
+        let v = slot.v.as_mut_slice();
+        for i in 0..val.len() {
+            let gi = grad.as_slice()[i] * scale;
+            m[i] = beta1 * m[i] + (1.0 - beta1) * gi;
+            v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi;
+            let mhat = m[i] / bc1;
+            let vhat = v[i] / bc2;
+            val[i] -= lr * mhat / (vhat.sqrt() + eps);
         }
     }
 }
@@ -306,15 +278,6 @@ impl ParamStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sgd_moves_against_gradient() {
-        let mut store = ParamStore::new();
-        let p = store.register(Mat::scalar(1.0));
-        store.t = 1;
-        store.step_one(p, &Mat::scalar(0.5), Optimizer::sgd(0.1));
-        assert!((store.value(p).item() - 0.95).abs() < 1e-6);
-    }
 
     #[test]
     fn adam_converges_on_quadratic() {
@@ -337,7 +300,7 @@ mod tests {
         let mut g = Graph::new();
         let node = store.node(&mut g, p);
         // No backward ran: node has no gradient.
-        store.apply_grads(&g, &[(p, node)], Optimizer::sgd(1.0));
+        store.apply_grads(&g, &[(p, node)], Optimizer::adam(1.0));
         assert_eq!(store.value(p).item(), 2.0);
     }
 
@@ -350,9 +313,25 @@ mod tests {
         let sq = g.square(node);
         let loss = g.sum_all(sq);
         g.backward(loss);
-        store.apply_grads(&g, &[(p, node)], Optimizer::sgd(0.25));
-        // d(x^2)/dx = 4 at x = 2; new x = 2 - 0.25*4 = 1.
-        assert!((store.value(p).item() - 1.0).abs() < 1e-6);
+        // A large eps makes Adam's first step lr·g/(|g| + eps) depend on the
+        // gradient's size, not only its sign.
+        let opt = Optimizer {
+            eps: 1.0,
+            ..Optimizer::adam(0.25)
+        };
+        store.apply_grads(&g, &[(p, node)], opt);
+        // d(x^2)/dx = 4 at x = 2: the update must be exactly the one an
+        // explicit gradient of 4 gives (x = 2 − 0.25·4/5 = 1.8), and not the
+        // one a gradient of 2 gives.
+        let stepped = |grad: f32| {
+            let mut twin = ParamStore::new();
+            let q = twin.register(Mat::scalar(2.0));
+            twin.apply_step(&[(q, Mat::scalar(grad))], opt, 1.0);
+            twin.value(q).item()
+        };
+        assert!((store.value(p).item() - 1.8).abs() < 1e-6);
+        assert_eq!(store.value(p).item().to_bits(), stepped(4.0).to_bits());
+        assert_ne!(store.value(p).item().to_bits(), stepped(2.0).to_bits());
     }
 
     #[test]
@@ -412,22 +391,29 @@ mod tests {
 
     #[test]
     fn apply_step_scales_the_gradient() {
-        let mut a = ParamStore::new();
-        let pa = a.register(Mat::scalar(1.0));
-        let mut b = ParamStore::new();
-        let pb = b.register(Mat::scalar(1.0));
-        a.apply_step(&[(pa, Mat::scalar(4.0))], Optimizer::sgd(0.1), 0.5);
-        b.apply_step(&[(pb, Mat::scalar(2.0))], Optimizer::sgd(0.1), 1.0);
-        assert_eq!(a.value(pa).item().to_bits(), b.value(pb).item().to_bits());
-        assert_eq!(a.step_count(), 1);
+        // With eps = 1 Adam's first step lr·g/(|g| + 1) depends on |g|, so a
+        // scale that were ignored would show.
+        let opt = Optimizer {
+            eps: 1.0,
+            ..Optimizer::adam(0.1)
+        };
+        let stepped = |grad: f32, scale: f32| {
+            let mut store = ParamStore::new();
+            let p = store.register(Mat::scalar(1.0));
+            store.apply_step(&[(p, Mat::scalar(grad))], opt, scale);
+            assert_eq!(store.t, 1);
+            store.value(p).item()
+        };
+        let scaled = stepped(4.0, 0.5);
+        assert_eq!(scaled.to_bits(), stepped(2.0, 1.0).to_bits());
+        assert_ne!(scaled.to_bits(), stepped(4.0, 1.0).to_bits());
     }
 
     #[test]
-    fn scalar_count_and_frob() {
+    fn scalar_count_sums_every_slot() {
         let mut store = ParamStore::new();
         store.register(Mat::filled(2, 3, 1.0));
         store.register(Mat::filled(1, 4, 2.0));
         assert_eq!(store.scalar_count(), 10);
-        assert!((store.frob_sq_total() - (6.0 + 16.0)).abs() < 1e-6);
     }
 }

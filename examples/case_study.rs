@@ -7,7 +7,7 @@
 //! cargo run --release -p graphaug-bench --example case_study
 //! ```
 
-use graphaug_core::{GraphAug, GraphAugConfig};
+use graphaug_core::{GraphAug, GraphAugConfig, Trainable};
 use graphaug_data::{generate, SyntheticConfig};
 use graphaug_eval::Recommender;
 use graphaug_graph::TrainTestSplit;

@@ -5,7 +5,7 @@
 //! cargo run --release -p graphaug-bench --example quickstart
 //! ```
 
-use graphaug_core::{GraphAug, GraphAugConfig};
+use graphaug_core::{fit_with, GraphAug, GraphAugConfig};
 use graphaug_data::{generate, SyntheticConfig};
 use graphaug_eval::{evaluate, topk_indices, Recommender};
 use graphaug_graph::TrainTestSplit;
@@ -29,9 +29,11 @@ fn main() {
     let cfg = GraphAugConfig::new().epochs(20).seed(7);
     let mut model = GraphAug::new(cfg, &split.train);
     println!("training GraphAug ({} parameters)…", model.n_parameters());
-    model.fit_with(|epoch, _, _| {
+    // The callback receives the model itself after every epoch.
+    fit_with(&mut model, |epoch, m| {
         if epoch % 5 == 4 {
-            println!("  epoch {} done", epoch + 1);
+            let r20 = evaluate(m, &split, &[20]).recall(20);
+            println!("  epoch {} done, Recall@20 {r20:.4}", epoch + 1);
         }
     });
 

@@ -3,7 +3,7 @@
 //! way the experiment binaries do.
 
 use graphaug_bench::{build_any, split_graph, KS};
-use graphaug_core::{EncoderKind, GraphAug, GraphAugConfig};
+use graphaug_core::{EncoderKind, GraphAug, GraphAugConfig, Trainable};
 use graphaug_data::{generate, SyntheticConfig};
 use graphaug_eval::{evaluate, mad, Recommender};
 use graphaug_graph::{inject_fake_edges, TrainTestSplit};

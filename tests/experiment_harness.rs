@@ -46,6 +46,21 @@ fn convergence_curves_have_one_point_per_epoch() {
     // Epochs are recorded in order.
     let epochs: Vec<usize> = out.curve.points().iter().map(|&(e, _)| e).collect();
     assert_eq!(epochs, vec![0, 1, 2, 3]);
+    // Golden bits of each epoch's Recall@20: evaluating the model after an
+    // epoch must score exactly what a copy of its tables scored.
+    let bits: Vec<u64> = out
+        .curve
+        .points()
+        .iter()
+        .map(|&(_, r)| r.to_bits())
+        .collect();
+    let want = [
+        0x3fdf_b1fb_1fb1_fb1f,
+        0x3fdd_41d4_1d41_d41c,
+        0x3fe3_dc3d_c3dc_3dc4,
+        0x3fe2_b7ab_7ab7_ab7a,
+    ];
+    assert_eq!(bits, want, "per-epoch Recall@20 bits moved");
 }
 
 #[test]
