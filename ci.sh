@@ -14,7 +14,8 @@
 #   static   cargo fmt --check, clippy -D warnings, one-listener grep,
 #            one-probe-loop guard, one-front-door guard, lockfile
 #            hermeticity, per-node-scorer guard, intrinsics only in
-#            par/src/simd.rs, one propagation operator, one epoch loop
+#            par/src/simd.rs, one propagation operator, one epoch loop,
+#            one source of served tables
 #   build    cargo build --release
 #   tests    full test suite at GRAPHAUG_THREADS={1,3,4} and GRAPHAUG_SIMD=0
 #   bench    kernel-bench smoke run (tiny budget) and the bench tools'
@@ -242,6 +243,18 @@ group_static() {
         exit 1
     fi
     echo "ok: one epoch loop"
+
+    stage "one source of served tables: no log replay or model in serve outside the parity oracle"
+    # A generation's frame carries its final tables and watermark graph
+    # (DESIGN.md, "Swap protocol"); the engine decodes them. Replaying the log
+    # or constructing the model in serve is the rebuild every reload paid
+    # for; only serve_main's parity oracle does it, to cross-check the frame.
+    if grep -rnE 'read_range|apply_deltas|GraphAug::' crates/serve/src \
+        | grep -v '^crates/serve/src/bin/serve_main\.rs:'; then
+        echo "ERROR: log replay or model construction in crates/serve/src" >&2
+        exit 1
+    fi
+    echo "ok: one source of served tables"
 }
 
 group_build() {

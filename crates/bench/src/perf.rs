@@ -14,9 +14,9 @@ use graphaug_core::mixhop::{encode_mixhop, mixing_row_shape};
 use graphaug_core::nn::lightgcn_propagate;
 use graphaug_core::{GraphAug, GraphAugConfig};
 use graphaug_data::{generate, Dataset, SyntheticConfig};
-use graphaug_eval::{evaluate, topk_indices};
+use graphaug_eval::{evaluate, topk_indices, Recommender};
 use graphaug_graph::TripletSampler;
-use graphaug_runtime::{Checkpointer, RunCompat, TrainState};
+use graphaug_runtime::{Checkpointer, RunCompat, ServedTables, TrainState};
 use graphaug_serve::{IvfIndex, IvfParams, ModelTables, QuantIvf, QuantParams, QuantRows};
 use graphaug_tensor::init::{seeded_rng, xavier_uniform};
 use graphaug_tensor::{Graph, Mat, SpPair};
@@ -239,6 +239,7 @@ pub fn topk_eval(h: &mut Harness) {
 pub fn checkpoint(h: &mut Harness) {
     let train = generate(&SyntheticConfig::new(300, 250, 6000).seed(1));
     let model = GraphAug::new(GraphAugConfig::new().seed(3), &train);
+    let (user_emb, item_emb) = model.embeddings().expect("GraphAug has embeddings");
     let state = TrainState {
         compat: RunCompat {
             n_users: train.n_users() as u64,
@@ -257,6 +258,11 @@ pub fn checkpoint(h: &mut Harness) {
         loss_window: vec![0.45; 8],
         model: model.training_state(),
         sampler: TripletSampler::new(&train, 7).state(),
+        served: std::sync::Arc::new(ServedTables {
+            user_emb: user_emb.clone(),
+            item_emb: item_emb.clone(),
+            graph: train.clone(),
+        }),
     };
 
     let bytes = state.to_bytes();

@@ -129,8 +129,8 @@ impl GraphAug {
     /// tables. Unlike `GraphAug::new` followed by
     /// [`GraphAug::restore_training_state`], the throwaway
     /// Xavier-initialized parameters are never encoded, so a checkpoint
-    /// load costs one forward pass instead of two — this is the path the
-    /// serving engine rebuilds its tables through on every hot reload.
+    /// load costs one forward pass instead of two — this is how the
+    /// training runtime moves a model onto a delta-grown graph.
     pub fn for_inference(
         cfg: GraphAugConfig,
         train: &InteractionGraph,

@@ -4,21 +4,33 @@
 //!
 //! For every `ckpt-*.bin` generation (newest first) it prints the format
 //! version, payload/checksum status, the [`RunCompat`] identity (users /
-//! items / edges / seed / embedding dim), and the training progress the
-//! file captures. Exits non-zero when no generation decodes cleanly — the
-//! same condition under which `Runtime::resume` or a serving engine would
-//! refuse to start.
+//! items / edges / seed / embedding dim), the training progress the file
+//! captures, and its served section (table shapes, watermark-graph edges
+//! and the section's bytes) — what a server would serve from it, without
+//! opening an engine. Exits non-zero when no generation decodes cleanly —
+//! the same condition under which `Runtime::resume` or a serving engine
+//! would refuse to start.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use graphaug_ingest::args::{self, ArgError};
-use graphaug_runtime::{inspect_dir, load_latest_valid, RunCompat};
+use graphaug_runtime::{inspect_dir, load_latest_valid, RunCompat, ServedTables};
 
 fn compat_line(c: &RunCompat) -> String {
     format!(
         "users={} items={} edges={} seed={} embed_dim={}",
         c.n_users, c.n_items, c.n_edges, c.seed, c.embed_dim
+    )
+}
+
+fn served_line(s: &ServedTables) -> String {
+    let (ur, uc) = s.user_emb.shape();
+    let (ir, ic) = s.item_emb.shape();
+    format!(
+        "served: users {ur}x{uc} items {ir}x{ic} edges={} bytes={}",
+        s.graph.n_interactions(),
+        s.section_bytes()
     )
 }
 
@@ -50,6 +62,7 @@ fn main() -> ExitCode {
                         s.steps_taken,
                         compat_line(&s.compat)
                     );
+                    println!("{:>14}{}", "", served_line(&s.served));
                 }
                 Err(e) => {
                     println!(

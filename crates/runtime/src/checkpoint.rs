@@ -4,7 +4,10 @@
 //! with a bit-identical loss trajectory: a compatibility header tying the
 //! checkpoint to its run, the epoch cursor and recovery bookkeeping, the
 //! model's [`ModelState`] (parameters + Adam moments + RNG stream + step
-//! counter), and the triplet sampler's [`SamplerState`].
+//! counter), and the triplet sampler's [`SamplerState`]. It also carries
+//! what the generation *serves* ([`ServedTables`]): the final embedding
+//! tables and the training graph at the watermark, so a reader needs
+//! neither the model nor the interaction log to use it.
 //!
 //! The [`Checkpointer`] writes atomically (temp file + rename, never
 //! overwriting in place), keeps the last two generations, and on load walks
@@ -13,9 +16,10 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use graphaug_core::ModelState;
-use graphaug_graph::SamplerState;
+use graphaug_graph::{InteractionGraph, SamplerState};
 use graphaug_tensor::{Mat, ParamState, ParamStoreState};
 
 use crate::snapshot::{frame, unframe, ByteReader, ByteWriter, SnapshotError};
@@ -50,6 +54,28 @@ impl RunCompat {
     }
 }
 
+/// What one generation serves: `Ĥ = GE(G)` from the epoch-boundary
+/// refresh that precedes every checkpoint write, split into user and item
+/// tables, and the training graph at the checkpoint's watermark (the
+/// seen-item lists a server masks, and the graph a fine-tuner resumes on).
+#[derive(Clone, Debug)]
+pub struct ServedTables {
+    /// Final user embeddings, `n_users × embed_dim`.
+    pub user_emb: Mat,
+    /// Final item embeddings, `n_items × embed_dim`.
+    pub item_emb: Mat,
+    /// The training graph the tables were computed over.
+    pub graph: InteractionGraph,
+}
+
+impl ServedTables {
+    /// Encoded size of this section in a checkpoint payload.
+    pub fn section_bytes(&self) -> usize {
+        let table = |m: &Mat| 16 + 4 * m.as_slice().len();
+        table(&self.user_emb) + table(&self.item_emb) + 8 + 8 * self.graph.n_interactions()
+    }
+}
+
 /// Complete resumable state of a training run.
 #[derive(Clone, Debug)]
 pub struct TrainState {
@@ -81,33 +107,91 @@ pub struct TrainState {
     pub model: ModelState,
     /// Triplet sampler stream state.
     pub sampler: SamplerState,
+    /// What this generation serves. Shared, so a rollback copy of the
+    /// state clones a pointer, not the tables.
+    pub served: Arc<ServedTables>,
 }
 
 fn put_mat(w: &mut ByteWriter, m: &Mat) {
     w.put_u64(m.rows() as u64);
     w.put_u64(m.cols() as u64);
-    for &x in m.as_slice() {
-        w.put_f32(x);
+    w.put_f32s(m.as_slice());
+}
+
+/// Reads a matrix, refusing a shape other than `want` (when given) before
+/// reading its data.
+fn get_mat(r: &mut ByteReader<'_>, want: Option<(u64, u64)>) -> Result<Mat, SnapshotError> {
+    let (rows, cols) = (r.get_u64()?, r.get_u64()?);
+    if let Some((wr, wc)) = want.filter(|&w| w != (rows, cols)) {
+        return Err(SnapshotError::Malformed(format!(
+            "table is {rows}x{cols}, the header says {wr}x{wc}"
+        )));
+    }
+    let n = (rows as usize)
+        .checked_mul(cols as usize)
+        .ok_or_else(|| SnapshotError::Malformed(format!("matrix shape {rows}x{cols} overflows")))?;
+    Ok(Mat::from_vec(rows as usize, cols as usize, r.get_f32s(n)?))
+}
+
+fn put_served(w: &mut ByteWriter, served: &ServedTables) {
+    put_mat(w, &served.user_emb);
+    put_mat(w, &served.item_emb);
+    let edges = served.graph.edges();
+    w.put_u64(edges.len() as u64);
+    for &(u, v) in edges {
+        w.put_u32(u);
+        w.put_u32(v);
     }
 }
 
-fn get_mat(r: &mut ByteReader<'_>) -> Result<Mat, SnapshotError> {
-    let rows = r.get_u64()? as usize;
-    let cols = r.get_u64()? as usize;
-    let n = rows
-        .checked_mul(cols)
-        .ok_or_else(|| SnapshotError::Malformed(format!("matrix shape {rows}x{cols} overflows")))?;
-    if r.remaining() < n.saturating_mul(4) {
+/// Reads the served section and ties it to the frame's own header: table
+/// shapes are `n_users` / `n_items` × `embed_dim`, the edge list has
+/// `n_edges` strictly ascending pairs with ids in range. Every violation is
+/// [`SnapshotError::Malformed`], found before anything is allocated from
+/// an unchecked length.
+fn get_served(r: &mut ByteReader<'_>, compat: &RunCompat) -> Result<ServedTables, SnapshotError> {
+    // A zero width would let a table of any row count take zero bytes, and
+    // the graph allocates per user.
+    if compat.embed_dim == 0 {
+        return Err(SnapshotError::Malformed("embed_dim 0".into()));
+    }
+    let user_emb = get_mat(r, Some((compat.n_users, compat.embed_dim)))?;
+    let item_emb = get_mat(r, Some((compat.n_items, compat.embed_dim)))?;
+    let n_edges = r.get_u64()?;
+    if n_edges > (r.remaining() / 8) as u64 {
         return Err(SnapshotError::Malformed(format!(
-            "matrix claims {rows}x{cols} but only {} bytes remain",
+            "served graph claims {n_edges} edges but only {} bytes remain",
             r.remaining()
         )));
     }
-    let mut data = Vec::with_capacity(n);
-    for _ in 0..n {
-        data.push(r.get_f32()?);
+    if n_edges != compat.n_edges {
+        return Err(SnapshotError::Malformed(format!(
+            "served graph has {n_edges} edges, the header says {}",
+            compat.n_edges
+        )));
     }
-    Ok(Mat::from_vec(rows, cols, data))
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(n_edges as usize);
+    for _ in 0..n_edges {
+        let edge = (r.get_u32()?, r.get_u32()?);
+        if edge.0 as u64 >= compat.n_users || edge.1 as u64 >= compat.n_items {
+            return Err(SnapshotError::Malformed(format!(
+                "served edge {edge:?} outside {} users x {} items",
+                compat.n_users, compat.n_items
+            )));
+        }
+        if edges.last().is_some_and(|&prev| prev >= edge) {
+            return Err(SnapshotError::Malformed(format!(
+                "served edges not strictly ascending at {edge:?}"
+            )));
+        }
+        edges.push(edge);
+    }
+    let graph = InteractionGraph::new(compat.n_users as usize, compat.n_items as usize, edges);
+    Ok(ServedTables {
+        user_emb,
+        item_emb,
+        graph,
+    })
 }
 
 impl TrainState {
@@ -142,6 +226,7 @@ impl TrainState {
         w.put_u64(self.sampler.seed);
         w.put_u64(self.sampler.next_stream);
         w.put_rng(self.sampler.rng);
+        put_served(&mut w, &self.served);
         frame(&w.into_bytes())
     }
 
@@ -173,9 +258,9 @@ impl TrainState {
         }
         let mut slots = Vec::with_capacity(n_slots);
         for _ in 0..n_slots {
-            let value = get_mat(&mut r)?;
-            let m = get_mat(&mut r)?;
-            let v = get_mat(&mut r)?;
+            let value = get_mat(&mut r, None)?;
+            let m = get_mat(&mut r, None)?;
+            let v = get_mat(&mut r, None)?;
             slots.push(ParamState { value, m, v });
         }
         let model = ModelState {
@@ -189,6 +274,7 @@ impl TrainState {
             next_stream: r.get_u64()?,
             rng: r.get_rng()?,
         };
+        let served = Arc::new(get_served(&mut r, &compat)?);
         r.finish()?;
         Ok(TrainState {
             compat,
@@ -202,6 +288,7 @@ impl TrainState {
             loss_window,
             model,
             sampler,
+            served,
         })
     }
 
@@ -406,6 +493,8 @@ pub struct CheckpointSummary {
     pub epoch: u64,
     /// Optimization steps taken by the model when it was written.
     pub steps_taken: u64,
+    /// What the generation serves.
+    pub served: Arc<ServedTables>,
 }
 
 /// One checkpoint file's inspection record.
@@ -441,6 +530,7 @@ pub fn inspect_dir(dir: &Path) -> Vec<CheckpointInfo> {
                     compat: state.compat,
                     epoch: state.epoch,
                     steps_taken: state.model.steps_taken,
+                    served: state.served,
                 });
                 (raw.len() as u64, status)
             }
@@ -454,4 +544,160 @@ pub fn inspect_dir(dir: &Path) -> Vec<CheckpointInfo> {
         });
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::{Runtime, RuntimeConfig};
+    use crate::snapshot::FORMAT_VERSION;
+    use graphaug_core::GraphAugConfig;
+    use graphaug_data::{generate, SyntheticConfig};
+
+    fn state() -> TrainState {
+        let graph = generate(&SyntheticConfig::new(30, 20, 200).seed(3));
+        let cfg = RuntimeConfig::new(GraphAugConfig::fast_test());
+        Runtime::new(cfg, &graph).unwrap().current_state()
+    }
+
+    /// The payload of `state`'s frame and the offset its served section
+    /// starts at.
+    fn payload(state: &TrainState) -> (Vec<u8>, usize) {
+        let payload = unframe(&state.to_bytes()).unwrap().to_vec();
+        let start = payload.len() - state.served.section_bytes();
+        (payload, start)
+    }
+
+    fn decode(payload: &[u8]) -> Result<TrainState, SnapshotError> {
+        TrainState::from_bytes(&frame(payload))
+    }
+
+    fn assert_malformed(got: Result<TrainState, SnapshotError>, what: &str) {
+        match got {
+            Err(SnapshotError::Malformed(_)) => {}
+            Err(e) => panic!("{what}: expected Malformed, got {e:?}"),
+            Ok(_) => panic!("{what}: expected Malformed, got a state"),
+        }
+    }
+
+    fn put_u64_at(payload: &mut [u8], at: usize, v: u64) {
+        payload[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    #[test]
+    fn the_served_section_round_trips_bit_exactly() {
+        let state = state();
+        let back = TrainState::from_bytes(&state.to_bytes()).unwrap();
+        let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back.served.user_emb), bits(&state.served.user_emb));
+        assert_eq!(bits(&back.served.item_emb), bits(&state.served.item_emb));
+        assert_eq!(back.served.graph.edges(), state.served.graph.edges());
+        assert_eq!(back.to_bytes(), state.to_bytes());
+
+        let mut w = ByteWriter::new();
+        put_served(&mut w, &state.served);
+        assert_eq!(w.into_bytes().len(), state.served.section_bytes());
+    }
+
+    #[test]
+    fn a_rollback_copy_shares_the_served_section() {
+        let state = state();
+        let copy = state.clone();
+        assert!(Arc::ptr_eq(&state.served, &copy.served));
+    }
+
+    #[test]
+    fn a_version_2_frame_is_refused_by_version() {
+        let mut bytes = state().to_bytes();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            TrainState::from_bytes(&bytes).unwrap_err(),
+            SnapshotError::BadVersion {
+                found: 2,
+                supported: FORMAT_VERSION
+            }
+        );
+    }
+
+    #[test]
+    fn a_truncated_served_table_is_malformed() {
+        let state = state();
+        let (payload, start) = payload(&state);
+        // Cut inside the user table, inside the item table, and one byte
+        // short of the last edge.
+        let item_start = start + 16 + 4 * state.served.user_emb.as_slice().len();
+        for cut in [start + 20, item_start + 21, payload.len() - 1] {
+            assert_malformed(decode(&payload[..cut]), &format!("cut at {cut}"));
+        }
+    }
+
+    #[test]
+    fn served_tables_off_the_header_shape_are_malformed() {
+        let state = state();
+        let (nu, d) = state.served.user_emb.shape();
+        let ni = state.served.item_emb.rows();
+        for (user, item) in [
+            ((nu + 1, d), (ni, d)),
+            ((nu, d + 1), (ni, d)),
+            ((nu, d), (ni - 1, d)),
+            ((nu, d), (ni, d - 1)),
+        ] {
+            let mut bad = state.clone();
+            bad.served = Arc::new(ServedTables {
+                user_emb: Mat::zeros(user.0, user.1),
+                item_emb: Mat::zeros(item.0, item.1),
+                graph: state.served.graph.clone(),
+            });
+            assert_malformed(
+                TrainState::from_bytes(&bad.to_bytes()),
+                &format!("user {user:?} item {item:?}"),
+            );
+        }
+    }
+
+    #[test]
+    fn an_edge_count_past_the_remaining_bytes_fails_before_allocating() {
+        let state = state();
+        let (mut payload, _) = payload(&state);
+        let count_at = payload.len() - 8 * state.served.graph.n_interactions() - 8;
+        // `u64::MAX` pairs would abort the process if anything allocated
+        // them; a count one past the bytes is the smallest lie.
+        for claim in [u64::MAX, state.compat.n_edges + 1] {
+            put_u64_at(&mut payload, count_at, claim);
+            assert_malformed(decode(&payload), &format!("{claim} edges"));
+        }
+    }
+
+    #[test]
+    fn an_edge_count_off_the_header_is_malformed() {
+        let mut state = state();
+        state.compat.n_edges -= 1;
+        assert_malformed(TrainState::from_bytes(&state.to_bytes()), "n_edges - 1");
+    }
+
+    #[test]
+    fn an_out_of_range_or_unsorted_edge_is_malformed() {
+        let state = state();
+        let (payload, _) = payload(&state);
+        let last = payload.len() - 8;
+        let (n_users, n_items) = (state.compat.n_users as u32, state.compat.n_items as u32);
+        let cases: [(&str, usize, u32); 3] = [
+            ("user id n_users", last, n_users),
+            ("item id n_items", last + 4, n_items),
+            // The last edge's user set to 0 sorts it before its neighbours.
+            ("unsorted", last, 0),
+        ];
+        for (what, at, v) in cases {
+            let mut bad = payload.clone();
+            bad[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            assert_malformed(decode(&bad), what);
+        }
+    }
+
+    #[test]
+    fn a_zero_width_header_is_malformed() {
+        let mut state = state();
+        state.compat.embed_dim = 0;
+        assert_malformed(TrainState::from_bytes(&state.to_bytes()), "embed_dim 0");
+    }
 }

@@ -7,8 +7,9 @@
 //! 1. **Checkpoint/restore** ([`checkpoint`], [`snapshot`]) — a versioned,
 //!    checksummed, dependency-free binary snapshot of *everything* that
 //!    shapes the loss trajectory (parameters, Adam moments and step counter,
-//!    model RNG stream, sampler stream, epoch cursor, recovery bookkeeping),
-//!    written atomically with two retained generations. Because the whole
+//!    model RNG stream, sampler stream, epoch cursor, recovery bookkeeping)
+//!    plus the tables the generation serves, written atomically with two
+//!    retained generations. Because the whole
 //!    stack is bit-deterministic at any thread count, a resumed run is not
 //!    merely "close": it reproduces the uninterrupted run **bit-identically**
 //!    — and the tests assert exactly that.
@@ -57,7 +58,7 @@ pub mod snapshot;
 
 pub use checkpoint::{
     generation_path, inspect_dir, list_generations, load_latest_valid, newest_generation,
-    CheckpointInfo, CheckpointSummary, Checkpointer, RunCompat, TrainState,
+    CheckpointInfo, CheckpointSummary, Checkpointer, RunCompat, ServedTables, TrainState,
 };
 pub use demo::{demo_config, demo_split};
 pub use fault::{corrupt_checkpoint, truncate_checkpoint, FaultPlan};

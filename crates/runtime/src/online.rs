@@ -30,6 +30,7 @@ use graphaug_graph::InteractionGraph;
 use graphaug_ingest::{apply_deltas, log_len, read_range, IngestError};
 
 use crate::runtime::{Runtime, RuntimeConfig, RuntimeError};
+use crate::snapshot::SnapshotError;
 
 /// Why the online loop could not proceed.
 #[derive(Debug)]
@@ -92,10 +93,12 @@ pub struct FineTuner {
 
 impl FineTuner {
     /// Resumes the online loop from the newest valid checkpoint under
-    /// `cfg.checkpoint_dir`: the checkpoint's watermark decides how much
-    /// of the log is replayed onto `base` before the runtime restores —
-    /// so the resumed graph is exactly the one the checkpoint was trained
-    /// on, wherever in the stream the previous process died.
+    /// `cfg.checkpoint_dir`. The frame carries the graph it was trained on
+    /// (base plus log records `[0, watermark)`), so the resumed graph is
+    /// exactly the checkpoint's wherever in the stream the previous process
+    /// died, without reading the log. A frame whose graph is not over
+    /// `base`'s users and items is refused as
+    /// [`SnapshotError::Incompatible`].
     ///
     /// `window` is the fixed round size in records and must match across
     /// every process that ever advanced this checkpoint directory —
@@ -114,13 +117,21 @@ impl FineTuner {
         let Some((_, state)) = crate::checkpoint::load_latest_valid(&dir) else {
             return Err(OnlineError::Runtime(RuntimeError::NoCheckpoint(dir)));
         };
-        let graph = if state.log_offset == 0 {
-            base.clone()
-        } else {
-            let records = read_range(log_dir, 0, state.log_offset)?;
-            apply_deltas(base, &records)?.graph
-        };
-        let rt = Runtime::resume(cfg, &graph)?;
+        let graph = state.served.graph.clone();
+        let shape = (graph.n_users(), graph.n_items(), graph.n_interactions());
+        let want = (
+            base.n_users(),
+            base.n_items(),
+            state.compat.n_edges as usize,
+        );
+        if shape != want {
+            let e = SnapshotError::Incompatible(format!(
+                "checkpoint graph is {shape:?} (users, items, edges), expected {want:?}"
+            ));
+            return Err(RuntimeError::from(e).into());
+        }
+        let mut rt = Runtime::new(cfg, &graph)?;
+        rt.restore_state(&state)?;
         Ok(FineTuner {
             rt,
             graph,

@@ -4,12 +4,14 @@
 //! [`RecoveryPolicy`] when training goes off the rails.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use graphaug_core::{GraphAug, GraphAugConfig, StepOptions, Trainable};
+use graphaug_eval::Recommender;
 use graphaug_graph::{GraphInvariantError, InteractionGraph, SamplerState, TripletSampler};
 use graphaug_tensor::RestoreError;
 
-use crate::checkpoint::{Checkpointer, RunCompat, TrainState};
+use crate::checkpoint::{Checkpointer, RunCompat, ServedTables, TrainState};
 use crate::fault::FaultPlan;
 use crate::guards::{RecoveryPolicy, SpikeDetector, StepVerdict};
 use crate::snapshot::SnapshotError;
@@ -185,6 +187,18 @@ pub struct RunReport {
     pub checkpoints_written: usize,
 }
 
+/// The model's cached clean-graph tables over `graph`: every caller runs
+/// right after a refresh (construction, restore, or the epoch boundary), so
+/// these are the tables the state's parameters serve.
+fn served_tables(model: &GraphAug, graph: &InteractionGraph) -> Arc<ServedTables> {
+    let (user_emb, item_emb) = model.embeddings().expect("GraphAug always has embeddings");
+    Arc::new(ServedTables {
+        user_emb: user_emb.clone(),
+        item_emb: item_emb.clone(),
+        graph: graph.clone(),
+    })
+}
+
 /// Fault-tolerant training driver around a [`GraphAug`] model.
 pub struct Runtime {
     cfg: RuntimeConfig,
@@ -237,6 +251,7 @@ impl Runtime {
             loss_window: Vec::new(),
             model: model.training_state(),
             sampler: sampler_state,
+            served: served_tables(&model, graph),
         };
         Ok(Runtime {
             cfg,
@@ -315,11 +330,12 @@ impl Runtime {
             loss_window: self.detector.window().to_vec(),
             model: self.model.training_state(),
             sampler: self.sampler_state,
+            served: served_tables(&self.model, &self.graph),
         }
     }
 
     /// Restores a decoded checkpoint into this runtime (compat-checked).
-    fn restore_state(&mut self, state: &TrainState) -> Result<(), RuntimeError> {
+    pub(crate) fn restore_state(&mut self, state: &TrainState) -> Result<(), RuntimeError> {
         state.compat.check(&self.compat())?;
         self.model.restore_training_state(&state.model)?;
         self.sampler_state = state.sampler;

@@ -24,8 +24,10 @@ pub use graphaug_ingest::fnv1a64;
 pub const MAGIC: &[u8; 8] = b"GAUGCKPT";
 
 /// Current snapshot format version. Version 2 added the online-learning
-/// cursors (`step_in_epoch`, `log_offset`, `finetunes`) to `TrainState`.
-pub const FORMAT_VERSION: u32 = 2;
+/// cursors (`step_in_epoch`, `log_offset`, `finetunes`) to `TrainState`;
+/// version 3 added the served section (the final embedding tables and the
+/// watermark graph's edges).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be read (or decoded).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -170,12 +172,18 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    /// Appends a length-prefixed `f32` slice.
-    pub fn put_f32_slice(&mut self, vs: &[f32]) {
-        self.put_u64(vs.len() as u64);
+    /// Appends `f32`s back to back, with no length prefix.
+    pub fn put_f32s(&mut self, vs: &[f32]) {
+        self.buf.reserve(4 * vs.len());
         for &v in vs {
             self.put_f32(v);
         }
+    }
+
+    /// Appends a length-prefixed `f32` slice.
+    pub fn put_f32_slice(&mut self, vs: &[f32]) {
+        self.put_u64(vs.len() as u64);
+        self.put_f32s(vs);
     }
 
     /// Appends a `[u64; 4]` RNG state.
@@ -237,20 +245,26 @@ impl<'a> ByteReader<'a> {
         Ok(f32::from_bits(self.get_u32()?))
     }
 
-    /// Reads a length-prefixed `f32` vector.
-    pub fn get_f32_vec(&mut self) -> Result<Vec<f32>, SnapshotError> {
-        let n = self.get_u64()? as usize;
-        if self.remaining() < n.saturating_mul(4) {
+    /// Reads `n` back-to-back `f32`s, checking the length against the
+    /// bytes left *before* allocating.
+    pub fn get_f32s(&mut self, n: usize) -> Result<Vec<f32>, SnapshotError> {
+        if self.remaining() / 4 < n {
             return Err(SnapshotError::Malformed(format!(
-                "f32 slice claims {n} entries but only {} bytes remain",
+                "{n} f32 entries claimed but only {} bytes remain",
                 self.remaining()
             )));
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_f32()?);
-        }
-        Ok(out)
+        let bytes = self.take(4 * n)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_bits(u32::from_le_bytes(b.try_into().unwrap())))
+            .collect())
+    }
+
+    /// Reads a length-prefixed `f32` vector.
+    pub fn get_f32_vec(&mut self) -> Result<Vec<f32>, SnapshotError> {
+        let n = self.get_u64()? as usize;
+        self.get_f32s(n)
     }
 
     /// Reads a `[u64; 4]` RNG state.

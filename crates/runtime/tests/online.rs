@@ -13,8 +13,10 @@ use std::sync::Arc;
 use graphaug_core::GraphAugConfig;
 use graphaug_data::{generate, SyntheticConfig};
 use graphaug_graph::InteractionGraph;
-use graphaug_ingest::LogWriter;
-use graphaug_runtime::{checkpoint, FineTuner, Runtime, RuntimeConfig, SnapshotError};
+use graphaug_ingest::{apply_deltas, read_range, LogWriter};
+use graphaug_runtime::{
+    checkpoint, FineTuner, OnlineError, Runtime, RuntimeConfig, RuntimeError, SnapshotError,
+};
 
 fn toy_graph() -> InteractionGraph {
     generate(&SyntheticConfig::new(70, 55, 800).clusters(4).seed(13))
@@ -194,14 +196,21 @@ fn a_fine_tuner_killed_mid_stream_resumes_from_its_watermark_bit_identically() {
     assert_eq!(victim.watermark(), WINDOW);
     drop(victim);
 
-    // Reopen: `open` must replay the log up to the persisted watermark so
-    // the resumed graph matches the checkpoint, then drain the rest.
+    // Reopen: `open` takes the graph at the persisted watermark from the
+    // frame — no log needed — then drains the rest from the log.
+    let no_log = kill_dir.path().join("no-such-log");
+    let frame_only = FineTuner::open(cfg(kill_dir.path()), &base, &no_log, WINDOW).unwrap();
     let mut resumed = FineTuner::open(cfg(kill_dir.path()), &base, log_dir.path(), WINDOW).unwrap();
     assert_eq!(resumed.watermark(), WINDOW, "watermark restored from disk");
     assert!(
         resumed.graph().n_interactions() > base.n_interactions(),
         "resumed graph must include the absorbed window"
     );
+    let replayed = apply_deltas(&base, &read_range(log_dir.path(), 0, WINDOW).unwrap())
+        .unwrap()
+        .graph;
+    assert_eq!(resumed.graph().edges(), replayed.edges());
+    assert_eq!(frame_only.graph().edges(), replayed.edges());
     let rounds = resumed.run_pending().unwrap();
     assert_eq!(rounds.len(), 2);
 
@@ -217,6 +226,26 @@ fn a_fine_tuner_killed_mid_stream_resumes_from_its_watermark_bit_identically() {
         ref_bytes, kill_bytes,
         "kill + resume must converge to the uninterrupted run's bytes"
     );
+}
+
+#[test]
+fn a_fine_tuner_refuses_a_frame_over_another_universe() {
+    graphaug_par::set_thread_count(1);
+    let base = toy_graph();
+    let dir = TempDir::new("universe");
+    train_base(dir.path(), &base);
+    let cfg = RuntimeConfig::new(toy_model()).checkpoint_dir(dir.path());
+    let log = dir.path().join("log");
+    for other in [
+        generate(&SyntheticConfig::new(71, 55, 800).clusters(4).seed(13)),
+        generate(&SyntheticConfig::new(70, 54, 800).clusters(4).seed(13)),
+    ] {
+        match FineTuner::open(cfg.clone(), &other, &log, 16) {
+            Err(OnlineError::Runtime(RuntimeError::Snapshot(SnapshotError::Incompatible(_)))) => {}
+            Err(e) => panic!("expected Incompatible, got {e}"),
+            Ok(_) => panic!("expected Incompatible, got a tuner"),
+        }
+    }
 }
 
 #[test]

@@ -17,9 +17,10 @@
 //! 3. runs a **parity self-check** through the exact-oracle path (`RECX`
 //!    semantics — independent of any ANN index): the offline
 //!    `graphaug-eval` ranking (computed through the independent
-//!    training-restore path) must match the served lists hex-exactly, and
-//!    the `EvalResult::bitline()`s of both sides must be byte-identical —
-//!    printed as `PARITY ok …`;
+//!    training-restore path, over this process's own replay of the log)
+//!    must match the served lists hex-exactly, the served graph must equal
+//!    the replayed one, and the `EvalResult::bitline()`s of both sides must
+//!    be byte-identical — printed as `PARITY ok …`;
 //! 4. starts the TCP server (printing `READY addr=… gen=…`) with a hot
 //!    reload watcher, then serves until killed.
 //!
@@ -28,11 +29,12 @@
 //! without its `--ann` / `--quant` switch is a usage error (exit 2).
 //!
 //! `--log-dir PATH` attaches the interaction log an `ingestd` process
-//! appends to: checkpoints fine-tuned past the base graph (nonzero
-//! watermark) are then resolved by replaying the log, so the watcher
-//! hot-reloads the online-learning loop's generations with zero downtime.
+//! appends to. The engine serves fine-tuned generations (nonzero
+//! watermark) from their frames alone and reads the log only for `STATS
+//! ingested=`; the parity self-check replays it to rebuild the model
+//! independently, so a watermarked checkpoint at startup needs the flag.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,6 +42,7 @@ use std::time::Duration;
 use graphaug_core::GraphAug;
 use graphaug_eval::{evaluate, topk_indices, Recommender};
 use graphaug_graph::{InteractionGraph, TrainTestSplit};
+use graphaug_ingest::{apply_deltas, read_range};
 use graphaug_runtime::{checkpoint, demo_config, demo_split, Runtime, RuntimeConfig};
 use graphaug_serve::args::{self, ArgError, Args, Fail};
 use graphaug_serve::{
@@ -77,17 +80,39 @@ fn hex_list(items: &[(u32, f32)]) -> String {
     out
 }
 
-fn parity_check(engine: &Engine, split: &TrainTestSplit, users: usize) -> Result<String, String> {
+/// The graph a checkpoint with watermark `log_offset` was trained on,
+/// rebuilt without the frame: the base graph plus a replay of log records
+/// `[0, log_offset)`, exactly as the trainer applied them.
+fn replayed_graph(
+    base: &InteractionGraph,
+    log_dir: Option<&Path>,
+    log_offset: u64,
+) -> Result<InteractionGraph, String> {
+    if log_offset == 0 {
+        return Ok(base.clone());
+    }
+    let dir = log_dir.ok_or(format!(
+        "watermark {log_offset}: the parity oracle replays the log and needs --log-dir"
+    ))?;
+    let records = read_range(dir, 0, log_offset).map_err(|e| format!("log replay: {e}"))?;
+    let delta = apply_deltas(base, &records).map_err(|e| format!("log replay: {e}"))?;
+    Ok(delta.graph)
+}
+
+fn parity_check(
+    engine: &Engine,
+    split: &TrainTestSplit,
+    users: usize,
+    log_dir: Option<&Path>,
+) -> Result<String, String> {
     let source = engine.source();
     let dir = &source.checkpoint_dir;
     let (generation, state) = checkpoint::load_latest_valid(dir)
         .ok_or_else(|| format!("no valid checkpoint under {}", dir.display()))?;
-    // Independent offline path: training-style construct + restore, over
-    // the same watermark-resolved graph the serving tables were built on
-    // (base graph plus a fresh replay of the interaction log).
-    let graph = source
-        .graph_at(state.log_offset)
-        .map_err(|e| format!("offline graph resolution failed: {e}"))?;
+    // Independent offline path: the base graph plus this process's own
+    // replay of the log, then a training-style construct + restore over
+    // it — none of which the engine does.
+    let graph = replayed_graph(&source.graph, log_dir, state.log_offset)?;
     let mut offline = GraphAug::new(source.config.clone(), &graph);
     offline
         .restore_training_state(&state.model)
@@ -99,6 +124,13 @@ fn parity_check(engine: &Engine, split: &TrainTestSplit, users: usize) -> Result
         return Err(format!(
             "engine serves gen {} but newest valid is {generation}",
             tables.generation()
+        ));
+    }
+    if tables.graph().edges() != graph.edges() {
+        return Err(format!(
+            "gen {generation} serves a graph of {} edges, the log replay has {}",
+            tables.graph().n_interactions(),
+            graph.n_interactions()
         ));
     }
     let n_users = graph.n_users().min(users);
@@ -294,7 +326,7 @@ fn serve_demo(opts: Opts) -> Result<(), Fail> {
         }
     }
 
-    let line = parity_check(&engine, &split, opts.parity_users)
+    let line = parity_check(&engine, &split, opts.parity_users, opts.log_dir.as_deref())
         .map_err(|e| format!("PARITY FAIL: {e}"))?;
     println!("{line}");
 

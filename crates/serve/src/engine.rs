@@ -6,8 +6,8 @@
 //! The live tables sit behind `Mutex<Arc<ModelTables>>`. Readers take the
 //! lock only long enough to clone the `Arc` (a refcount bump); a reload
 //! builds the replacement tables entirely **outside** the lock (checkpoint
-//! decode + one encoder forward — the expensive part) and then swaps the
-//! `Arc` in one short critical section. Consequences:
+//! decode, then the index tiers and their gates — the expensive part) and
+//! then swaps the `Arc` in one short critical section. Consequences:
 //!
 //! * a request observes exactly one generation end to end — it keeps its
 //!   cloned `Arc` for its whole lifetime, so a swap can never hand it a
@@ -112,9 +112,8 @@ pub struct EngineStats {
     /// Reload attempts that failed (old tables kept serving).
     pub reload_errors: u64,
     /// Newer generations whose checkpoint fingerprint matched the serving
-    /// tables': byte-identical state, so the rebuild (decode, log replay,
-    /// encoder forward, quantize, gates) was skipped and the generation
-    /// merely rebadged.
+    /// tables': byte-identical state, so the rebuild (index builds,
+    /// quantize, gates) was skipped and the generation merely rebadged.
     pub reload_skips: u64,
     /// True when the serving tables carry an *enabled* IVF index (built,
     /// and its build-time recall cleared the floor).
@@ -516,8 +515,8 @@ impl Engine {
         // Cheap hash compare before the expensive rebuild: an equal
         // fingerprint (read straight off the frame header — no re-encode)
         // means the checkpoint frame is byte-identical to the one serving,
-        // so decode + replay + forward + quantize + gates would reproduce
-        // the live tables bit-for-bit. Rebadge instead.
+        // so index builds + quantize + gates would reproduce the live
+        // tables bit-for-bit. Rebadge instead.
         if fingerprint == self.fingerprint.load(Ordering::Relaxed) {
             let rebadged = Arc::new(self.tables().rebadged(generation));
             *self.current.lock().expect("tables lock") = rebadged;

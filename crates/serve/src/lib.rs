@@ -5,10 +5,11 @@
 //! should user `u` see right now?"* — on top of the `graphaug-runtime`
 //! checkpoint store:
 //!
-//! 1. **Tables** ([`tables`]) — load the newest valid checkpoint, run the
-//!    mixhop encoder forward **once** (via `GraphAug::for_inference`), and
-//!    freeze the resulting user/item embedding matrices plus the seen-item
-//!    lists into an immutable [`ModelTables`]. `ModelTables` implements the
+//! 1. **Tables** ([`tables`]) — load the newest valid checkpoint and freeze
+//!    the user/item embedding matrices and the seen-item lists its frame
+//!    carries (the trainer's clean-graph forward at the checkpoint's
+//!    watermark) into an immutable [`ModelTables`]; serving runs no model
+//!    and replays no log. `ModelTables` implements the
 //!    evaluation stack's `Recommender` trait, so a served ranking is
 //!    *bit-identical* to the offline `graphaug-eval` ranking for the same
 //!    checkpoint — the integration tests assert this with hex-exact

@@ -1,23 +1,24 @@
 //! Immutable serving tables materialized from one training checkpoint.
 //!
 //! A [`ModelTables`] is everything a request needs, frozen at build time:
-//! the final user/item embedding matrices (one inference forward pass over
-//! the clean graph), the per-user seen-item lists for filtering, and the
-//! checkpoint generation the tables came from. Instances are immutable
-//! after construction and shared behind an `Arc`, which is what makes the
-//! engine's hot swap safe: a request that started on generation N keeps
-//! its `Arc<ModelTables>` alive until it finishes, no matter how many
-//! swaps land meanwhile.
+//! the final user/item embedding matrices and the watermark graph whose
+//! per-user seen-item lists are filtered out — both decoded from the
+//! checkpoint frame's served section, never recomputed here — plus the
+//! optional index tiers and the checkpoint generation the tables came
+//! from. Instances are immutable after construction and shared behind an
+//! `Arc`, which is what makes the engine's hot swap safe: a request that
+//! started on generation N keeps its `Arc<ModelTables>` alive until it
+//! finishes, no matter how many swaps land meanwhile.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use graphaug_core::{GraphAug, GraphAugConfig};
+use graphaug_core::GraphAugConfig;
 use graphaug_eval::{overlap_count, topk_indices, Recommender};
 use graphaug_graph::InteractionGraph;
-use graphaug_ingest::{apply_deltas, read_range, IngestError};
 use graphaug_rng::StdRng;
-use graphaug_runtime::{RunCompat, SnapshotError, TrainState};
-use graphaug_tensor::{Mat, RestoreError};
+use graphaug_runtime::{RunCompat, ServedTables, SnapshotError, TrainState};
+use graphaug_tensor::Mat;
 
 use crate::ann::{Ivf, IvfIndex, IvfParams, IvfRows};
 use crate::quant::{QuantIvf, QuantParams, QuantRows};
@@ -35,10 +36,9 @@ const DRIFT_SEED: u64 = 0x9a17;
 pub enum ServeError {
     /// No valid checkpoint exists under the source directory.
     NoCheckpoint(PathBuf),
-    /// A checkpoint could not be read or decoded.
+    /// A checkpoint could not be read or decoded, or belongs to another
+    /// run than the source describes.
     Snapshot(SnapshotError),
-    /// A decoded checkpoint did not fit the configured model shape.
-    Restore(RestoreError),
     /// The requested user id is outside the model's user range.
     UnknownUser {
         /// The offending user id.
@@ -46,16 +46,6 @@ pub enum ServeError {
         /// Number of users the model knows.
         n_users: usize,
     },
-    /// The checkpoint was trained past the base graph (its watermark is
-    /// nonzero) but the source carries no interaction-log directory to
-    /// replay the deltas from.
-    LogRequired {
-        /// The checkpoint's watermark.
-        log_offset: u64,
-    },
-    /// The interaction log could not be replayed up to the checkpoint's
-    /// watermark (corrupt record, chain gap, out-of-range ids).
-    Ingest(IngestError),
     /// Network/socket failure in the server layer.
     Io(String),
 }
@@ -67,15 +57,9 @@ impl std::fmt::Display for ServeError {
                 write!(f, "no valid checkpoint under {}", dir.display())
             }
             ServeError::Snapshot(e) => write!(f, "checkpoint error: {e}"),
-            ServeError::Restore(e) => write!(f, "checkpoint does not fit this model: {e}"),
             ServeError::UnknownUser { user, n_users } => {
                 write!(f, "unknown user {user} (model has users 0..{n_users})")
             }
-            ServeError::LogRequired { log_offset } => write!(
-                f,
-                "checkpoint watermark is {log_offset} but the source has no log_dir to replay"
-            ),
-            ServeError::Ingest(e) => write!(f, "log replay error: {e}"),
             ServeError::Io(e) => write!(f, "io error: {e}"),
         }
     }
@@ -86,18 +70,6 @@ impl std::error::Error for ServeError {}
 impl From<SnapshotError> for ServeError {
     fn from(e: SnapshotError) -> Self {
         ServeError::Snapshot(e)
-    }
-}
-
-impl From<RestoreError> for ServeError {
-    fn from(e: RestoreError) -> Self {
-        ServeError::Restore(e)
-    }
-}
-
-impl From<IngestError> for ServeError {
-    fn from(e: IngestError) -> Self {
-        ServeError::Ingest(e)
     }
 }
 
@@ -117,18 +89,19 @@ pub(crate) fn overlap(approx: &[ScoredItem], exact: &[ScoredItem]) -> usize {
     overlap_count(&items(approx), &items(exact))
 }
 
-/// Where serving tables come from: the model configuration and training
-/// graph that define the run, plus the checkpoint directory a trainer
-/// writes into. The config/graph pair must match the training run — the
-/// checkpoint's [`RunCompat`] header is checked on every load, so serving
-/// a checkpoint against the wrong graph fails loudly instead of returning
+/// Where serving tables come from: the model configuration and base
+/// training graph that define the run, plus the checkpoint directory a
+/// trainer writes into. The config/graph pair must match the training run
+/// — the checkpoint's [`RunCompat`] header is checked on every load, so
+/// serving a checkpoint of another run fails loudly instead of returning
 /// silent nonsense.
 #[derive(Clone)]
 pub struct ModelSource {
     /// Model hyperparameters of the training run.
     pub config: GraphAugConfig,
-    /// The training interaction graph (defines embedding shapes and the
-    /// seen-item lists used for filtering).
+    /// The base training graph. Its user/item universe must match every
+    /// checkpoint's; the seen-item lists come from the checkpoint, which
+    /// carries the graph at its own watermark.
     pub graph: InteractionGraph,
     /// Directory the trainer checkpoints into.
     pub checkpoint_dir: PathBuf,
@@ -141,10 +114,9 @@ pub struct ModelSource {
     /// survives hot reloads automatically. Combined with [`Self::ann`], the
     /// quantized build packs an int8 IVF index with the ANN geometry.
     pub quant: Option<QuantParams>,
-    /// When set, checkpoints trained past the base graph (nonzero
-    /// `log_offset` watermark) are served by replaying this interaction
-    /// log's records `[0, watermark)` onto `graph` — the online-learning
-    /// handoff. Without it, only watermark-zero checkpoints build.
+    /// The interaction log the online trainer appends to. Only
+    /// [`crate::EngineStats::ingested`] reads it (the log's length); tables
+    /// never replay it.
     pub log_dir: Option<PathBuf>,
 }
 
@@ -174,8 +146,7 @@ impl ModelSource {
         self
     }
 
-    /// Attaches the interaction log the online trainer appends to, so
-    /// table builds can resolve watermarked checkpoints (see
+    /// Attaches the interaction log the online trainer appends to (see
     /// [`Self::log_dir`]).
     pub fn log_dir(mut self, dir: &Path) -> Self {
         self.log_dir = Some(dir.to_path_buf());
@@ -183,37 +154,15 @@ impl ModelSource {
     }
 
     /// The [`RunCompat`] identity this source expects watermark-zero
-    /// checkpoints to carry (see [`Self::compat_of`] for grown graphs).
+    /// checkpoints to carry. A watermarked one differs only in `n_edges`.
     pub fn compat(&self) -> RunCompat {
-        self.compat_of(&self.graph)
-    }
-
-    /// The [`RunCompat`] identity of a checkpoint trained over `graph`
-    /// (the base graph or any watermark-resolved growth of it).
-    pub fn compat_of(&self, graph: &InteractionGraph) -> RunCompat {
         RunCompat {
-            n_users: graph.n_users() as u64,
-            n_items: graph.n_items() as u64,
-            n_edges: graph.n_interactions() as u64,
+            n_users: self.graph.n_users() as u64,
+            n_items: self.graph.n_items() as u64,
+            n_edges: self.graph.n_interactions() as u64,
             seed: self.config.seed,
             embed_dim: self.config.embed_dim as u64,
         }
-    }
-
-    /// The graph a checkpoint with watermark `log_offset` was trained on:
-    /// the base graph plus interaction-log records `[0, log_offset)`,
-    /// checksum-verified and deduplicated exactly like the trainer applied
-    /// them. Watermark zero needs no log at all.
-    pub fn graph_at(&self, log_offset: u64) -> Result<InteractionGraph, ServeError> {
-        if log_offset == 0 {
-            return Ok(self.graph.clone());
-        }
-        let dir = self
-            .log_dir
-            .as_ref()
-            .ok_or(ServeError::LogRequired { log_offset })?;
-        let records = read_range(dir, 0, log_offset)?;
-        Ok(apply_deltas(&self.graph, &records)?.graph)
     }
 }
 
@@ -354,19 +303,19 @@ pub struct ModelTables {
     log_offset: u64,
     finetunes: u64,
     fingerprint: u64,
-    user_emb: Mat,
-    item_emb: Mat,
-    graph: InteractionGraph,
+    /// The frame's served section, shared with the decoded state.
+    served: Arc<ServedTables>,
     ann: Option<AnnBuild>,
     quant: Option<QuantBuild>,
 }
 
 impl ModelTables {
-    /// Builds tables from a decoded checkpoint: verifies the [`RunCompat`]
-    /// header against the source, restores the model state, and runs the
-    /// encoder forward exactly once ([`GraphAug::for_inference`]). When the
-    /// source carries [`IvfParams`], the IVF index is built and
-    /// recall-gated here too — table build happens off the request path, so
+    /// Builds tables from a decoded checkpoint: checks its [`RunCompat`]
+    /// header against the source, takes the frame's served section as is
+    /// (its decoder already tied table shapes and the watermark graph to
+    /// that header), then builds and gates the tiers the source asks for.
+    /// When the source carries [`IvfParams`], the IVF index is built and
+    /// recall-gated here — table build happens off the request path, so
     /// reload cost absorbs index cost.
     ///
     /// `fingerprint` is the checkpoint's frame checksum — a caller that
@@ -380,23 +329,34 @@ impl ModelTables {
         state: &TrainState,
         fingerprint: u64,
     ) -> Result<ModelTables, ServeError> {
-        // Resolve the graph the checkpoint was actually trained on — for a
-        // watermarked checkpoint that is the base graph plus a replay of
-        // the interaction log up to `state.log_offset` — then verify the
-        // compat header against *that* graph, not the base.
-        let graph = source.graph_at(state.log_offset)?;
-        state.compat.check(&source.compat_of(&graph))?;
-        let model = GraphAug::for_inference(source.config.clone(), &graph, &state.model)?;
-        let (user_emb, item_emb) = model.embeddings().expect("GraphAug always has embeddings");
+        // The same run as the source: users, items, seed and width. The
+        // edge count is the watermark graph's, which the frame carries.
+        let served = &state.served;
+        let expected = RunCompat {
+            n_edges: served.graph.n_interactions() as u64,
+            ..source.compat()
+        };
+        state.compat.check(&expected)?;
+        // A decoded frame cannot fail this; a state built in memory can.
+        let (users, items) = (source.graph.n_users(), source.graph.n_items());
+        let d = source.config.embed_dim;
+        let shapes = (
+            served.user_emb.shape(),
+            served.item_emb.shape(),
+            (served.graph.n_users(), served.graph.n_items()),
+        );
+        if shapes != ((users, d), (items, d), (users, items)) {
+            return Err(ServeError::Snapshot(SnapshotError::Malformed(format!(
+                "served tables {shapes:?} do not fit {users} users x {items} items at d={d}"
+            ))));
+        }
         Ok(ModelTables {
             generation,
             epoch: state.epoch,
             log_offset: state.log_offset,
             finetunes: state.finetunes,
             fingerprint,
-            user_emb: user_emb.clone(),
-            item_emb: item_emb.clone(),
-            graph,
+            served: served.clone(),
             ann: None,
             quant: None,
         }
@@ -405,9 +365,9 @@ impl ModelTables {
     }
 
     /// Builds tables directly from frozen embedding matrices, skipping the
-    /// checkpoint decode and encoder forward. This is how the bench suite
-    /// and large-scale tests get 100k-item catalogs without training a
-    /// 100k-node model; serving proper always goes through [`Self::build`].
+    /// checkpoint decode. This is how the bench suite and large-scale tests
+    /// get 100k-item catalogs without training a 100k-node model; serving
+    /// proper always goes through [`Self::build`].
     pub fn from_embeddings(
         user_emb: Mat,
         item_emb: Mat,
@@ -422,9 +382,11 @@ impl ModelTables {
             log_offset: 0,
             finetunes: 0,
             fingerprint: 0,
-            user_emb,
-            item_emb,
-            graph,
+            served: Arc::new(ServedTables {
+                user_emb,
+                item_emb,
+                graph,
+            }),
             ann: None,
             quant: None,
         }
@@ -435,9 +397,9 @@ impl ModelTables {
     /// A copy of these tables under a new generation number, everything
     /// else untouched. This is the reload fast path for a checkpoint whose
     /// [`TrainState::fingerprint`] matches the serving tables': the state
-    /// bytes are identical, so the expensive rebuild (decode, log replay,
-    /// encoder forward, quantization, recall/drift gates) is provably a
-    /// no-op and the engine only rebadges the generation.
+    /// bytes are identical, so the rebuild (decode, index builds,
+    /// quantization, recall/drift gates) is provably a no-op and the
+    /// engine only rebadges the generation.
     pub fn rebadged(&self, generation: u64) -> ModelTables {
         ModelTables {
             generation,
@@ -482,10 +444,10 @@ impl ModelTables {
         if self.n_items() == 0 {
             return self;
         }
-        let index = IvfIndex::build(&self.item_emb, params);
+        let index = IvfIndex::build(&self.served.item_emb, params);
         let nprobe = params.effective_nprobe(index.nlists());
         let recall = self.sampled_recall(params.seed, 1, |user| {
-            let query = self.user_emb.row(user as usize);
+            let query = self.served.user_emb.row(user as usize);
             self.top_k_probed(&index, nprobe, user, query, GATE_K).0
         });
         self.ann = Some(AnnBuild {
@@ -511,8 +473,8 @@ impl ModelTables {
         if self.n_items() == 0 {
             return self;
         }
-        let user_q = QuantRows::quantize(&self.user_emb);
-        let item_q = QuantRows::quantize(&self.item_emb);
+        let user_q = QuantRows::quantize(&self.served.user_emb);
+        let item_q = QuantRows::quantize(&self.served.item_emb);
         let ivf = ivf_params.map(|p| QuantIvf::build(&item_q, p));
         let nprobe = match (&ivf, ivf_params) {
             (Some(ix), Some(p)) => p.effective_nprobe(ix.nlists()),
@@ -565,21 +527,21 @@ impl ModelTables {
         self.fingerprint
     }
 
-    /// The graph these tables were resolved against (base plus replayed
-    /// deltas up to [`Self::log_offset`]) — the one [`Self::seen`] masks
-    /// from.
+    /// The graph these tables were computed over (base plus the log
+    /// records up to [`Self::log_offset`], as the checkpoint carries it) —
+    /// the one [`Self::seen`] masks from.
     pub fn graph(&self) -> &InteractionGraph {
-        &self.graph
+        &self.served.graph
     }
 
     /// Number of users the tables cover.
     pub fn n_users(&self) -> usize {
-        self.user_emb.rows()
+        self.served.user_emb.rows()
     }
 
     /// Number of items the tables cover.
     pub fn n_items(&self) -> usize {
-        self.item_emb.rows()
+        self.served.item_emb.rows()
     }
 
     /// Rejects a user id outside the tables.
@@ -597,7 +559,7 @@ impl ModelTables {
     /// are filtered out of every recommendation, mirroring the eval
     /// harness's train-item masking).
     pub fn seen(&self, user: u32) -> &[u32] {
-        self.graph.items_of(user as usize)
+        self.served.graph.items_of(user as usize)
     }
 
     /// Top-`k` unseen items for `user`, ranked by dot-product score with
@@ -647,7 +609,7 @@ impl ModelTables {
         self.check_user(user)?;
         match &self.ann {
             Some(ann) if ann.gate.enabled => {
-                let query = self.user_emb.row(user as usize);
+                let query = self.served.user_emb.row(user as usize);
                 let (top, cands) = self.top_k_probed(&ann.index, ann.nprobe, user, query, k);
                 Ok((
                     top,
@@ -682,7 +644,7 @@ impl ModelTables {
         query: R::Query<'a>,
         k: usize,
     ) -> (Vec<ScoredItem>, u32) {
-        let urow = self.user_emb.row(user as usize);
+        let urow = self.served.user_emb.row(user as usize);
         let (top, cands) = index.search(urow, nprobe, query, self.seen(user), k);
         let top = top
             .into_iter()
@@ -761,7 +723,8 @@ impl ModelTables {
     /// Resident bytes of the f32 embedding tables (users + items, 4 bytes
     /// per weight; index payloads are counted separately).
     pub fn table_bytes_f32(&self) -> usize {
-        (self.user_emb.rows() * self.user_emb.cols() + self.item_emb.rows() * self.item_emb.cols())
+        (self.served.user_emb.rows() * self.served.user_emb.cols()
+            + self.served.item_emb.rows() * self.served.item_emb.cols())
             * 4
     }
 
@@ -783,7 +746,7 @@ impl Recommender for ModelTables {
     }
 
     fn embeddings(&self) -> Option<(&Mat, &Mat)> {
-        Some((&self.user_emb, &self.item_emb))
+        Some((&self.served.user_emb, &self.served.item_emb))
     }
 }
 
@@ -791,32 +754,21 @@ impl Recommender for ModelTables {
 mod tests {
     use super::*;
     use graphaug_data::{generate, SyntheticConfig};
-    use graphaug_graph::TripletSampler;
+    use graphaug_runtime::{checkpoint, Runtime, RuntimeConfig};
 
+    /// One epoch of four steps through the training runtime, read back
+    /// from the checkpoint it wrote.
     fn source_with_state() -> (ModelSource, TrainState) {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let graph = generate(&SyntheticConfig::new(50, 40, 500).clusters(3).seed(4));
-        let cfg = GraphAugConfig::fast_test();
-        let mut model = GraphAug::new(cfg.clone(), &graph);
-        let mut sampler = TripletSampler::new(&graph, cfg.seed.wrapping_add(101));
-        for _ in 0..4 {
-            model.train_step(&mut sampler);
-        }
-        model.refresh_embeddings();
-        let compat = ModelSource::new(cfg.clone(), graph.clone(), Path::new("/unused")).compat();
-        let state = TrainState {
-            compat,
-            epoch: 1,
-            lr_scale: 1.0,
-            consecutive_bad: 0,
-            attempt: 4,
-            step_in_epoch: 0,
-            log_offset: 0,
-            finetunes: 0,
-            loss_window: Vec::new(),
-            model: model.training_state(),
-            sampler: sampler.state(),
-        };
-        (ModelSource::new(cfg, graph, Path::new("/unused")), state)
+        let cfg = GraphAugConfig::fast_test().epochs(1).steps_per_epoch(4);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("graphaug-tables-{}-{n}", std::process::id()));
+        let rt_cfg = RuntimeConfig::new(cfg.clone()).checkpoint_dir(&dir);
+        Runtime::new(rt_cfg, &graph).unwrap().run().unwrap();
+        let (_, state) = checkpoint::load_latest_valid(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        (ModelSource::new(cfg, graph, &dir), state)
     }
 
     #[test]
@@ -833,6 +785,47 @@ mod tests {
             Err(ServeError::Snapshot(SnapshotError::Incompatible(_))) => {}
             Err(other) => panic!("expected Incompatible, got {other:?}"),
             Ok(_) => panic!("expected Incompatible, got Ok"),
+        }
+        // Another user universe is another run, whatever the frame's edges.
+        let mut wider = source.clone();
+        wider.graph = generate(&SyntheticConfig::new(51, 40, 500).clusters(3).seed(4));
+        assert!(matches!(
+            ModelTables::build(&wider, 7, &state, 0),
+            Err(ServeError::Snapshot(SnapshotError::Incompatible(_)))
+        ));
+    }
+
+    #[test]
+    fn build_refuses_served_tables_that_do_not_fit_the_header() {
+        let (source, state) = source_with_state();
+        let (nu, d) = state.served.user_emb.shape();
+        let ni = state.served.item_emb.rows();
+        let narrow = generate(&SyntheticConfig::new(nu - 1, ni, 300).seed(9));
+        let cases = [
+            (
+                Mat::zeros(nu, d + 1),
+                Mat::zeros(ni, d),
+                state.served.graph.clone(),
+            ),
+            (
+                Mat::zeros(nu, d),
+                Mat::zeros(ni - 1, d),
+                state.served.graph.clone(),
+            ),
+            (Mat::zeros(nu, d), Mat::zeros(ni, d), narrow),
+        ];
+        for (user_emb, item_emb, graph) in cases {
+            let mut bad = state.clone();
+            bad.compat.n_edges = graph.n_interactions() as u64;
+            bad.served = Arc::new(ServedTables {
+                user_emb,
+                item_emb,
+                graph,
+            });
+            assert!(matches!(
+                ModelTables::build(&source, 1, &bad, 0),
+                Err(ServeError::Snapshot(SnapshotError::Malformed(_)))
+            ));
         }
     }
 
@@ -962,8 +955,8 @@ mod tests {
         let (source, state) = source_with_state();
         let built = ModelTables::build(&source, 3, &state, state.fingerprint()).unwrap();
         let direct = ModelTables::from_embeddings(
-            built.user_emb.clone(),
-            built.item_emb.clone(),
+            built.served.user_emb.clone(),
+            built.served.item_emb.clone(),
             source.graph.clone(),
             3,
             Some(&IvfParams::new().nlists(6).nprobe(6)),
