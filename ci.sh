@@ -15,7 +15,7 @@
 #            one-probe-loop guard, one-front-door guard, lockfile
 #            hermeticity, per-node-scorer guard, intrinsics only in
 #            par/src/simd.rs, one propagation operator, one epoch loop,
-#            one source of served tables
+#            one source of served tables, one experiment path
 #   build    cargo build --release
 #   tests    full test suite at GRAPHAUG_THREADS={1,3,4} and GRAPHAUG_SIMD=0
 #   bench    kernel-bench smoke run (tiny budget) and the bench tools'
@@ -243,6 +243,19 @@ group_static() {
         exit 1
     fi
     echo "ok: one epoch loop"
+
+    stage "one experiment path: no training, model building or CSV writing in bench bins"
+    # Every table, figure and `graphaug` subcommand trains and evaluates an
+    # `Arm` through `graphaug_bench::run_model` and writes its rows through
+    # `experiment` (DESIGN.md, "One experiment path"); a private
+    # build-fit-evaluate loop in a binary is an arm that best-epoch
+    # selection or multi-seed runs would never reach.
+    if grep -rnE '\.fit\(\)|fit_with\(|GraphAug::new\(|build_model\(|write_csv\(' \
+        crates/bench/src/bin; then
+        echo "ERROR: a bench binary trains, builds or writes outside graphaug_bench's run_model" >&2
+        exit 1
+    fi
+    echo "ok: one experiment path"
 
     stage "one source of served tables: no log replay or model in serve outside the parity oracle"
     # A generation's frame carries its final tables and watermark graph

@@ -2,55 +2,40 @@
 //! performance degradation of {GraphAug, NCL, LightGCN} as random fake
 //! edges are injected at ratios {0.05 … 0.25} (Gowalla).
 
-use graphaug_bench::{banner, prepared_split, run_model, split_graph, write_csv};
-use graphaug_data::Dataset;
-use graphaug_eval::TextTable;
-use graphaug_graph::inject_fake_edges;
+use std::process::ExitCode;
 
-fn main() {
-    banner("Figure 3 — Performance degradation vs noise ratio (Gowalla)");
-    let clean_split = prepared_split(Dataset::Gowalla);
-    let models = ["GraphAug", "NCL", "LightGCN"];
-    let ratios = [0.0f64, 0.05, 0.10, 0.15, 0.20, 0.25];
-    let mut table = TextTable::new(&[
-        "Model",
-        "Noise",
-        "Recall@20",
-        "NDCG@20",
-        "Rel Recall drop %",
-        "Rel NDCG drop %",
-    ]);
-    for name in models {
-        let mut base: Option<(f64, f64)> = None;
-        for &ratio in &ratios {
-            // Corrupt only the *training* topology; the clean holdout stays
-            // the evaluation target (as in the paper).
-            let noisy_train =
-                inject_fake_edges(&clean_split.train, ratio, 7 + (ratio * 100.0) as u64);
-            let split = graphaug_graph::TrainTestSplit {
-                train: noisy_train,
-                test: clean_split.test.clone(),
-            };
-            let _ = split_graph; // the corrupted split is assembled manually
-            let out = run_model(name, &split);
-            let (r, n) = (out.result.recall(20), out.result.ndcg(20));
-            let (r0, n0) = *base.get_or_insert((r, n));
-            let rel_r = 100.0 * (r0 - r) / r0.max(1e-12);
-            let rel_n = 100.0 * (n0 - n) / n0.max(1e-12);
-            println!(
-                "{name:<10} noise {ratio:.2}: R@20 {r:.4} ({rel_r:+.1}% drop)  N@20 {n:.4} ({rel_n:+.1}% drop)"
-            );
-            table.row(&[
-                name.to_string(),
-                format!("{ratio:.2}"),
-                format!("{r:.4}"),
-                format!("{n:.4}"),
-                format!("{rel_r:.1}"),
-                format!("{rel_n:.1}"),
-            ]);
+use graphaug_bench::{experiment, prepared_split, run_model, Arm};
+use graphaug_data::Dataset;
+use graphaug_graph::{inject_fake_edges, TrainTestSplit};
+
+fn main() -> ExitCode {
+    let header = "Model,Noise,Recall@20,NDCG@20,Rel Recall drop %,Rel NDCG drop %";
+    let title = "Figure 3 — Performance degradation vs noise ratio (Gowalla)";
+    experiment("fig3_noise", title, header, |sheet, epochs| {
+        let clean_split = prepared_split(Dataset::Gowalla);
+        for name in ["GraphAug", "NCL", "LightGCN"] {
+            let arm = Arm::named(name)?.epochs(epochs);
+            let mut base: Option<(f64, f64)> = None;
+            for ratio in [0.0f64, 0.05, 0.10, 0.15, 0.20, 0.25] {
+                // Corrupt only the *training* topology; the clean holdout
+                // stays the evaluation target (as in the paper).
+                let split = TrainTestSplit {
+                    train: inject_fake_edges(&clean_split.train, ratio, 7 + (ratio * 100.0) as u64),
+                    test: clean_split.test.clone(),
+                };
+                let r = run_model(&arm, &split).result;
+                let (r, n) = (r.recall(20), r.ndcg(20));
+                let (r0, n0) = *base.get_or_insert((r, n));
+                sheet.row(vec![
+                    name.to_string(),
+                    format!("{ratio:.2}"),
+                    format!("{r:.4}"),
+                    format!("{n:.4}"),
+                    format!("{:.1}", 100.0 * (r0 - r) / r0.max(1e-12)),
+                    format!("{:.1}", 100.0 * (n0 - n) / n0.max(1e-12)),
+                ]);
+            }
         }
-    }
-    println!("\n{}", table.render());
-    let p = write_csv("fig3_noise", &table);
-    println!("written: {}", p.display());
+        Ok(())
+    })
 }

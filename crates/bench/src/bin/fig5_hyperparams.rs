@@ -2,67 +2,38 @@
 //! Gowalla — GIB strength β₁, InfoNCE temperature τ, and embedding
 //! dimensionality d.
 
-use graphaug_bench::{banner, graphaug_config, prepared_split, write_csv, KS};
-use graphaug_core::{GraphAug, Trainable};
+use std::process::ExitCode;
+
+use graphaug_bench::{experiment, prepared_split, run_model, Arm};
+use graphaug_core::GraphAugConfig;
 use graphaug_data::Dataset;
-use graphaug_eval::{evaluate, fmt4, TextTable};
+use graphaug_eval::fmt4;
 
-fn main() {
-    banner("Figure 5 — Hyperparameter study of GraphAug (Gowalla)");
-    let split = prepared_split(Dataset::Gowalla);
-    let mut table = TextTable::new(&["Param", "Value", "Recall@20", "NDCG@20"]);
-
-    println!("\n-- GIB strength beta1 --");
-    for beta in [1e-6f32, 1e-5, 1e-4, 1e-3] {
-        let mut m = GraphAug::new(graphaug_config().beta_gib(beta), &split.train);
-        m.fit();
-        let r = evaluate(&m, &split, &KS);
-        println!(
-            "beta1 {beta:.0e}: R@20 {:.4}  N@20 {:.4}",
-            r.recall(20),
-            r.ndcg(20)
-        );
-        table.row(&[
-            "beta1".into(),
-            format!("{beta:.0e}"),
-            fmt4(r.recall(20)),
-            fmt4(r.ndcg(20)),
-        ]);
-    }
-
-    println!("\n-- temperature tau --");
-    for tau in [0.1f32, 0.3, 0.5, 0.7, 0.9] {
-        let mut m = GraphAug::new(graphaug_config().temperature(tau), &split.train);
-        m.fit();
-        let r = evaluate(&m, &split, &KS);
-        println!(
-            "tau {tau:.1}: R@20 {:.4}  N@20 {:.4}",
-            r.recall(20),
-            r.ndcg(20)
-        );
-        table.row(&[
-            "tau".into(),
-            format!("{tau:.1}"),
-            fmt4(r.recall(20)),
-            fmt4(r.ndcg(20)),
-        ]);
-    }
-
-    println!("\n-- embedding dim d --");
-    for d in [8usize, 16, 32, 64] {
-        let mut m = GraphAug::new(graphaug_config().embed_dim(d), &split.train);
-        m.fit();
-        let r = evaluate(&m, &split, &KS);
-        println!("d {d}: R@20 {:.4}  N@20 {:.4}", r.recall(20), r.ndcg(20));
-        table.row(&[
-            "d".into(),
-            d.to_string(),
-            fmt4(r.recall(20)),
-            fmt4(r.ndcg(20)),
-        ]);
-    }
-
-    println!("\n{}", table.render());
-    let p = write_csv("fig5_hyperparams", &table);
-    println!("written: {}", p.display());
+fn main() -> ExitCode {
+    let title = "Figure 5 — Hyperparameter study of GraphAug (Gowalla)";
+    let header = "Param,Value,Recall@20,NDCG@20";
+    experiment("fig5_hyperparams", title, header, |sheet, epochs| {
+        let base = GraphAugConfig::new().epochs(epochs);
+        let mut sweep: Vec<(&str, String, GraphAugConfig)> = Vec::new();
+        for beta in [1e-6f32, 1e-5, 1e-4, 1e-3] {
+            sweep.push(("beta1", format!("{beta:.0e}"), base.clone().beta_gib(beta)));
+        }
+        for tau in [0.1f32, 0.3, 0.5, 0.7, 0.9] {
+            sweep.push(("tau", format!("{tau:.1}"), base.clone().temperature(tau)));
+        }
+        for d in [8usize, 16, 32, 64] {
+            sweep.push(("d", d.to_string(), base.clone().embed_dim(d)));
+        }
+        let split = prepared_split(Dataset::Gowalla);
+        for (param, value, cfg) in sweep {
+            let r = run_model(&Arm::GraphAug(cfg), &split).result;
+            sheet.row(vec![
+                param.into(),
+                value,
+                fmt4(r.recall(20)),
+                fmt4(r.ndcg(20)),
+            ]);
+        }
+        Ok(())
+    })
 }

@@ -4,37 +4,37 @@
 //! external plotting (the paper uses UMAP; see DESIGN.md for the
 //! substitution rationale).
 
-use graphaug_bench::{banner, prepared_split, results_dir, run_model, write_csv};
+use std::process::ExitCode;
+
+use graphaug_bench::{experiment, prepared_split, results_dir, run_model, Arm};
 use graphaug_data::Dataset;
-use graphaug_eval::{mad, pca_2d, uniformity, TextTable};
+use graphaug_eval::{mad, pca_2d, uniformity};
 
-fn main() {
-    banner("Figure 7 — Embedding distribution (Gowalla)");
-    let split = prepared_split(Dataset::Gowalla);
-    let mut table = TextTable::new(&["Model", "Uniformity (lower=more uniform)", "MAD"]);
-    for name in ["LightGCN", "NCL", "GraphAug"] {
-        let out = run_model(name, &split);
-        let emb = out.model.all_node_embeddings().expect("embedding models");
-        let uni = uniformity(&emb, 20_000, 11);
-        let m = mad(&emb);
-        println!("{name:<10} uniformity {uni:.4}  MAD {m:.4}");
-        table.row(&[name.to_string(), format!("{uni:.4}"), format!("{m:.4}")]);
+fn main() -> ExitCode {
+    let title = "Figure 7 — Embedding distribution (Gowalla)";
+    let header = "Model,Uniformity (lower=more uniform),MAD";
+    experiment("fig7_distribution", title, header, |sheet, epochs| {
+        let split = prepared_split(Dataset::Gowalla);
+        for name in ["LightGCN", "NCL", "GraphAug"] {
+            let out = run_model(&Arm::named(name)?.epochs(epochs), &split);
+            let emb = out.model.all_node_embeddings().expect("embedding models");
+            let (uni, m) = (uniformity(&emb, 20_000, 11), mad(&emb));
+            sheet.row(vec![
+                name.to_string(),
+                format!("{uni:.4}"),
+                format!("{m:.4}"),
+            ]);
 
-        // User-embedding scatter for plotting.
-        let (ue, _) = out.model.embeddings().expect("embedding models");
-        let proj = pca_2d(ue, 5);
-        let mut csv = String::from("x,y\n");
-        for r in 0..proj.rows() {
-            csv.push_str(&format!("{},{}\n", proj.get(r, 0), proj.get(r, 1)));
+            // User-embedding scatter for plotting.
+            let (ue, _) = out.model.embeddings().expect("embedding models");
+            let proj = pca_2d(ue, 5);
+            let mut csv = String::from("x,y\n");
+            for r in 0..proj.rows() {
+                csv.push_str(&format!("{},{}\n", proj.get(r, 0), proj.get(r, 1)));
+            }
+            let file = format!("fig7_scatter_{}.csv", name.to_lowercase());
+            std::fs::write(results_dir().join(file), csv).expect("write scatter");
         }
-        let path = results_dir().join(format!(
-            "fig7_scatter_{}.csv",
-            name.to_lowercase().replace(' ', "_")
-        ));
-        std::fs::write(&path, csv).expect("write scatter");
-        println!("  scatter: {}", path.display());
-    }
-    println!("\n{}", table.render());
-    let p = write_csv("fig7_distribution", &table);
-    println!("written: {}", p.display());
+        Ok(())
+    })
 }

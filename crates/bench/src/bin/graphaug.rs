@@ -10,11 +10,9 @@
 
 use std::process::ExitCode;
 
-use graphaug_bench::build_any;
+use graphaug_bench::{epoch_budget, metric_cells, run_model, Arm, Sheet};
 use graphaug_data::{load_edge_list, DatasetStats};
-use graphaug_eval::{
-    evaluate, export_embeddings, import_embeddings, topk_indices, Recommender, TextTable,
-};
+use graphaug_eval::{export_embeddings, import_embeddings, topk_indices, Recommender};
 use graphaug_graph::{InteractionGraph, TrainTestSplit};
 use graphaug_ingest::args::{self, ArgError, Args, Fail};
 
@@ -25,6 +23,19 @@ struct Opts {
     epochs: Option<usize>,
     seed: u64,
     top: usize,
+}
+
+impl Opts {
+    /// The arm `name` denotes (an unknown one is a usage error of `flag`),
+    /// trained for `--epochs`, else the experiments' budget.
+    fn arm(&self, flag: &'static str, name: &str) -> Result<Arm, ArgError> {
+        let arm = Arm::named(name).map_err(|e| ArgError::invalid(flag, e.to_string()))?;
+        let epochs = match self.epochs {
+            Some(e) => e,
+            None => epoch_budget().map_err(|e| ArgError::invalid("--epochs", e))?,
+        };
+        Ok(arm.epochs(epochs))
+    }
 }
 
 /// Parses the flags once the subcommand has taken its positionals.
@@ -57,39 +68,36 @@ fn check_user(user: usize, n_users: usize) -> Result<(), Fail> {
     Ok(())
 }
 
-fn set_epochs(epochs: Option<usize>) {
-    if let Some(e) = epochs {
-        std::env::set_var("GRAPHAUG_EPOCHS", e.to_string());
-    }
-}
-
 fn cmd_train(mut args: Args) -> Result<(), Fail> {
     let path: String = args.positional("<edges.tsv>")?;
     let opts = parse_opts(args)?;
-    let g = load(&path)?;
-    set_epochs(opts.epochs);
-    let split = TrainTestSplit::per_user(&g, 0.2, opts.seed);
-    println!(
-        "training {} on {} users / {} items / {} interactions…",
-        opts.model,
-        g.n_users(),
-        g.n_items(),
-        g.n_interactions()
-    );
-    let mut model = build_any(&opts.model, &split.train);
-    let start = std::time::Instant::now();
-    model.fit();
-    let res = evaluate(model.as_ref(), &split, &[20, 40]);
-    println!(
-        "{}: Recall@20 {:.4}  Recall@40 {:.4}  NDCG@20 {:.4}  NDCG@40 {:.4}  ({:.1}s, {} users)",
-        opts.model,
-        res.recall(20),
-        res.recall(40),
-        res.ndcg(20),
-        res.ndcg(40),
-        start.elapsed().as_secs_f64(),
-        res.n_users
-    );
+    let arm = opts.arm("--model", &opts.model)?;
+    run_arms(&path, &[arm], opts.seed)
+}
+
+fn cmd_compare(mut args: Args) -> Result<(), Fail> {
+    let path: String = args.positional("<edges.tsv>")?;
+    let opts = parse_opts(args)?;
+    let arms = opts.models.iter().map(|name| opts.arm("--models", name));
+    run_arms(&path, &arms.collect::<Result<Vec<_>, _>>()?, opts.seed)
+}
+
+/// `train` and `compare`: each arm through `run_model` on a per-user
+/// 80/20 split of the edge list, one row per arm.
+fn run_arms(path: &str, arms: &[Arm], seed: u64) -> Result<(), Fail> {
+    let g = load(path)?;
+    let (users, items, n) = (g.n_users(), g.n_items(), g.n_interactions());
+    println!("{users} users / {items} items / {n} interactions");
+    let split = TrainTestSplit::per_user(&g, 0.2, seed);
+    let mut sheet = Sheet::new("Model,Recall@20,Recall@40,NDCG@20,NDCG@40,train s");
+    for arm in arms {
+        let out = run_model(arm, &split);
+        let mut row = vec![arm.label().to_string()];
+        row.extend(metric_cells(&out.result));
+        row.push(format!("{:.1}", out.train_time.as_secs_f64()));
+        sheet.row(row);
+    }
+    println!("\n{}", sheet.render());
     Ok(())
 }
 
@@ -98,53 +106,20 @@ fn cmd_recommend(mut args: Args) -> Result<(), Fail> {
     // A dense integer index, not the raw token from the file.
     let user: usize = args.positional("<user>")?;
     let opts = parse_opts(args)?;
+    let arm = opts.arm("--model", &opts.model)?;
     let g = load(&path)?;
     check_user(user, g.n_users())?;
-    set_epochs(opts.epochs);
-    let mut model = build_any(&opts.model, &g);
-    model.fit();
+    let model = arm.train(&g, |_, _| {});
     let mut scores = model.score_items(user);
     for &v in g.items_of(user) {
         scores[v as usize] = f32::NEG_INFINITY;
     }
-    let top = topk_indices(&scores, opts.top);
     println!(
         "user {user} has {} observed interactions",
         g.items_of(user).len()
     );
-    println!("top-{} recommendations ({}):", opts.top, opts.model);
-    for (rank, v) in top.iter().enumerate() {
-        println!(
-            "  {:>2}. item {:>6}  score {:.4}",
-            rank + 1,
-            v,
-            scores[*v as usize]
-        );
-    }
-    Ok(())
-}
-
-fn cmd_compare(mut args: Args) -> Result<(), Fail> {
-    let path: String = args.positional("<edges.tsv>")?;
-    let opts = parse_opts(args)?;
-    let g = load(&path)?;
-    set_epochs(opts.epochs);
-    let split = TrainTestSplit::per_user(&g, 0.2, opts.seed);
-    let mut table = TextTable::new(&["Model", "Recall@20", "NDCG@20", "train s"]);
-    for name in &opts.models {
-        let mut model = build_any(name, &split.train);
-        let start = std::time::Instant::now();
-        model.fit();
-        let res = evaluate(model.as_ref(), &split, &[20]);
-        table.row(&[
-            name.clone(),
-            format!("{:.4}", res.recall(20)),
-            format!("{:.4}", res.ndcg(20)),
-            format!("{:.1}", start.elapsed().as_secs_f64()),
-        ]);
-        println!("{name} done");
-    }
-    println!("\n{}", table.render());
+    println!("top-{} recommendations ({}):", opts.top, arm.label());
+    print_top(&scores, opts.top);
     Ok(())
 }
 
@@ -152,16 +127,27 @@ fn cmd_export(mut args: Args) -> Result<(), Fail> {
     let path: String = args.positional("<edges.tsv>")?;
     let out_path: String = args.positional("<out.emb>")?;
     let opts = parse_opts(args)?;
+    let arm = opts.arm("--model", &opts.model)?;
     let g = load(&path)?;
-    set_epochs(opts.epochs);
-    let mut model = build_any(&opts.model, &g);
-    model.fit();
+    let model = arm.train(&g, |_, _| {});
     if model.embeddings().is_none() {
-        return Err(format!("{} is not an embedding model; cannot export", opts.model).into());
+        return Err(format!("{} is not an embedding model; cannot export", arm.label()).into());
     }
     std::fs::write(&out_path, export_embeddings(model.as_ref())).map_err(|e| e.to_string())?;
-    println!("trained {} and wrote embeddings to {out_path}", opts.model);
+    println!("trained {} and wrote embeddings to {out_path}", arm.label());
     Ok(())
+}
+
+/// Prints the `top` highest-scoring items, best first.
+fn print_top(scores: &[f32], top: usize) {
+    for (rank, v) in topk_indices(scores, top).iter().enumerate() {
+        println!(
+            "  {:>2}. item {:>6}  score {:.4}",
+            rank + 1,
+            v,
+            scores[*v as usize]
+        );
+    }
 }
 
 fn cmd_serve(mut args: Args) -> Result<(), Fail> {
@@ -171,17 +157,8 @@ fn cmd_serve(mut args: Args) -> Result<(), Fail> {
     let text = std::fs::read_to_string(&emb_path).map_err(|e| e.to_string())?;
     let snap = import_embeddings(&text).map_err(|e| e.to_string())?;
     check_user(user, snap.user_emb.rows())?;
-    let scores = snap.score_items(user);
-    let top = topk_indices(&scores, opts.top);
     println!("top-{} for user {user} (from {emb_path}):", opts.top);
-    for (rank, v) in top.iter().enumerate() {
-        println!(
-            "  {:>2}. item {:>6}  score {:.4}",
-            rank + 1,
-            v,
-            scores[*v as usize]
-        );
-    }
+    print_top(&snap.score_items(user), opts.top);
     Ok(())
 }
 
@@ -202,8 +179,7 @@ const USAGE: &str = "usage: graphaug <train|recommend|compare|stats|export|serve
   stats     <edges.tsv>
   export    <edges.tsv> <out.emb> [--model NAME] [--epochs N]
   serve     <model.emb> <user> [--top N]
-models: BiasMF NCF AutoR GCMC PinSage NGCF LightGCN GCCF DisenGCN DGCF MHCN
-        STGCN SLRec SGL DGCL HCCF CGI NCL GraphAug (+ 'GraphAug w/o …' ablations)";
+models: the Table II names and 'GraphAug w/o Mixhop|GIB|CL' (an unknown one lists them)";
 
 fn main() -> ExitCode {
     args::run("graphaug", USAGE, |mut args| {

@@ -1,38 +1,26 @@
 //! Regenerates paper Table I: dataset statistics.
 
-use graphaug_bench::{banner, fast_mode, write_csv};
-use graphaug_data::{Dataset, DatasetStats};
-use graphaug_eval::TextTable;
+use std::process::ExitCode;
 
-fn main() {
-    banner("Table I — Experimental Data Statistics (1/64-scale presets)");
-    let mut table = TextTable::new(&[
-        "Dataset",
-        "User #",
-        "Item #",
-        "Interaction #",
-        "Density",
-        "Mean user deg",
-        "Item Gini",
-    ]);
-    for ds in Dataset::ALL {
-        let g = if fast_mode() {
-            ds.load_mini()
-        } else {
-            ds.load()
-        };
-        let s = DatasetStats::of(ds.name(), &g);
-        table.row(&[
-            s.name.clone(),
-            s.users.to_string(),
-            s.items.to_string(),
-            s.interactions.to_string(),
-            format!("{:.1e}", s.density),
-            format!("{:.1}", s.mean_user_degree),
-            format!("{:.2}", s.item_gini),
-        ]);
-    }
-    println!("{}", table.render());
-    let p = write_csv("table1_stats", &table);
-    println!("written: {}", p.display());
+use graphaug_bench::{experiment, load_preset};
+use graphaug_data::{Dataset, DatasetStats};
+
+fn main() -> ExitCode {
+    let title = "Table I — Experimental Data Statistics (1/64-scale presets)";
+    let header = "Dataset,User #,Item #,Interaction #,Density,Mean user deg,Item Gini";
+    experiment("table1_stats", title, header, |sheet, _| {
+        for ds in Dataset::ALL {
+            let s = DatasetStats::of(ds.name(), &load_preset(ds));
+            sheet.row(vec![
+                s.name.clone(),
+                s.users.to_string(),
+                s.items.to_string(),
+                s.interactions.to_string(),
+                format!("{:.1e}", s.density),
+                format!("{:.1}", s.mean_user_degree),
+                format!("{:.2}", s.item_gini),
+            ]);
+        }
+        Ok(())
+    })
 }

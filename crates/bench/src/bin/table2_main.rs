@@ -2,55 +2,30 @@
 //! 18 baselines + GraphAug on the three datasets
 //! (Recall@20/40, NDCG@20/40).
 
+use std::process::ExitCode;
+
 use graphaug_baselines::model_names;
-use graphaug_bench::{banner, prepared_split, run_model, selected_datasets, write_csv};
-use graphaug_eval::{fmt4, TextTable};
+use graphaug_bench::{
+    experiment, metric_cells, prepared_split, run_model, selected_datasets, selected_models, Arm,
+};
 
-fn main() {
-    banner("Table II — Recommendation performance of all compared methods");
-    let mut models: Vec<&str> = model_names();
-    models.push("GraphAug");
-    if let Ok(filter) = std::env::var("GRAPHAUG_MODELS") {
-        let wanted: Vec<String> = filter.split(',').map(|s| s.trim().to_string()).collect();
-        models.retain(|m| wanted.iter().any(|w| m.eq_ignore_ascii_case(w)));
-    }
-
-    let mut table = TextTable::new(&[
-        "Dataset",
-        "Model",
-        "Recall@20",
-        "Recall@40",
-        "NDCG@20",
-        "NDCG@40",
-        "train s",
-    ]);
-    for ds in selected_datasets() {
-        let split = prepared_split(ds);
-        println!("\n--- {} ---", ds.name());
-        for name in &models {
-            let out = run_model(name, &split);
-            let r = &out.result;
-            println!(
-                "{:<22} R@20 {:.4}  R@40 {:.4}  N@20 {:.4}  N@40 {:.4}  ({:.1}s)",
-                name,
-                r.recall(20),
-                r.recall(40),
-                r.ndcg(20),
-                r.ndcg(40),
-                out.train_time.as_secs_f64()
-            );
-            table.row(&[
-                ds.name().to_string(),
-                name.to_string(),
-                fmt4(r.recall(20)),
-                fmt4(r.recall(40)),
-                fmt4(r.ndcg(20)),
-                fmt4(r.ndcg(40)),
-                format!("{:.1}", out.train_time.as_secs_f64()),
-            ]);
+fn main() -> ExitCode {
+    let title = "Table II — Recommendation performance of all compared methods";
+    let header = "Dataset,Model,Recall@20,Recall@40,NDCG@20,NDCG@40,train s";
+    experiment("table2_main", title, header, |sheet, epochs| {
+        let mut names = model_names();
+        names.push("GraphAug");
+        let models = selected_models(&names)?;
+        for ds in selected_datasets()? {
+            let split = prepared_split(ds);
+            for name in &models {
+                let out = run_model(&Arm::named(name)?.epochs(epochs), &split);
+                let mut row = vec![ds.name().to_string(), name.to_string()];
+                row.extend(metric_cells(&out.result));
+                row.push(format!("{:.1}", out.train_time.as_secs_f64()));
+                sheet.row(row);
+            }
         }
-    }
-    println!("\n{}", table.render());
-    let p = write_csv("table2_main", &table);
-    println!("written: {}", p.display());
+        Ok(())
+    })
 }

@@ -1,38 +1,22 @@
 //! Regenerates paper Table III: MAD ablation of the mixhop encoder on
 //! Gowalla (w/ vs w/o mixhop; higher MAD = less oversmoothing).
 
-use graphaug_bench::{banner, prepared_split, run_model, write_csv};
-use graphaug_data::Dataset;
-use graphaug_eval::{fmt4, mad, TextTable};
+use std::process::ExitCode;
 
-fn main() {
-    banner("Table III — Ablation study of Mixhop w.r.t. MAD (Gowalla)");
-    let split = prepared_split(Dataset::Gowalla);
-    let mut table = TextTable::new(&["Variant", "MAD", "Recall@20", "NDCG@20"]);
-    for (label, name) in [
-        ("w Mixhop", "GraphAug"),
-        ("w/o Mixhop", "GraphAug w/o Mixhop"),
-    ] {
-        let out = run_model(name, &split);
-        let emb = out
-            .model
-            .all_node_embeddings()
-            .expect("GraphAug exposes embeddings");
-        let m = mad(&emb);
-        println!(
-            "{label:<12} MAD {:.4}  R@20 {:.4}  N@20 {:.4}",
-            m,
-            out.result.recall(20),
-            out.result.ndcg(20)
-        );
-        table.row(&[
-            label.to_string(),
-            format!("{m:.4}"),
-            fmt4(out.result.recall(20)),
-            fmt4(out.result.ndcg(20)),
-        ]);
-    }
-    println!("\n{}", table.render());
-    let p = write_csv("table3_mixhop_mad", &table);
-    println!("written: {}", p.display());
+use graphaug_bench::{experiment, mad_row, prepared_split, Arm};
+use graphaug_data::Dataset;
+
+fn main() -> ExitCode {
+    let title = "Table III — Ablation study of Mixhop w.r.t. MAD (Gowalla)";
+    let header = "Variant,MAD,Recall@20,NDCG@20";
+    experiment("table3_mixhop_mad", title, header, |sheet, epochs| {
+        let split = prepared_split(Dataset::Gowalla);
+        for (label, name) in [
+            ("w Mixhop", "GraphAug"),
+            ("w/o Mixhop", "GraphAug w/o Mixhop"),
+        ] {
+            mad_row(sheet, label, &Arm::named(name)?.epochs(epochs), &split);
+        }
+        Ok(())
+    })
 }

@@ -1,89 +1,56 @@
 //! Regenerates paper Table V: performance against skewed (long-tail) data
-//! distributions — Recall@40 / NDCG@40 per user-degree bucket for
-//! {LightGCN, DGCL, NCL, GraphAug} on two datasets.
+//! distributions — Recall@40 / NDCG@40 per user-degree bucket (and per
+//! item-popularity bucket) for {LightGCN, DGCL, NCL, GraphAug} on two
+//! datasets.
 
-use graphaug_bench::{banner, prepared_split, run_model, write_csv};
+use std::process::ExitCode;
+
+use graphaug_bench::{experiment, prepared_split, run_model, Arm, Sheet};
 use graphaug_data::Dataset;
-use graphaug_eval::{evaluate_item_group, evaluate_users, fmt4, TextTable};
+use graphaug_eval::{evaluate_item_group, evaluate_users, fmt4, EvalResult};
 use graphaug_graph::{paper_degree_groups, paper_item_degree_groups};
 
-fn main() {
-    banner("Table V — Performance against skewed data distribution");
-    let models = ["LightGCN", "DGCL", "NCL", "GraphAug"];
-    let mut table = TextTable::new(&[
-        "Dataset", "Model", "Metric", "0-10", "10-20", "20-30", "30-40", "40-50",
-    ]);
-    for ds in [Dataset::Gowalla, Dataset::RetailRocket] {
-        let split = prepared_split(ds);
-        let groups = paper_degree_groups(&split.train);
-        println!(
-            "\n--- {} (group sizes: {:?}) ---",
-            ds.name(),
-            groups.iter().map(|g| g.users.len()).collect::<Vec<_>>()
-        );
-        let item_groups = paper_item_degree_groups(&split.train);
-        for name in models {
-            let out = run_model(name, &split);
-            let mut recalls = Vec::new();
-            let mut ndcgs = Vec::new();
-            for grp in &groups {
-                if grp.users.is_empty() {
-                    recalls.push("-".to_string());
-                    ndcgs.push("-".to_string());
-                    continue;
-                }
-                let r = evaluate_users(out.model.as_ref(), &split, &grp.users, &[40]);
-                recalls.push(fmt4(r.recall(40)));
-                ndcgs.push(fmt4(r.ndcg(40)));
+fn main() -> ExitCode {
+    let title = "Table V — Performance against skewed data distribution";
+    let header = "Dataset,Model,Metric,0-10,10-20,20-30,30-40,40-50";
+    experiment("table5_skewed", title, header, |sheet, epochs| {
+        for ds in [Dataset::Gowalla, Dataset::RetailRocket] {
+            let split = prepared_split(ds);
+            let user_groups = paper_degree_groups(&split.train);
+            let item_groups = paper_item_degree_groups(&split.train);
+            for name in ["LightGCN", "DGCL", "NCL", "GraphAug"] {
+                let model = run_model(&Arm::named(name)?.epochs(epochs), &split).model;
+                let m = model.as_ref();
+                // User buckets evaluate their users; item buckets (the
+                // paper's second block) count only their items as relevant.
+                let users = user_groups.iter().map(|g| {
+                    (!g.users.is_empty()).then(|| evaluate_users(m, &split, &g.users, &[40]))
+                });
+                let items = item_groups.iter().map(|g| {
+                    (!g.users.is_empty()).then(|| evaluate_item_group(m, &split, &g.users, &[40]))
+                });
+                bucket_rows(sheet, [ds.name(), name, "user"], &users.collect::<Vec<_>>());
+                bucket_rows(sheet, [ds.name(), name, "item"], &items.collect::<Vec<_>>());
             }
-            println!("{name:<10} users Recall@40 {recalls:?}");
-            println!("{name:<10} users NDCG@40   {ndcgs:?}");
-            let mut row_r = vec![
-                ds.name().to_string(),
-                name.to_string(),
-                "user Recall@40".into(),
-            ];
-            row_r.extend(recalls);
-            table.row(&row_r);
-            let mut row_n = vec![
-                ds.name().to_string(),
-                name.to_string(),
-                "user NDCG@40".into(),
-            ];
-            row_n.extend(ndcgs);
-            table.row(&row_n);
-
-            // Item-side skew (the second block of the paper's Table V).
-            let mut irecalls = Vec::new();
-            let mut indcgs = Vec::new();
-            for grp in &item_groups {
-                if grp.users.is_empty() {
-                    irecalls.push("-".to_string());
-                    indcgs.push("-".to_string());
-                    continue;
-                }
-                let r = evaluate_item_group(out.model.as_ref(), &split, &grp.users, &[40]);
-                irecalls.push(fmt4(r.recall(40)));
-                indcgs.push(fmt4(r.ndcg(40)));
-            }
-            println!("{name:<10} items Recall@40 {irecalls:?}");
-            let mut row_ir = vec![
-                ds.name().to_string(),
-                name.to_string(),
-                "item Recall@40".into(),
-            ];
-            row_ir.extend(irecalls);
-            table.row(&row_ir);
-            let mut row_in = vec![
-                ds.name().to_string(),
-                name.to_string(),
-                "item NDCG@40".into(),
-            ];
-            row_in.extend(indcgs);
-            table.row(&row_in);
         }
+        Ok(())
+    })
+}
+
+/// The `<side> Recall@40` and `<side> NDCG@40` rows of one model over one
+/// set of buckets; `-` marks an empty bucket.
+fn bucket_rows(sheet: &mut Sheet, [ds, model, side]: [&str; 3], buckets: &[Option<EvalResult>]) {
+    for (metric, ndcg) in [("Recall@40", false), ("NDCG@40", true)] {
+        let mut row = vec![
+            ds.to_string(),
+            model.to_string(),
+            format!("{side} {metric}"),
+        ];
+        row.extend(buckets.iter().map(|r| match r {
+            Some(r) if ndcg => fmt4(r.ndcg(40)),
+            Some(r) => fmt4(r.recall(40)),
+            None => "-".to_string(),
+        }));
+        sheet.row(row);
     }
-    println!("\n{}", table.render());
-    let p = write_csv("table5_skewed", &table);
-    println!("written: {}", p.display());
 }

@@ -1,33 +1,19 @@
 //! Regenerates paper Table VII: MAD (oversmoothing probe) of GraphAug, NCL,
 //! and LightGCN on Gowalla, alongside their accuracy.
 
-use graphaug_bench::{banner, prepared_split, run_model, write_csv};
-use graphaug_data::Dataset;
-use graphaug_eval::{fmt4, mad, TextTable};
+use std::process::ExitCode;
 
-fn main() {
-    banner("Table VII — MAD of several methods (Gowalla)");
-    let split = prepared_split(Dataset::Gowalla);
-    let mut table = TextTable::new(&["Model", "MAD", "Recall@20", "NDCG@20"]);
-    for name in ["GraphAug", "NCL", "LightGCN"] {
-        let out = run_model(name, &split);
-        let emb = out.model.all_node_embeddings().expect("embedding models");
-        let m = mad(&emb);
-        println!(
-            "{:<10} MAD {:.4}  R@20 {:.4}  N@20 {:.4}",
-            name,
-            m,
-            out.result.recall(20),
-            out.result.ndcg(20)
-        );
-        table.row(&[
-            name.to_string(),
-            format!("{m:.4}"),
-            fmt4(out.result.recall(20)),
-            fmt4(out.result.ndcg(20)),
-        ]);
-    }
-    println!("\n{}", table.render());
-    let p = write_csv("table7_mad_compare", &table);
-    println!("written: {}", p.display());
+use graphaug_bench::{experiment, mad_row, prepared_split, Arm};
+use graphaug_data::Dataset;
+
+fn main() -> ExitCode {
+    let title = "Table VII — MAD of several methods (Gowalla)";
+    let header = "Model,MAD,Recall@20,NDCG@20";
+    experiment("table7_mad_compare", title, header, |sheet, epochs| {
+        let split = prepared_split(Dataset::Gowalla);
+        for name in ["GraphAug", "NCL", "LightGCN"] {
+            mad_row(sheet, name, &Arm::named(name)?.epochs(epochs), &split);
+        }
+        Ok(())
+    })
 }

@@ -1,28 +1,25 @@
 //! Experiment harness reproducing every table and figure of the GraphAug
-//! paper (see DESIGN.md for the per-experiment index).
+//! paper (DESIGN.md: the per-experiment index, "One experiment path").
+//! Each binary under `src/bin/` is one [`experiment`]: it trains [`Arm`]s
+//! through [`run_model`] and adds their rows to a [`Sheet`].
 //!
-//! The binaries under `src/bin/` each regenerate one artifact
-//! (`table2_main`, `fig3_noise`, …); this library holds the shared runner:
-//! dataset preparation, model construction by name (baselines + GraphAug
-//! variants), train-and-evaluate plumbing, and CSV emission into
-//! `results/`.
-//!
-//! ## Scaling knobs
-//!
-//! * `GRAPHAUG_FAST=1` — run every experiment on mini datasets with short
-//!   training (smoke-test mode; minutes for the full suite).
-//! * `GRAPHAUG_EPOCHS=n` — override the training epoch budget.
+//! Settings: `GRAPHAUG_FAST=1` (mini datasets, 8 epochs), `GRAPHAUG_EPOCHS=n`,
+//! `GRAPHAUG_DATASETS=gowalla,amazon` and `GRAPHAUG_MODELS=NCL,GraphAug`
+//! (Table II). A value that does not parse or names nothing exits 2.
 
 pub mod harness;
 pub mod perf;
 
+use std::error::Error;
+use std::fmt;
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use graphaug_baselines::{build_model, BaselineOpts};
+use graphaug_baselines::{build_model, model_names, BaselineOpts};
 use graphaug_core::{fit_with, EncoderKind, GraphAug, GraphAugConfig, Trainable};
 use graphaug_data::Dataset;
-use graphaug_eval::{evaluate, ConvergenceRecorder, EvalResult, TextTable};
+use graphaug_eval::{evaluate, fmt4, mad, ConvergenceRecorder, EvalResult, TextTable};
 use graphaug_graph::{InteractionGraph, TrainTestSplit};
 
 /// Fixed split seed so every experiment sees the same holdout.
@@ -33,34 +30,39 @@ pub const TEST_FRACTION: f64 = 0.2;
 pub const KS: [usize; 2] = [20, 40];
 
 /// True when `GRAPHAUG_FAST=1` (mini datasets, short training).
-pub fn fast_mode() -> bool {
+fn fast_mode() -> bool {
     std::env::var("GRAPHAUG_FAST")
         .map(|v| v == "1")
         .unwrap_or(false)
 }
 
-/// The training epoch budget (env-overridable).
-pub fn epoch_budget() -> usize {
-    if let Ok(v) = std::env::var("GRAPHAUG_EPOCHS") {
-        if let Ok(n) = v.parse() {
-            return n;
-        }
-    }
-    if fast_mode() {
-        8
-    } else {
-        40
+/// The training epoch budget: `GRAPHAUG_EPOCHS`, else 8 in fast mode and
+/// 40 otherwise.
+pub fn epoch_budget() -> Result<usize, String> {
+    parse_epochs(std::env::var("GRAPHAUG_EPOCHS").ok().as_deref())
+}
+
+fn parse_epochs(value: Option<&str>) -> Result<usize, String> {
+    match value {
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("GRAPHAUG_EPOCHS={v:?} is not a number")),
+        None => Ok(if fast_mode() { 8 } else { 40 }),
     }
 }
 
-/// Loads a dataset preset (mini variant in fast mode) and splits it.
-pub fn prepared_split(ds: Dataset) -> TrainTestSplit {
-    let g = if fast_mode() {
+/// Loads a dataset preset (the mini variant in fast mode).
+pub fn load_preset(ds: Dataset) -> InteractionGraph {
+    if fast_mode() {
         ds.load_mini()
     } else {
         ds.load()
-    };
-    split_graph(&g)
+    }
+}
+
+/// Loads a dataset preset and splits it.
+pub fn prepared_split(ds: Dataset) -> TrainTestSplit {
+    split_graph(&load_preset(ds))
 }
 
 /// Splits an explicit graph with the experiment defaults.
@@ -68,29 +70,111 @@ pub fn split_graph(g: &InteractionGraph) -> TrainTestSplit {
     TrainTestSplit::per_user(g, TEST_FRACTION, SPLIT_SEED)
 }
 
-/// Default GraphAug configuration for the experiments.
-pub fn graphaug_config() -> GraphAugConfig {
-    GraphAugConfig::new().epochs(epoch_budget())
+/// The dataset presets `GRAPHAUG_DATASETS` names (all three if unset).
+pub fn selected_datasets() -> Result<Vec<Dataset>, String> {
+    pick("GRAPHAUG_DATASETS", &Dataset::ALL, Dataset::name)
 }
 
-/// Default baseline options for the experiments.
-pub fn baseline_opts() -> BaselineOpts {
-    BaselineOpts::default().epochs(epoch_budget())
+/// The `names` `GRAPHAUG_MODELS` names (all of them if unset).
+pub fn selected_models(names: &[&'static str]) -> Result<Vec<&'static str>, String> {
+    pick("GRAPHAUG_MODELS", names, |n| n)
 }
 
-/// Builds any model by name: the 18 registry baselines, `"GraphAug"`, or an
-/// ablation variant (`"GraphAug w/o Mixhop"`, `"GraphAug w/o GIB"`,
-/// `"GraphAug w/o CL"`).
-pub fn build_any(name: &str, train: &InteractionGraph) -> Box<dyn Trainable> {
-    match name {
-        "GraphAug" => Box::new(GraphAug::new(graphaug_config(), train)),
-        "GraphAug w/o Mixhop" => Box::new(GraphAug::new(
-            graphaug_config().encoder(EncoderKind::Vanilla),
-            train,
-        )),
-        "GraphAug w/o GIB" => Box::new(GraphAug::new(graphaug_config().gib(false), train)),
-        "GraphAug w/o CL" => Box::new(GraphAug::new(graphaug_config().cl(false), train)),
-        other => build_model(other, baseline_opts(), train),
+/// The entries of `all` that the comma-separated list in `var` names (any
+/// case, spaces ignored), in `all` order. A name that matches nothing is
+/// an error, not a silent drop.
+fn pick<T: Copy>(var: &str, all: &[T], name: fn(T) -> &'static str) -> Result<Vec<T>, String> {
+    let Ok(list) = std::env::var(var) else {
+        return Ok(all.to_vec());
+    };
+    let key = |s: &str| s.replace(' ', "").to_lowercase();
+    let wanted: Vec<String> = list.split(',').map(key).collect();
+    let keys: Vec<String> = all.iter().map(|&t| key(name(t))).collect();
+    if let Some(w) = wanted.iter().find(|w| !keys.contains(w)) {
+        let valid: Vec<&str> = all.iter().map(|&t| name(t)).collect();
+        return Err(format!("{var}: {w:?} is none of {}", valid.join(", ")));
+    }
+    let picked = all.iter().zip(&keys).filter(|(_, k)| wanted.contains(k));
+    Ok(picked.map(|(&t, _)| t).collect())
+}
+
+/// What an experiment trains: a registry baseline or a GraphAug
+/// configuration (whose switches name its ablation).
+#[derive(Clone, Debug)]
+pub enum Arm {
+    /// One of the 18 Table II baselines, by its paper name.
+    Baseline(&'static str, BaselineOpts),
+    /// GraphAug or one of its ablations.
+    GraphAug(GraphAugConfig),
+}
+
+/// A name [`Arm::named`] does not know.
+#[derive(Debug, PartialEq)]
+pub struct UnknownModel(pub String);
+
+impl fmt::Display for UnknownModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let valid: Vec<&str> = named_arms().iter().map(Arm::label).collect();
+        let valid = valid.join(", ");
+        write!(f, "unknown model {:?}; valid names: {valid}", self.0)
+    }
+}
+
+impl Error for UnknownModel {}
+
+/// Every arm a paper name denotes: the 18 Table II baselines, then
+/// GraphAug and its three Fig. 2 ablations, each at the default 40 epochs.
+fn named_arms() -> Vec<Arm> {
+    let full = GraphAugConfig::new();
+    let vanilla = full.clone().encoder(EncoderKind::Vanilla);
+    let graphaug = [
+        full.clone(),
+        vanilla,
+        full.clone().gib(false),
+        full.cl(false),
+    ];
+    let baselines = model_names()
+        .into_iter()
+        .map(|n| Arm::Baseline(n, BaselineOpts::default()));
+    baselines.chain(graphaug.map(Arm::GraphAug)).collect()
+}
+
+impl Arm {
+    /// The arm `name` denotes (see [`named_arms`]).
+    pub fn named(name: &str) -> Result<Arm, UnknownModel> {
+        let arm = named_arms().into_iter().find(|arm| arm.label() == name);
+        arm.ok_or_else(|| UnknownModel(name.to_string()))
+    }
+
+    /// The name rows and reports print.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Arm::Baseline(name, _) => name,
+            Arm::GraphAug(cfg) => cfg.variant_name(),
+        }
+    }
+
+    /// Sets the training epoch budget.
+    pub fn epochs(self, n: usize) -> Arm {
+        match self {
+            Arm::Baseline(name, opts) => Arm::Baseline(name, opts.epochs(n)),
+            Arm::GraphAug(cfg) => Arm::GraphAug(cfg.epochs(n)),
+        }
+    }
+
+    /// Builds the arm on `graph` and trains it for its epoch budget,
+    /// handing the model to `on_epoch` after every epoch.
+    pub fn train(
+        &self,
+        graph: &InteractionGraph,
+        on_epoch: impl FnMut(usize, &(dyn Trainable + 'static)),
+    ) -> Box<dyn Trainable> {
+        let mut model: Box<dyn Trainable> = match self {
+            Arm::Baseline(name, opts) => build_model(name, opts.clone(), graph),
+            Arm::GraphAug(cfg) => Box::new(GraphAug::new(cfg.clone(), graph)),
+        };
+        fit_with(model.as_mut(), on_epoch);
+        model
     }
 }
 
@@ -106,22 +190,21 @@ pub struct RunOutcome {
     pub model: Box<dyn Trainable>,
 }
 
-/// Trains `name` on the split and evaluates at [`KS`].
-pub fn run_model(name: &str, split: &TrainTestSplit) -> RunOutcome {
-    train_and_evaluate(name, split, false)
+/// Trains `arm` on the split and evaluates it at [`KS`].
+pub fn run_model(arm: &Arm, split: &TrainTestSplit) -> RunOutcome {
+    train_and_evaluate(arm, split, false)
 }
 
-/// Trains `name`, evaluating Recall@20 after **every epoch** (the Fig. 4
+/// Trains `arm`, evaluating Recall@20 after **every epoch** (the Fig. 4
 /// convergence study — slower than [`run_model`]).
-pub fn run_model_with_curve(name: &str, split: &TrainTestSplit) -> RunOutcome {
-    train_and_evaluate(name, split, true)
+pub fn run_model_with_curve(arm: &Arm, split: &TrainTestSplit) -> RunOutcome {
+    train_and_evaluate(arm, split, true)
 }
 
-fn train_and_evaluate(name: &str, split: &TrainTestSplit, with_curve: bool) -> RunOutcome {
-    let mut model = build_any(name, &split.train);
+fn train_and_evaluate(arm: &Arm, split: &TrainTestSplit, with_curve: bool) -> RunOutcome {
     let mut curve = ConvergenceRecorder::new();
     let start = Instant::now();
-    fit_with(model.as_mut(), |epoch, m| {
+    let model = arm.train(&split.train, |epoch, m| {
         if with_curve {
             curve.record(epoch, evaluate(m, split, &[20]).recall(20));
         }
@@ -134,6 +217,85 @@ fn train_and_evaluate(name: &str, split: &TrainTestSplit, with_curve: bool) -> R
         curve,
         model,
     }
+}
+
+/// `Recall@20,Recall@40,NDCG@20,NDCG@40` cells, the Table II order.
+pub fn metric_cells(r: &EvalResult) -> Vec<String> {
+    let metrics = [r.recall(20), r.recall(40), r.ndcg(20), r.ndcg(40)];
+    metrics.into_iter().map(fmt4).collect()
+}
+
+/// Trains `arm` and adds its `label,MAD,Recall@20,NDCG@20` row, the layout
+/// Tables III and VII share.
+pub fn mad_row(sheet: &mut Sheet, label: &str, arm: &Arm, split: &TrainTestSplit) {
+    let out = run_model(arm, split);
+    let emb = out.model.all_node_embeddings().expect("embedding models");
+    let (r, m) = (&out.result, mad(&emb));
+    sheet.row(vec![
+        label.into(),
+        fmt4(m),
+        fmt4(r.recall(20)),
+        fmt4(r.ndcg(20)),
+    ]);
+}
+
+/// The rows of one table. Each prints as `header=value` pairs when added.
+pub struct Sheet {
+    header: Vec<&'static str>,
+    table: TextTable,
+}
+
+impl Sheet {
+    /// An empty sheet under a CSV header line (`"Model,MAD"`).
+    pub fn new(header: &'static str) -> Sheet {
+        let header: Vec<&str> = header.split(',').collect();
+        let table = TextTable::new(&header);
+        Sheet { header, table }
+    }
+
+    /// Prints `cells` and appends them as a row.
+    pub fn row(&mut self, cells: Vec<String>) {
+        let pairs = self
+            .header
+            .iter()
+            .zip(&cells)
+            .map(|(h, c)| format!("{h}={c}"));
+        println!("{}", pairs.collect::<Vec<_>>().join("  "));
+        self.table.row(&cells);
+    }
+
+    /// The aligned table.
+    pub fn render(&self) -> String {
+        self.table.render()
+    }
+}
+
+/// Runs one table or figure binary: checks the epoch budget, prints the
+/// banner, lets `body` fill a sheet under `header` (it gets the budget for
+/// its arms), then prints the table and writes `results/<name>.csv`. An
+/// error prints `name: <reason>` and exits 2 without writing anything.
+pub fn experiment(
+    name: &str,
+    title: &str,
+    header: &'static str,
+    body: impl FnOnce(&mut Sheet, usize) -> Result<(), Box<dyn Error>>,
+) -> ExitCode {
+    let mut sheet = Sheet::new(header);
+    let filled = epoch_budget().map_err(Box::from).and_then(|epochs| {
+        let rule = "=".repeat(72);
+        println!("{rule}\n{title}\n{rule}");
+        if fast_mode() {
+            println!("(GRAPHAUG_FAST=1: mini datasets, short training — shapes only)");
+        }
+        body(&mut sheet, epochs)
+    });
+    if let Err(e) = filled {
+        eprintln!("{name}: {e}");
+        return ExitCode::from(2);
+    }
+    let path = write_csv(name, &sheet.table);
+    println!("\n{}\nwritten: {}", sheet.render(), path.display());
+    ExitCode::SUCCESS
 }
 
 /// The `results/` directory at the workspace root.
@@ -153,52 +315,32 @@ pub fn write_csv(name: &str, table: &TextTable) -> PathBuf {
     path
 }
 
-/// Prints a standard experiment header.
-pub fn banner(title: &str) {
-    println!("{}", "=".repeat(72));
-    println!("{title}");
-    if fast_mode() {
-        println!("(GRAPHAUG_FAST=1: mini datasets, short training — shapes only)");
-    }
-    println!("{}", "=".repeat(72));
-}
-
-/// All dataset presets, honoring a `GRAPHAUG_DATASETS` filter
-/// (comma-separated names, e.g. `gowalla,amazon`).
-pub fn selected_datasets() -> Vec<Dataset> {
-    let all = Dataset::ALL.to_vec();
-    match std::env::var("GRAPHAUG_DATASETS") {
-        Ok(filter) => {
-            let wanted: Vec<String> = filter.split(',').map(|s| s.trim().to_lowercase()).collect();
-            all.into_iter()
-                .filter(|d| {
-                    wanted
-                        .iter()
-                        .any(|w| d.name().to_lowercase().replace(' ', "").contains(w))
-                })
-                .collect()
-        }
-        Err(_) => all,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn epoch_budget_defaults_are_sane() {
-        let e = epoch_budget();
+        let e = parse_epochs(None).unwrap();
         assert!((1..=10_000).contains(&e));
+        assert_eq!(parse_epochs(Some("25")), Ok(25));
+        let e = parse_epochs(Some("25x")).unwrap_err();
+        assert_eq!(e, "GRAPHAUG_EPOCHS=\"25x\" is not a number");
     }
 
     #[test]
-    fn build_any_accepts_graphaug_variants_and_baselines() {
+    fn arm_named_accepts_graphaug_variants_and_baselines() {
         let g = graphaug_data::generate(&graphaug_data::SyntheticConfig::new(30, 25, 250).seed(1));
         for name in ["GraphAug", "GraphAug w/o GIB", "LightGCN", "NCL"] {
-            let m = build_any(name, &g);
+            let arm = Arm::named(name).unwrap().epochs(1);
+            assert_eq!(arm.label(), name);
+            let m = arm.train(&g, |_, _| {});
+            assert_eq!(m.name(), name);
             assert!(!m.score_items(0).is_empty(), "{name}");
         }
+        let unknown = Arm::named("NoSuchModel").unwrap_err().to_string();
+        assert!(unknown
+            .ends_with(", NCL, GraphAug, GraphAug w/o Mixhop, GraphAug w/o GIB, GraphAug w/o CL"));
     }
 
     #[test]
@@ -215,7 +357,7 @@ mod tests {
     #[test]
     fn selected_datasets_defaults_to_all() {
         if std::env::var("GRAPHAUG_DATASETS").is_err() {
-            assert_eq!(selected_datasets().len(), 3);
+            assert_eq!(selected_datasets().unwrap().len(), 3);
         }
     }
 }

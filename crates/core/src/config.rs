@@ -183,6 +183,20 @@ impl GraphAugConfig {
         self
     }
 
+    /// Name of the ablation variant these switches select.
+    pub fn variant_name(&self) -> &'static str {
+        match (self.encoder, self.use_gib, self.use_cl) {
+            (EncoderKind::Mixhop, true, true) => "GraphAug",
+            (EncoderKind::Vanilla, true, true) => "GraphAug w/o Mixhop",
+            (EncoderKind::Mixhop, false, true) => "GraphAug w/o GIB",
+            (EncoderKind::Mixhop, true, false) => "GraphAug w/o CL",
+            (EncoderKind::Vanilla, false, true) => "GraphAug w/o Mixhop+GIB",
+            (EncoderKind::Vanilla, true, false) => "GraphAug w/o Mixhop+CL",
+            (EncoderKind::Mixhop, false, false) => "GraphAug base",
+            (EncoderKind::Vanilla, false, false) => "GraphAug base (vanilla)",
+        }
+    }
+
     /// A fast configuration for unit/integration tests. The contrastive
     /// weight is softened: at tiny step budgets the full-strength InfoNCE
     /// term dominates before the ranking loss has warmed up.

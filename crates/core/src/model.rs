@@ -484,25 +484,11 @@ impl GraphAug {
     pub fn train_edges(&self) -> &[(u32, u32)] {
         self.train_graph.edges()
     }
-
-    /// Name reflecting the active ablation variant.
-    pub fn variant_name(&self) -> &'static str {
-        match (self.cfg.encoder, self.cfg.use_gib, self.cfg.use_cl) {
-            (EncoderKind::Mixhop, true, true) => "GraphAug",
-            (EncoderKind::Vanilla, true, true) => "GraphAug w/o Mixhop",
-            (EncoderKind::Mixhop, false, true) => "GraphAug w/o GIB",
-            (EncoderKind::Mixhop, true, false) => "GraphAug w/o CL",
-            (EncoderKind::Vanilla, false, true) => "GraphAug w/o Mixhop+GIB",
-            (EncoderKind::Vanilla, true, false) => "GraphAug w/o Mixhop+CL",
-            (EncoderKind::Mixhop, false, false) => "GraphAug base",
-            (EncoderKind::Vanilla, false, false) => "GraphAug base (vanilla)",
-        }
-    }
 }
 
 impl Recommender for GraphAug {
     fn name(&self) -> &str {
-        self.variant_name()
+        self.cfg.variant_name()
     }
 
     fn embeddings(&self) -> Option<(&Mat, &Mat)> {
@@ -594,15 +580,14 @@ mod tests {
 
     #[test]
     fn ablation_variants_have_distinct_names() {
-        let train = toy_train();
         let names: Vec<&str> = [
             GraphAugConfig::fast_test(),
             GraphAugConfig::fast_test().encoder(EncoderKind::Vanilla),
             GraphAugConfig::fast_test().gib(false),
             GraphAugConfig::fast_test().cl(false),
         ]
-        .into_iter()
-        .map(|c| GraphAug::new(c, &train).variant_name())
+        .iter()
+        .map(GraphAugConfig::variant_name)
         .collect();
         assert_eq!(names.len(), 4);
         let set: std::collections::HashSet<_> = names.iter().collect();

@@ -67,6 +67,13 @@ impl From<RestoreError> for RuntimeError {
     }
 }
 
+/// Rolling-window length of the loss-spike detector.
+const SPIKE_WINDOW: usize = 8;
+/// Spike trip factor over the window median.
+const SPIKE_FACTOR: f32 = 4.0;
+/// Rollbacks tolerated before declaring the run unrecoverable.
+const MAX_ROLLBACKS: u32 = 8;
+
 /// Configuration of a [`Runtime`]: the model hyperparameters plus the
 /// fault-tolerance knobs layered around them.
 #[derive(Clone, Debug)]
@@ -76,32 +83,19 @@ pub struct RuntimeConfig {
     /// Where to persist checkpoints; `None` disables disk checkpointing
     /// (in-memory rollback still works).
     pub checkpoint_dir: Option<PathBuf>,
-    /// Checkpoint every this many completed epochs.
-    pub checkpoint_every: usize,
     /// What to do when a step diverges.
     pub policy: RecoveryPolicy,
-    /// Rolling-window length of the loss-spike detector.
-    pub spike_window: usize,
-    /// Spike trip factor over the window median.
-    pub spike_factor: f32,
-    /// Rollbacks tolerated before declaring the run unrecoverable.
-    pub max_rollbacks: u32,
     /// Scripted faults (tests and drills; [`FaultPlan::none`] in production).
     pub fault: FaultPlan,
 }
 
 impl RuntimeConfig {
-    /// Defaults: checkpoint every epoch (once a directory is set), skip bad
-    /// batches, an 8-step spike window tripping at 4× the median.
+    /// Defaults: no checkpoint directory, skip bad batches, no faults.
     pub fn new(model: GraphAugConfig) -> Self {
         RuntimeConfig {
             model,
             checkpoint_dir: None,
-            checkpoint_every: 1,
             policy: RecoveryPolicy::SkipBatch,
-            spike_window: 8,
-            spike_factor: 4.0,
-            max_rollbacks: 8,
             fault: FaultPlan::none(),
         }
     }
@@ -109,13 +103,6 @@ impl RuntimeConfig {
     /// Enables disk checkpointing under `dir`.
     pub fn checkpoint_dir(mut self, dir: &Path) -> Self {
         self.checkpoint_dir = Some(dir.to_path_buf());
-        self
-    }
-
-    /// Sets the checkpoint cadence in epochs.
-    pub fn checkpoint_every(mut self, epochs: usize) -> Self {
-        assert!(epochs >= 1);
-        self.checkpoint_every = epochs;
         self
     }
 
@@ -128,13 +115,6 @@ impl RuntimeConfig {
     /// Installs a scripted fault plan.
     pub fn fault(mut self, plan: FaultPlan) -> Self {
         self.fault = plan;
-        self
-    }
-
-    /// Sets the spike detector's window and trip factor.
-    pub fn spike(mut self, window: usize, factor: f32) -> Self {
-        self.spike_window = window;
-        self.spike_factor = factor;
         self
     }
 }
@@ -232,7 +212,7 @@ impl Runtime {
             Some(dir) => Some(Checkpointer::new(dir)?),
             None => None,
         };
-        let detector = SpikeDetector::new(cfg.spike_window, cfg.spike_factor);
+        let detector = SpikeDetector::new(SPIKE_WINDOW, SPIKE_FACTOR);
         let last_good = TrainState {
             compat: RunCompat {
                 n_users: graph.n_users() as u64,
@@ -410,7 +390,7 @@ impl Runtime {
     /// One warm-start fine-tune round: trains exactly one additional epoch
     /// of `cfg.model.steps_per_epoch` steps (continuing the persisted
     /// sampler and RNG streams), then refreshes embeddings and publishes a
-    /// checkpoint — regardless of the configured epoch total or cadence.
+    /// checkpoint — regardless of the configured epoch total.
     pub fn fine_tune_round(&mut self) -> Result<RunReport, RuntimeError> {
         self.finetunes += 1;
         let target = self.epoch + 1;
@@ -526,7 +506,7 @@ impl Runtime {
                             continue;
                         }
                         self.rollbacks += 1;
-                        if self.rollbacks > self.cfg.max_rollbacks {
+                        if self.rollbacks > MAX_ROLLBACKS {
                             return Err(RuntimeError::Unrecoverable {
                                 rollbacks: self.rollbacks - 1,
                             });
@@ -561,14 +541,10 @@ impl Runtime {
             self.epoch += 1;
             self.model.refresh_embeddings();
 
-            let due = self.epoch.is_multiple_of(self.cfg.checkpoint_every as u64)
-                || self.epoch == total_epochs;
             let state = self.current_state();
-            if due {
-                if let Some(ckpt) = self.checkpointer.as_mut() {
-                    ckpt.write(&state)?;
-                    report.checkpoints_written += 1;
-                }
+            if let Some(ckpt) = self.checkpointer.as_mut() {
+                ckpt.write(&state)?;
+                report.checkpoints_written += 1;
             }
             self.last_good = state;
 

@@ -2,7 +2,7 @@
 //! pipeline across crates, exercising GraphAug and its ablations exactly the
 //! way the experiment binaries do.
 
-use graphaug_bench::{build_any, split_graph, KS};
+use graphaug_bench::{run_model, split_graph, Arm, KS};
 use graphaug_core::{EncoderKind, GraphAug, GraphAugConfig, Trainable};
 use graphaug_data::{generate, SyntheticConfig};
 use graphaug_eval::{evaluate, mad, Recommender};
@@ -104,13 +104,11 @@ fn mixhop_keeps_mad_higher_than_vanilla() {
 #[test]
 fn harness_builds_and_runs_graphaug_by_name() {
     // Keep the harness default (40 epochs) from dominating test time.
-    std::env::set_var("GRAPHAUG_EPOCHS", "4");
+    let arm = Arm::named("GraphAug w/o CL").unwrap().epochs(4);
     let split = medium_split();
-    let mut m = build_any("GraphAug w/o CL", &split.train);
-    m.fit();
-    assert_eq!(m.name(), "GraphAug w/o CL");
-    let res = evaluate(m.as_ref(), &split, &[20]);
-    assert!(res.n_users > 0);
+    let out = run_model(&arm, &split);
+    assert_eq!(out.model.name(), "GraphAug w/o CL");
+    assert!(out.result.n_users > 0);
 }
 
 #[test]

@@ -1,13 +1,20 @@
 //! Integration tests of the experiment-harness plumbing that the
 //! table/figure binaries rely on.
 
+use std::process::{Command, Output};
+
 use graphaug_bench::{
-    build_any, prepared_split, run_model, run_model_with_curve, selected_datasets, split_graph,
-    write_csv, KS, SPLIT_SEED, TEST_FRACTION,
+    prepared_split, results_dir, run_model, run_model_with_curve, selected_datasets, split_graph,
+    write_csv, Arm, UnknownModel, KS, SPLIT_SEED, TEST_FRACTION,
 };
-use graphaug_data::{generate, Dataset, SyntheticConfig};
-use graphaug_eval::{evaluate_users, TextTable};
-use graphaug_graph::{inject_fake_edges, paper_degree_groups};
+use graphaug_core::{GraphAug, GraphAugConfig, Trainable};
+use graphaug_data::{generate, load_edge_list, Dataset, SyntheticConfig};
+use graphaug_eval::{evaluate, evaluate_users, fmt4, TextTable};
+use graphaug_graph::{inject_fake_edges, paper_degree_groups, TrainTestSplit};
+
+fn arm(name: &str) -> Arm {
+    Arm::named(name).expect("a known model")
+}
 
 #[test]
 fn prepared_splits_are_deterministic_and_disjoint() {
@@ -27,7 +34,7 @@ fn prepared_splits_are_deterministic_and_disjoint() {
 fn run_model_produces_complete_outcome() {
     let g = generate(&SyntheticConfig::new(50, 60, 500).seed(4));
     let split = split_graph(&g);
-    let out = run_model("LightGCN", &split);
+    let out = run_model(&arm("LightGCN"), &split);
     assert!(out.train_time.as_nanos() > 0);
     for &k in &KS {
         assert!(out.result.recall(k) >= 0.0);
@@ -39,9 +46,7 @@ fn run_model_produces_complete_outcome() {
 fn convergence_curves_have_one_point_per_epoch() {
     let g = generate(&SyntheticConfig::new(50, 60, 500).seed(4));
     let split = split_graph(&g);
-    std::env::set_var("GRAPHAUG_EPOCHS", "4");
-    let out = run_model_with_curve("LightGCN", &split);
-    std::env::remove_var("GRAPHAUG_EPOCHS");
+    let out = run_model_with_curve(&arm("LightGCN").epochs(4), &split);
     assert_eq!(out.curve.points().len(), 4);
     // Epochs are recorded in order.
     let epochs: Vec<usize> = out.curve.points().iter().map(|&(e, _)| e).collect();
@@ -74,7 +79,7 @@ fn degree_groups_cover_the_table5_population() {
         "at least some users fall into the paper buckets"
     );
     // Per-group evaluation runs on the harness path used by table5_skewed.
-    let out = run_model("BiasMF", &split);
+    let out = run_model(&arm("BiasMF"), &split);
     for grp in &groups {
         if grp.users.is_empty() {
             continue;
@@ -108,16 +113,20 @@ fn csv_emission_round_trips() {
 #[test]
 fn dataset_selection_defaults_to_all_three() {
     if std::env::var("GRAPHAUG_DATASETS").is_err() {
-        let ds = selected_datasets();
+        let ds = selected_datasets().unwrap();
         assert_eq!(ds.len(), 3);
     }
 }
 
 #[test]
 fn build_any_rejects_unknown_names() {
-    let g = generate(&SyntheticConfig::new(20, 20, 80).seed(1));
-    let result = std::panic::catch_unwind(|| build_any("DefinitelyNotAModel", &g));
-    assert!(result.is_err());
+    let err = Arm::named("DefinitelyNotAModel").unwrap_err();
+    assert_eq!(err, UnknownModel("DefinitelyNotAModel".into()));
+    let message = err.to_string();
+    assert!(
+        message.contains("LightGCN") && message.contains("GraphAug w/o CL"),
+        "{message}"
+    );
 }
 
 #[test]
@@ -125,7 +134,7 @@ fn export_import_serves_identical_rankings() {
     use graphaug_eval::{export_embeddings, import_embeddings, topk_indices, Recommender};
     let g = generate(&SyntheticConfig::new(40, 50, 400).seed(2));
     let split = split_graph(&g);
-    let out = run_model("LightGCN", &split);
+    let out = run_model(&arm("LightGCN"), &split);
     let dump = export_embeddings(out.model.as_ref());
     let snap = import_embeddings(&dump).expect("round trip");
     for user in [0usize, 7, 33] {
@@ -133,4 +142,122 @@ fn export_import_serves_identical_rankings() {
         let b = topk_indices(&snap.score_items(user), 10);
         assert_eq!(a, b, "user {user} rankings must survive export/import");
     }
+}
+
+/// The direct build → fit → evaluate path the sweeps used before they
+/// went through `run_model`.
+fn direct_bitline(cfg: GraphAugConfig, split: &TrainTestSplit) -> String {
+    let mut m = GraphAug::new(cfg, &split.train);
+    m.fit();
+    evaluate(&m, split, &KS).bitline()
+}
+
+#[test]
+fn run_model_matches_the_direct_sweep_path_bit_for_bit() {
+    let g = generate(&SyntheticConfig::new(60, 50, 600).seed(9));
+    let split = split_graph(&g);
+    let base = GraphAugConfig::new().epochs(2);
+    // One Fig. 5 point (τ) and one Table IV point (ξ).
+    for cfg in [base.clone().temperature(0.3), base.edge_threshold(0.6)] {
+        let via_runner = run_model(&Arm::GraphAug(cfg.clone()), &split)
+            .result
+            .bitline();
+        assert_eq!(via_runner, direct_bitline(cfg, &split));
+    }
+}
+
+fn graphaug_cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_graphaug"))
+        .args(args)
+        .env_remove("GRAPHAUG_EPOCHS")
+        .output()
+        .expect("run graphaug")
+}
+
+#[test]
+fn a_graphaug_compare_row_is_the_run_model_row() {
+    let g = generate(&SyntheticConfig::new(40, 50, 400).seed(3));
+    let path = std::env::temp_dir().join(format!("graphaug-compare-{}.tsv", std::process::id()));
+    let edges: String = g
+        .edges()
+        .iter()
+        .map(|(u, v)| format!("u{u} i{v}\n"))
+        .collect();
+    std::fs::write(&path, edges).unwrap();
+    let path_arg = path.to_str().unwrap();
+    let out = graphaug_cli(&["compare", path_arg, "--models", "LightGCN", "--epochs", "2"]);
+    let loaded = load_edge_list(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let split = TrainTestSplit::per_user(&loaded, 0.2, 7);
+    let r = run_model(&arm("LightGCN").epochs(2), &split).result;
+    let [r20, r40, n20, n40] = [r.recall(20), r.recall(40), r.ndcg(20), r.ndcg(40)].map(fmt4);
+    let want = format!(
+        "Model=LightGCN  Recall@20={r20}  Recall@40={r40}  NDCG@20={n20}  NDCG@40={n40}  train s="
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.lines().any(|l| l.starts_with(&want)),
+        "{want:?} not in\n{stdout}"
+    );
+}
+
+#[test]
+fn an_unknown_cli_model_is_a_usage_error_before_the_file_is_read() {
+    let out = graphaug_cli(&["train", "no/such/edges.tsv", "--model", "NoSuchModel"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown model \"NoSuchModel\"; valid names: BiasMF"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+/// Runs `table2_main` with one bad setting on top of fast mode and checks
+/// it refuses with a message naming `var` and leaves its CSV untouched.
+fn table2_refuses(var: &str, value: &str) {
+    let csv = results_dir().join("table2_main.csv");
+    let before = std::fs::read(&csv).ok();
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_table2_main"));
+    for knob in ["GRAPHAUG_EPOCHS", "GRAPHAUG_DATASETS", "GRAPHAUG_MODELS"] {
+        cmd.env_remove(knob);
+    }
+    let out = cmd
+        .env("GRAPHAUG_FAST", "1")
+        .env(var, value)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{var}={value}: {stderr}");
+    assert!(
+        stderr.starts_with(&format!("table2_main: {var}")),
+        "{stderr}"
+    );
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("written:"));
+    assert_eq!(
+        std::fs::read(&csv).ok(),
+        before,
+        "{var}={value} touched {csv:?}"
+    );
+}
+
+#[test]
+fn a_dataset_filter_matching_nothing_fails_without_writing() {
+    table2_refuses("GRAPHAUG_DATASETS", "nosuch");
+}
+
+#[test]
+fn an_unknown_model_in_the_filter_fails_without_writing() {
+    table2_refuses("GRAPHAUG_MODELS", "LightGCN,NoSuchModel");
+}
+
+#[test]
+fn an_epoch_budget_that_does_not_parse_fails_without_writing() {
+    table2_refuses("GRAPHAUG_EPOCHS", "25x");
 }
