@@ -136,6 +136,15 @@ spawned_field() {
 # Stage groups.
 # ---------------------------------------------------------------------------
 
+# `file:line:text` for every non-test line (before a file's first
+# `#[cfg(test)]`, as `lines` counts them) of the .rs files under "$@".
+non_test_lines() {
+    find "$@" -name '*.rs' -print0 | sort -z | xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests { print FILENAME ":" FNR ":" $0 }'
+}
+
 group_static() {
     stage "cargo fmt --check"
     cargo fmt --all -- --check
@@ -154,6 +163,28 @@ group_static() {
         exit 1
     fi
     echo "ok: one accept loop, one reply path"
+
+    stage "one wire protocol: verbs, requests and STATS lines only in the proto modules"
+    # `graphaug_ingest::proto` parses and spells every request, dispatches
+    # PING / QUIT / parse errors / unserved verbs, and renders every STATS
+    # line; `serve::proto` renders the OK line (DESIGN.md, "One wire
+    # protocol"). A hand-formatted STATS line, a request `format!`, or a verb
+    # matched by prefix elsewhere is how `REPLACE0 1 <addr>` once re-pointed
+    # a replica. Test modules are exempt: they pin the old bytes.
+    if non_test_lines crates/ingest/src crates/serve/src crates/router/src \
+        | grep -vE '^crates/(ingest|serve)/src/proto\.rs:' \
+        | grep -E '"STATS [a-z_]+=|strip_prefix\("REPLACE|split_once\(char::is_whitespace\)|"(REC|RECX|PUT|REPLACE|\{verb\}) \{'; then
+        echo "ERROR: wire protocol parsed, spelled or rendered outside the proto modules" >&2
+        exit 1
+    fi
+    local readers
+    readers=$(non_test_lines crates/*/src | grep -cE 'fn [a-z_]*field\b|strip_prefix\(key\)')
+    if [ "$readers" -ne 2 ]; then
+        non_test_lines crates/*/src | grep -E 'fn [a-z_]*field\b|strip_prefix\(key\)' >&2
+        echo "ERROR: one key=value field reader (proto::field), found $readers lines" >&2
+        exit 1
+    fi
+    echo "ok: one parser, one renderer, one dispatcher, one STATS codec, one field reader"
 
     stage "one probe loop: topk_pairs only in ann.rs, one IVF struct"
     # Both approximate tiers are `Ivf<R>` and rank candidates inside

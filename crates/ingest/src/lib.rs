@@ -16,9 +16,11 @@
 //!   interaction is durably appended before `OK off=<offset>` goes out.
 //!
 //! Beside them, [`net`] is the line-server scaffold (accept loop, bounded
-//! read-line, reply flushed per request line) that [`server`] and the serving tier's
-//! listeners are all built on; it lives here because this is the lowest
-//! crate that owns a listener. [`args`] is the same kind of tenant: the
+//! read-line, reply flushed per request line) and [`proto`] the one wire
+//! protocol (request parser and renderer, dispatcher, `STATS` codec) that
+//! [`server`] and the serving tier's listeners and clients are all built
+//! on; they live here because this is the lowest crate that both a
+//! listener and a client link. [`args`] is the same kind of tenant: the
 //! one `argv` parser and exit-code rule every binary goes through.
 //!
 //! The contract that makes online learning reproducible: a log prefix
@@ -31,6 +33,7 @@ pub mod delta;
 pub mod error;
 pub mod log;
 pub mod net;
+pub mod proto;
 pub mod server;
 
 pub use delta::{apply_deltas, DeltaReport};
@@ -39,4 +42,4 @@ pub use log::{
     fnv1a64, list_segments, log_len, read_range, segment_path, LogWriter, LOG_MAGIC, LOG_VERSION,
     RECORD_BYTES, SEGMENT_HEADER_BYTES,
 };
-pub use server::{parse_put, start_ingest, IngestHandle, IngestStats, PutRefusal};
+pub use server::{start_ingest, IngestHandle};

@@ -1,100 +1,33 @@
 //! The TCP ingestion listener.
 //!
 //! Line-oriented, on the shared [`crate::net`] scaffold (DESIGN.md, "One
-//! line server"); this module is only the verbs:
+//! line server") and the one wire protocol [`crate::proto`] (DESIGN.md,
+//! "One wire protocol"); this module is only the verbs the port serves:
 //!
 //! ```text
 //! PUT <user> <item>   → OK off=<offset>      (durably logged before OK)
 //! STATS               → STATS ingested=<n> log_offset=<len>
 //! PING                → PONG
 //! QUIT                → BYE                   (closes the connection)
+//! REC, RECX, REPLACE  → ERR …                 (proto::Unserved: not served here)
 //! ```
 //!
 //! `PUT` parsing is strict in the `parse_numeric_edge_list` sense: exactly
-//! two fields after the verb, both integers below the declared bounds —
-//! anything else is a typed refusal rendered as `ERR ...`, and nothing
-//! reaches the log. The log writer is shared behind a mutex with the
-//! fine-tuning loop, which polls [`crate::log_len`] for fresh windows.
+//! two integer fields after the verb ([`crate::proto::parse_request`]),
+//! both below the declared bounds (checked here) — anything else is a
+//! typed refusal rendered as `ERR ...`, and nothing reaches the log. The
+//! log writer is shared behind a mutex with the fine-tuning loop, which
+//! polls [`crate::log_len`] for fresh windows.
 
 use std::sync::{Arc, Mutex};
 
 use crate::error::IngestError;
 use crate::log::LogWriter;
-use crate::net::{listen, ListenerHandle, Next, Reply};
+use crate::net::{ListenerHandle, Reply};
+use crate::proto::{self, Request, Stats, Verb};
 
-/// Why a `PUT` line was refused (nothing was logged).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PutRefusal {
-    /// Wrong field count (wants exactly `PUT <user> <item>`).
-    Malformed,
-    /// A field is not an unsigned integer.
-    NotAnInteger {
-        /// The offending token.
-        token: String,
-    },
-    /// An id is outside the declared user/item universe.
-    OutOfRange {
-        /// The offending token.
-        token: String,
-        /// The exclusive bound it violated.
-        bound: u64,
-    },
-}
-
-impl std::fmt::Display for PutRefusal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PutRefusal::Malformed => write!(f, "usage: PUT <user> <item>"),
-            PutRefusal::NotAnInteger { token } => write!(f, "not an integer: {token:?}"),
-            PutRefusal::OutOfRange { token, bound } => {
-                write!(f, "id {token} out of range (bound {bound})")
-            }
-        }
-    }
-}
-
-/// Strictly parses the arguments of a `PUT` line (everything after the
-/// verb): exactly two whitespace-separated integer ids below the bounds.
-pub fn parse_put(rest: &str, n_users: usize, n_items: usize) -> Result<(u32, u32), PutRefusal> {
-    let mut it = rest.split_whitespace();
-    let (Some(u_tok), Some(v_tok), None) = (it.next(), it.next(), it.next()) else {
-        return Err(PutRefusal::Malformed);
-    };
-    let bounded = |token: &str, bound: u64| -> Result<u32, PutRefusal> {
-        let id: u64 = token.parse().map_err(|_| PutRefusal::NotAnInteger {
-            token: token.to_string(),
-        })?;
-        if id >= bound {
-            return Err(PutRefusal::OutOfRange {
-                token: token.to_string(),
-                bound,
-            });
-        }
-        Ok(id as u32)
-    };
-    Ok((
-        bounded(u_tok, n_users as u64)?,
-        bounded(v_tok, n_items as u64)?,
-    ))
-}
-
-/// A point-in-time snapshot of the ingestion counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IngestStats {
-    /// Records appended through this process's writer.
-    pub ingested: u64,
-    /// Total records in the log (the next offset to be assigned).
-    pub log_offset: u64,
-}
-
-/// Snapshot of the shared writer's counters.
-pub fn stats(log: &Mutex<LogWriter>) -> IngestStats {
-    let log = log.lock().expect("ingest log lock");
-    IngestStats {
-        ingested: log.appended(),
-        log_offset: log.len(),
-    }
-}
+/// The verbs the ingest port serves besides `PING` and `QUIT`.
+const SERVES: &[Verb] = &[Verb::Put, Verb::Stats];
 
 /// A running ingestion listener; dropping (or `stop()`) shuts the accept
 /// loop down.
@@ -108,49 +41,40 @@ pub fn start_ingest(
     n_items: usize,
     addr: &str,
 ) -> Result<IngestHandle, IngestError> {
-    listen(addr, "graphaug-ingest", move || {
+    proto::listen(addr, "graphaug-ingest", SERVES, move || {
         let log = log.clone();
-        move |line: &str, reply: &mut Reply| respond(&log, n_users, n_items, line, reply)
-    })
-    .map_err(|e| IngestError::Io(e.to_string()))
-}
-
-/// Appends the response for one request line.
-fn respond(
-    log: &Mutex<LogWriter>,
-    n_users: usize,
-    n_items: usize,
-    line: &str,
-    reply: &mut Reply,
-) -> Next {
-    let line = line.trim();
-    let (verb, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
-    match verb {
-        "PUT" => match parse_put(rest, n_users, n_items) {
-            Ok((user, item)) => {
-                let appended = log.lock().expect("ingest log lock").append(user, item);
+        move |request: Request, reply: &mut Reply| match request {
+            Request::Put { user, item } => {
+                let ids = in_range(user, n_users).and_then(|u| Ok((u, in_range(item, n_items)?)));
+                let appended = match ids {
+                    Ok((user, item)) => log.lock().expect("ingest log lock").append(user, item),
+                    Err(refusal) => return reply.line(format_args!("ERR {refusal}")),
+                };
                 match appended {
                     Ok(offset) => reply.line(format_args!("OK off={offset}")),
                     Err(e) => reply.line(format_args!("ERR log append: {e}")),
                 }
             }
-            Err(refusal) => reply.line(format_args!("ERR {refusal}")),
-        },
-        "STATS" => {
-            let s = stats(log);
-            reply.line(format_args!(
-                "STATS ingested={} log_offset={}",
-                s.ingested, s.log_offset
-            ));
+            Request::Stats => reply.line(stats(&log.lock().expect("ingest log lock"))),
+            other => unreachable!("{} is not in SERVES", other.verb()),
         }
-        "PING" => reply.line("PONG"),
-        "QUIT" => {
-            reply.line("BYE");
-            return Next::Close;
-        }
-        _ => reply.line(format_args!("ERR unknown verb {verb:?}")),
+    })
+    .map_err(|e| IngestError::Io(e.to_string()))
+}
+
+/// The id, when it lies in the declared universe `[0, bound)`.
+fn in_range(id: u64, bound: usize) -> Result<u32, String> {
+    match u32::try_from(id) {
+        Ok(id) if (id as usize) < bound => Ok(id),
+        _ => Err(format!("id {id} out of range (bound {bound})")),
     }
-    Next::Continue
+}
+
+/// The port's `STATS` line.
+fn stats(log: &LogWriter) -> Stats {
+    Stats::default()
+        .with("ingested", log.appended())
+        .with("log_offset", log.len())
 }
 
 #[cfg(test)]
@@ -161,35 +85,47 @@ mod tests {
 
     #[test]
     fn put_parsing_is_strict() {
-        assert_eq!(parse_put("3 4", 10, 10), Ok((3, 4)));
-        assert_eq!(parse_put("  3   4  ", 10, 10), Ok((3, 4)));
-        assert_eq!(parse_put("3", 10, 10), Err(PutRefusal::Malformed));
-        assert_eq!(parse_put("3 4 5", 10, 10), Err(PutRefusal::Malformed));
-        assert_eq!(parse_put("", 10, 10), Err(PutRefusal::Malformed));
+        let put = |line: &str| match proto::parse_request(line) {
+            Ok(Request::Put { user, item }) => {
+                in_range(user, 10).and_then(|u| Ok((u, in_range(item, 10)?)))
+            }
+            Ok(other) => panic!("{line:?} parsed as {other:?}"),
+            Err(e) => Err(e.to_string()),
+        };
+        assert_eq!(put("PUT 3 4"), Ok((3, 4)));
+        assert_eq!(put("PUT   3   4  "), Ok((3, 4)));
+        assert_eq!(put("PUT 3"), Err("usage: PUT <user> <item>".into()));
+        assert_eq!(put("PUT 3 4 5"), Err("usage: PUT <user> <item>".into()));
+        assert_eq!(put("PUT"), Err("usage: PUT <user> <item>".into()));
+        assert_eq!(put("PUT alice 4"), Err("not an integer: \"alice\"".into()));
+        assert_eq!(put("PUT -1 4"), Err("not an integer: \"-1\"".into()));
+        assert_eq!(put("PUT 10 4"), Err("id 10 out of range (bound 10)".into()));
+        assert_eq!(put("PUT 3 12"), Err("id 12 out of range (bound 10)".into()));
         assert_eq!(
-            parse_put("alice 4", 10, 10),
-            Err(PutRefusal::NotAnInteger {
-                token: "alice".into()
-            })
+            put("PUT 4294967296 1"),
+            Err("id 4294967296 out of range (bound 10)".into())
         );
+    }
+
+    #[test]
+    fn the_stats_line_is_byte_identical_to_the_hand_formatted_one() {
+        let dir =
+            std::env::temp_dir().join(format!("graphaug_ingest_stats_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut log = LogWriter::open(&dir, 4).unwrap();
+        for i in 0..12 {
+            log.append(i, i + 1).unwrap();
+        }
+        // The line the port rendered with one `format!` before the codec.
+        assert_eq!(stats(&log).to_string(), "STATS ingested=12 log_offset=12");
+        drop(log);
+        let mut reopened = LogWriter::open(&dir, 4).unwrap();
+        reopened.append(0, 0).unwrap();
         assert_eq!(
-            parse_put("-1 4", 10, 10),
-            Err(PutRefusal::NotAnInteger { token: "-1".into() })
+            stats(&reopened).to_string(),
+            "STATS ingested=1 log_offset=13"
         );
-        assert_eq!(
-            parse_put("10 4", 10, 10),
-            Err(PutRefusal::OutOfRange {
-                token: "10".into(),
-                bound: 10
-            })
-        );
-        assert_eq!(
-            parse_put("3 12", 10, 10),
-            Err(PutRefusal::OutOfRange {
-                token: "12".into(),
-                bound: 10
-            })
-        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

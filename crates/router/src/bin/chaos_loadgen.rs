@@ -36,11 +36,11 @@ use std::process::{Command, ExitCode};
 use std::time::{Duration, Instant};
 
 use graphaug_rng::StdRng;
-use graphaug_router::{parse_replica_sets, shard_of, spawn_ready, ChildGuard};
+use graphaug_router::{admin_replace, parse_replica_sets, shard_of, spawn_ready, ChildGuard};
 use graphaug_serve::args::{self, ArgError, Args};
-use graphaug_serve::client::{resolve_addr, stats_field, ServeClient};
+use graphaug_serve::client::{resolve_addr, ServeClient};
 use graphaug_serve::workload::{drive_load, Bad, LoadPhase, LoadReport};
-use graphaug_serve::UserSampler;
+use graphaug_serve::{field, UserSampler};
 
 const USAGE: &str = "usage: chaos_loadgen <router-addr> --replicas SET[,SET...] [--admin ADDR] \
      [--victim S --victim-pid PID (--victim-respawn \"CMD...\" | --supervised)] \
@@ -217,53 +217,25 @@ fn run_phase(
     report
 }
 
-/// Waits until the router reports `shard` up (after a REPLACE).
-fn wait_for_rejoin(router: &str, shard: usize, timeout: Duration) -> Result<(), String> {
+/// Polls the router's `STATS` until `ready` accepts the line and returns
+/// that line; after `timeout`, fails with `what` and the last line seen.
+fn poll_stats(
+    router: &str,
+    timeout: Duration,
+    what: &str,
+    ready: impl Fn(&str) -> bool,
+) -> Result<String, String> {
     let deadline = Instant::now() + timeout;
     let mut client = ServeClient::connect(router).map_err(|e| format!("connect {router}: {e}"))?;
     let result = loop {
         let line = client.stats_line().map_err(|e| format!("STATS: {e}"))?;
-        let up = stats_field(&line, "replicas=")
-            .and_then(|v| v.split(',').nth(shard).map(|s| s == "up"))
-            .unwrap_or(false);
-        if up {
-            break Ok(());
+        if ready(&line) {
+            break Ok(line);
         }
         if Instant::now() >= deadline {
-            break Err(format!("shard {shard} never rejoined: {line}"));
+            break Err(format!("{what}: {line}"));
         }
         std::thread::sleep(Duration::from_millis(25));
-    };
-    client.quit();
-    result
-}
-
-/// Supervised recovery: waits until the router's `replica_states=` shows
-/// every replica of every shard up again (the supervisor respawned and
-/// `REPLACE`d the victim), and returns the router's failover counter.
-fn wait_for_full_recovery(router: &str, timeout: Duration) -> Result<u64, String> {
-    let deadline = Instant::now() + timeout;
-    let mut client = ServeClient::connect(router).map_err(|e| format!("connect {router}: {e}"))?;
-    let result = loop {
-        let line = client.stats_line().map_err(|e| format!("STATS: {e}"))?;
-        let all_up = stats_field(&line, "replica_states=")
-            .map(|v| {
-                !v.is_empty()
-                    && v.split(',')
-                        .flat_map(|set| set.split('|'))
-                        .all(|s| s == "up")
-            })
-            .unwrap_or(false);
-        if all_up {
-            let failovers = stats_field(&line, "failovers=")
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(0);
-            break Ok(failovers);
-        }
-        if Instant::now() >= deadline {
-            break Err(format!("replicas never fully recovered: {line}"));
-        }
-        std::thread::sleep(Duration::from_millis(50));
     };
     client.quit();
     result
@@ -428,17 +400,17 @@ fn run(args: &Opts) -> Result<(), String> {
                 let argv: Vec<String> = cmdline.split_whitespace().map(str::to_string).collect();
                 let (guard, new_addr) = spawn_ready(&argv, Duration::from_secs(120))?;
                 println!("respawned shard {victim} primary at {new_addr}");
-                let admin_addr = args.admin.as_deref().expect("validated");
-                let mut admin = ServeClient::connect(admin_addr).map_err(|e| e.to_string())?;
-                let reply = admin
-                    .request_lines(&format!("REPLACE {victim} 0 {new_addr}"), 1)
-                    .map_err(|e| format!("REPLACE: {e}"))?
-                    .remove(0);
-                admin.quit();
-                if !reply.starts_with("OK ") {
-                    return Err(format!("REPLACE rejected: {reply}"));
-                }
-                wait_for_rejoin(&args.router, victim, Duration::from_secs(30))?;
+                let admin = args.admin.as_deref().expect("validated");
+                admin_replace(admin, victim, 0, &new_addr)?;
+                // The router reports the victim's shard up again.
+                poll_stats(
+                    &args.router,
+                    Duration::from_secs(30),
+                    &format!("shard {victim} never rejoined"),
+                    |line| {
+                        field(line, "replicas").and_then(|v| v.split(',').nth(victim)) == Some("up")
+                    },
+                )?;
                 println!("shard {victim} rejoined without router restart");
                 if args.replica_sets[victim].len() == 1 {
                     direct_addrs[victim] = new_addr;
@@ -446,7 +418,21 @@ fn run(args: &Opts) -> Result<(), String> {
                 respawned = Some(guard);
             }
             Step::WaitRecover => {
-                let failovers = wait_for_full_recovery(&args.router, Duration::from_secs(60))?;
+                // Every replica of every shard is up again: the supervisor
+                // respawned and `REPLACE`d the victim.
+                let line = poll_stats(
+                    &args.router,
+                    Duration::from_secs(60),
+                    "replicas never fully recovered",
+                    |line| {
+                        field(line, "replica_states").is_some_and(|v| {
+                            !v.is_empty() && v.split([',', '|']).all(|s| s == "up")
+                        })
+                    },
+                )?;
+                let failovers = field(&line, "failovers")
+                    .and_then(|v| v.parse::<u64>().ok())
+                    .unwrap_or(0);
                 if failovers == 0 {
                     return Err(
                         "supervised recovery finished but the router never failed over \

@@ -17,8 +17,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphaug_serve::args::{self, ArgError, Args};
-use graphaug_serve::net::{listen, Next, Reply};
-use graphaug_serve::proto::{parse_request, Request};
+use graphaug_serve::net::Reply;
+use graphaug_serve::proto::{listen, ok_line, Request, Stats, Verb};
+use graphaug_serve::{Recommendation, ScoredItem};
+
+/// The verbs the mock serves besides `PING` and `QUIT`, as a replica does.
+const SERVES: &[Verb] = &[Verb::Rec, Verb::RecX, Verb::Stats];
 
 const USAGE: &str = "usage: mock_replica [--gen N] [--users N] [--die-ms N]";
 
@@ -42,52 +46,50 @@ fn parse(mut args: Args) -> Result<Opts, ArgError> {
 /// the user id, score bits come from a multiplicative hash — stable
 /// across processes, so same-`--gen` mocks are byte-identical.
 fn rec_line(gen: u64, user: u32, k: usize) -> String {
-    let mut items = String::new();
-    let mut bits = String::new();
-    for i in 0..k {
-        if i > 0 {
-            items.push(',');
-            bits.push(',');
-        }
-        items.push_str(&((user as usize + i) % 100_000).to_string());
-        let b = (user ^ gen as u32)
-            .wrapping_mul(0x9E37_79B9)
-            .wrapping_add(i as u32);
-        bits.push_str(&format!("{b:08x}"));
-    }
-    format!("OK gen={gen} user={user} k={k} items={items} bits={bits}")
+    let items = (0..k).map(|i| ScoredItem {
+        item: ((user as usize + i) % 100_000) as u32,
+        score: f32::from_bits(
+            (user ^ gen as u32)
+                .wrapping_mul(0x9E37_79B9)
+                .wrapping_add(i as u32),
+        ),
+    });
+    ok_line(&Recommendation {
+        user,
+        k,
+        generation: gen,
+        items: Arc::new(items.collect()),
+        from_cache: false,
+    })
 }
 
-/// Appends the response line(s) for one request.
-fn respond(line: &str, reply: &mut Reply, gen: u64, users: u32, requests: &AtomicU64) -> Next {
-    match parse_request(line) {
-        Ok(Request::Rec { users: us, k, .. }) => {
-            requests.fetch_add(us.len() as u64, Ordering::Relaxed);
-            for u in us {
-                reply.line(rec_line(gen, u, k));
-            }
-        }
-        Ok(Request::Stats) => reply.line(format_args!(
-            "STATS gen={gen} users={users} items=100000 table_bytes=0 requests={}",
-            requests.load(Ordering::Relaxed)
-        )),
-        Ok(Request::Ping) => reply.line("PONG"),
-        Ok(Request::Quit) => {
-            reply.line("BYE");
-            return Next::Close;
-        }
-        Err(msg) => reply.line(format_args!("ERR {msg}")),
-    }
-    Next::Continue
+/// The mock's `STATS` line: the shape a real replica reports, with a
+/// fixed catalog and no resident tables.
+fn stats(gen: u64, users: u32, requests: u64) -> Stats {
+    Stats::default()
+        .with("gen", gen)
+        .with("users", users)
+        .with("items", 100_000)
+        .with("table_bytes", 0)
+        .with("requests", requests)
 }
 
 fn main() -> ExitCode {
     args::run("mock_replica", USAGE, |args| {
         let Opts { gen, users, die_ms } = parse(args)?;
         let requests = Arc::new(AtomicU64::new(0));
-        let listener = listen("127.0.0.1:0", "mock-replica", move || {
+        let listener = listen("127.0.0.1:0", "mock-replica", SERVES, move || {
             let requests = requests.clone();
-            move |line: &str, reply: &mut Reply| respond(line, reply, gen, users, &requests)
+            move |request: Request, reply: &mut Reply| match request {
+                Request::Rec { users: us, k, .. } => {
+                    requests.fetch_add(us.len() as u64, Ordering::Relaxed);
+                    for u in us {
+                        reply.line(rec_line(gen, u, k));
+                    }
+                }
+                Request::Stats => reply.line(stats(gen, users, requests.load(Ordering::Relaxed))),
+                other => unreachable!("{} is not in SERVES", other.verb()),
+            }
         })
         .map_err(|e| format!("bind: {e}"))?;
         println!("READY addr={} gen={gen}", listener.addr());
@@ -108,6 +110,26 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_rec_line_is_byte_identical_to_the_hand_formatted_one() {
+        // The line the mock rendered with its own `format!` before it went
+        // through `ok_line`.
+        assert_eq!(rec_line(3, 7, 0), "OK gen=3 user=7 k=0 items= bits=");
+        assert_eq!(
+            rec_line(3, 99_998, 3),
+            "OK gen=3 user=99998 k=3 items=99998,99999,0 bits=8b757c75,8b757c76,8b757c77"
+        );
+    }
+
+    #[test]
+    fn the_stats_line_is_byte_identical_to_the_hand_formatted_one() {
+        // The line the mock rendered with one `format!` before the codec.
+        assert_eq!(
+            stats(3, 100, 17).to_string(),
+            "STATS gen=3 users=100 items=100000 table_bytes=0 requests=17"
+        );
+    }
 
     #[test]
     fn usage_names_exactly_the_flags_the_parser_takes() {

@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use graphaug_serve::{stats_field, ServeClient};
+use graphaug_serve::{field, ServeClient};
 
 /// One replica's health snapshot, as the failover decision sees it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -329,7 +329,7 @@ pub fn probe_once(board: &HealthBoard, shard: usize, replica: usize, timeout: Du
     match line {
         Some(line) => {
             board.report_ok(shard, replica);
-            if let Some(gen) = stats_field(&line, "gen=").and_then(|v| v.parse::<u64>().ok()) {
+            if let Some(gen) = field(&line, "gen").and_then(|v| v.parse::<u64>().ok()) {
                 board.report_generation(shard, replica, gen);
             }
             true

@@ -58,5 +58,6 @@ pub use hash::{parse_replica_sets, shard_of, SHARD_HASH_SALT};
 pub use health::{failover_order, probe_once, spawn_prober, HealthBoard, Prober, ReplicaHealth};
 pub use router::{start, start_with_admin, Router, RouterConfig, RouterHandle};
 pub use supervise::{
-    backoff_with_jitter, spawn_ready, ChildGuard, Supervisor, SupervisorConfig, SupervisorStats,
+    admin_replace, backoff_with_jitter, spawn_ready, ChildGuard, Supervisor, SupervisorConfig,
+    SupervisorStats,
 };

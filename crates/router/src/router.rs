@@ -53,8 +53,10 @@
 //! address (the rejoin path for a process respawned on a new ephemeral
 //! port). It is accepted **only** on the admin listener — a separate,
 //! loopback-bound port — because any client that can repoint a shard owns
-//! the serving tier. On the public port the verb answers a typed
-//! `ERR admin …` and touches nothing.
+//! the serving tier. On the public port the verb, malformed or not,
+//! answers a typed `ERR admin …` and touches nothing. The verb is read by
+//! the one protocol parser (`graphaug_ingest::proto`), which matches whole
+//! tokens: `REPLACE0 1 <addr>` is an unknown verb on either port.
 
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -62,9 +64,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use graphaug_serve::net::{listen, ListenerHandle, Next, Reply};
-use graphaug_serve::proto::{parse_request, Request};
-use graphaug_serve::{stats_field, ServeClient};
+use graphaug_serve::net::{ListenerHandle, Reply};
+use graphaug_serve::proto::{self, field, Request, Stats, Verb};
+use graphaug_serve::ServeClient;
 
 use crate::deadline::Deadline;
 use crate::hash::shard_of;
@@ -335,7 +337,7 @@ fn forward_to_shard(
     router: &Router,
     down: &mut Downstream,
     shard: usize,
-    line: &str,
+    request: &Request,
     n_lines: usize,
     deadline: &Deadline,
 ) -> Result<Vec<String>, ShardError> {
@@ -372,7 +374,7 @@ fn forward_to_shard(
             attempts += 1;
             match down
                 .conn(shard, replica, router, deadline)
-                .and_then(|c| c.request_lines(line, n_lines))
+                .and_then(|c| c.request_lines(request, n_lines))
             {
                 Ok(lines) => {
                     router.health.report_ok(shard, replica);
@@ -432,20 +434,12 @@ fn route_rec(
             continue;
         }
         router.shard_requests[shard].fetch_add(group.len() as u64, Ordering::Relaxed);
-        let list = group
-            .iter()
-            .map(|&(_, u)| u.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let verb = if exact { "RECX" } else { "REC" };
-        match forward_to_shard(
-            router,
-            down,
-            shard,
-            &format!("{verb} {list} {k}"),
-            group.len(),
-            &deadline,
-        ) {
+        let request = Request::Rec {
+            users: group.iter().map(|&(_, u)| u).collect(),
+            k,
+            exact,
+        };
+        match forward_to_shard(router, down, shard, &request, group.len(), &deadline) {
             Ok(replies) => {
                 for (&(slot, _), reply) in group.iter().zip(replies) {
                     lines[slot] = Some(reply);
@@ -472,112 +466,96 @@ fn route_rec(
         .collect()
 }
 
+/// The replica fields `STATS` merges across shards, by max: every shard
+/// serves the same model, so the most-advanced replica's view (the `gen=`
+/// convention) stands for table shape, resident `table_bytes` and
+/// online-learning progress alike.
+const MERGED: [&str; 7] = [
+    "gen",
+    "users",
+    "items",
+    "table_bytes",
+    "ingested",
+    "log_offset",
+    "finetunes",
+];
+
 /// Routes `STATS`: queries each up shard's serving replica (failover
-/// included), merges table shape and resident `table_bytes` (max — the
-/// replicas serve the same model), and appends router-level counters plus
-/// the per-shard serving/health/generation breakdown.
-fn route_stats(router: &Router, down: &mut Downstream) -> String {
+/// included), merges the [`MERGED`] fields, and appends router-level
+/// counters plus the per-shard serving/health/generation breakdown.
+fn route_stats(router: &Router, down: &mut Downstream) -> Stats {
     let n = router.n_shards();
-    let (mut gen, mut users, mut items, mut table_bytes) = (0u64, 0u64, 0u64, 0u64);
-    let (mut ingested, mut log_offset, mut finetunes) = (0u64, 0u64, 0u64);
+    let mut merged = [0u64; MERGED.len()];
     let mut states: Vec<&'static str> = Vec::with_capacity(n);
     for shard in 0..n {
         let deadline = Deadline::new(router.cfg.request_budget);
         let line = if router.health.shard_up(shard) {
-            forward_to_shard(router, down, shard, "STATS", 1, &deadline)
+            forward_to_shard(router, down, shard, &Request::Stats, 1, &deadline)
                 .ok()
                 .and_then(|mut v| v.pop())
         } else {
             None
         };
-        match line {
-            Some(line) => {
-                let field = |key| {
-                    stats_field(&line, key)
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .unwrap_or(0)
-                };
-                gen = gen.max(field("gen="));
-                users = users.max(field("users="));
-                items = items.max(field("items="));
-                table_bytes = table_bytes.max(field("table_bytes="));
-                // Online-learning progress: every shard serves the same
-                // model, so max-merge mirrors the gen= convention (the
-                // most-advanced replica's view).
-                ingested = ingested.max(field("ingested="));
-                log_offset = log_offset.max(field("log_offset="));
-                finetunes = finetunes.max(field("finetunes="));
-                states.push("up");
-            }
-            None => states.push("down"),
+        let Some(line) = line else {
+            states.push("down");
+            continue;
+        };
+        for (max, key) in merged.iter_mut().zip(MERGED) {
+            let value = field(&line, key).and_then(|v| v.parse::<u64>().ok());
+            *max = (*max).max(value.unwrap_or(0));
         }
+        states.push("up");
     }
     let health = router.health();
-    let serving = (0..n)
-        .map(|s| {
-            health
-                .serving_replica(s)
-                .map_or_else(|| "-".to_string(), |r| r.to_string())
+    let per_shard = |each: &dyn Fn(usize) -> String| (0..n).map(each).collect::<Vec<_>>().join(",");
+    let serving = per_shard(&|s| {
+        health
+            .serving_replica(s)
+            .map_or_else(|| "-".to_string(), |r| r.to_string())
+    });
+    let replica_states = per_shard(&|s| {
+        let states: Vec<_> = health
+            .shard_states(s)
+            .iter()
+            .map(|st| st.as_str())
+            .collect();
+        states.join("|")
+    });
+    let replica_gens = per_shard(&|s| {
+        let gens: Vec<_> = (0..health.n_replicas(s))
+            .map(|r| health.generation(s, r).to_string())
+            .collect();
+        gens.join("|")
+    });
+    let shard_requests = router.shard_request_counts();
+    MERGED
+        .into_iter()
+        .zip(merged)
+        .fold(Stats::default(), |stats, (key, value)| {
+            stats.with(key, value)
         })
-        .collect::<Vec<_>>()
-        .join(",");
-    let replica_states = (0..n)
-        .map(|s| {
-            health
-                .shard_states(s)
-                .iter()
-                .map(|st| st.as_str())
-                .collect::<Vec<_>>()
-                .join("|")
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let replica_gens = (0..n)
-        .map(|s| {
-            (0..health.n_replicas(s))
-                .map(|r| health.generation(s, r).to_string())
-                .collect::<Vec<_>>()
-                .join("|")
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let shard_requests = router
-        .shard_request_counts()
-        .iter()
-        .map(|c| c.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "STATS gen={gen} users={users} items={items} table_bytes={table_bytes} \
-         ingested={ingested} log_offset={log_offset} finetunes={finetunes} shards={n} up={} \
-         requests={} errors={} deadline_errors={} failovers={} serving={serving} replicas={} \
-         replica_states={replica_states} replica_gens={replica_gens} \
-         shard_requests={shard_requests}",
-        states.iter().filter(|s| **s == "up").count(),
-        router.requests.load(Ordering::Relaxed),
-        router.router_errors.load(Ordering::Relaxed),
-        router.deadline_errors.load(Ordering::Relaxed),
-        router.failovers.load(Ordering::Relaxed),
-        states.join(","),
-    )
+        .with("shards", n)
+        .with("up", states.iter().filter(|s| **s == "up").count())
+        .with("requests", router.requests.load(Ordering::Relaxed))
+        .with("errors", router.router_errors.load(Ordering::Relaxed))
+        .with(
+            "deadline_errors",
+            router.deadline_errors.load(Ordering::Relaxed),
+        )
+        .with("failovers", router.failovers.load(Ordering::Relaxed))
+        .with("serving", serving)
+        .with("replicas", states.join(","))
+        .with("replica_states", replica_states)
+        .with("replica_gens", replica_gens)
+        .with(
+            "shard_requests",
+            per_shard(&|s| shard_requests[s].to_string()),
+        )
 }
 
-/// Handles the admin-only `REPLACE <shard> [<replica>] <addr>` verb (the
-/// two-argument form re-points the primary, replica 0). Returns the
-/// response line.
-fn handle_replace(router: &Router, rest: &str) -> String {
-    let parts: Vec<&str> = rest.split_ascii_whitespace().collect();
-    let (shard_s, replica_s, addr) = match parts.as_slice() {
-        [shard, addr] => (*shard, "0", *addr),
-        [shard, replica, addr] => (*shard, *replica, *addr),
-        _ => return "ERR REPLACE needs <shard> [<replica>] <addr>".to_string(),
-    };
-    let Ok(shard) = shard_s.parse::<usize>() else {
-        return format!("ERR bad shard {shard_s:?}");
-    };
-    let Ok(replica) = replica_s.parse::<usize>() else {
-        return format!("ERR bad replica {replica_s:?}");
-    };
+/// Answers the admin-only `REPLACE`: re-points `(shard, replica)` once
+/// both are in range and `addr` resolves.
+fn replace(router: &Router, shard: usize, replica: usize, addr: &str) -> String {
     if shard >= router.n_shards() {
         return format!(
             "ERR unknown shard {shard} (router has {})",
@@ -597,41 +575,6 @@ fn handle_replace(router: &Router, rest: &str) -> String {
         }
         Err(e) => format!("ERR {e}"),
     }
-}
-
-/// Appends the response line(s) for one request. `admin` selects the
-/// surface: `REPLACE` is honored only on the admin listener and answers a
-/// typed `ERR admin …` on the public port.
-fn respond(
-    router: &Router,
-    down: &mut Downstream,
-    line: &str,
-    reply: &mut Reply,
-    admin: bool,
-) -> Next {
-    if let Some(rest) = line.strip_prefix("REPLACE") {
-        if admin {
-            reply.line(handle_replace(router, rest));
-        } else {
-            reply.line("ERR admin REPLACE is admin-only (connect to the admin listener)");
-        }
-        return Next::Continue;
-    }
-    match parse_request(line) {
-        Ok(Request::Rec { users, k, exact }) => {
-            for routed in route_rec(router, down, &users, k, exact) {
-                reply.line(routed);
-            }
-        }
-        Ok(Request::Stats) => reply.line(route_stats(router, down)),
-        Ok(Request::Ping) => reply.line("PONG"),
-        Ok(Request::Quit) => {
-            reply.line("BYE");
-            return Next::Close;
-        }
-        Err(msg) => reply.line(format_args!("ERR {msg}")),
-    }
-    Next::Continue
 }
 
 /// A running router; dropping (or calling [`RouterHandle::stop`]) shuts
@@ -658,18 +601,38 @@ impl RouterHandle {
     pub fn stop(self) {}
 }
 
+/// The public port's verbs besides `PING` and `QUIT`: `REPLACE` there is
+/// refused as admin-only ([`proto::Unserved`]), malformed or not.
+const PUBLIC: &[Verb] = &[Verb::Rec, Verb::RecX, Verb::Stats];
+
+/// The admin port's verbs: the public ones plus `REPLACE`.
+const ADMIN: &[Verb] = &[Verb::Rec, Verb::RecX, Verb::Stats, Verb::Replace];
+
 /// One listener of the router: each connection gets its own [`Downstream`]
 /// cache, so replica connections are never shared between clients.
 fn listen_surface(
     router: Arc<Router>,
     addr: &str,
     thread_name: &str,
-    admin: bool,
+    serves: &'static [Verb],
 ) -> io::Result<ListenerHandle> {
-    listen(addr, thread_name, move || {
+    proto::listen(addr, thread_name, serves, move || {
         let router = router.clone();
         let mut down = Downstream::new(&router.cfg);
-        move |line: &str, reply: &mut Reply| respond(&router, &mut down, line, reply, admin)
+        move |request: Request, reply: &mut Reply| match request {
+            Request::Rec { users, k, exact } => {
+                for routed in route_rec(&router, &mut down, &users, k, exact) {
+                    reply.line(routed);
+                }
+            }
+            Request::Stats => reply.line(route_stats(&router, &mut down)),
+            Request::Replace {
+                shard,
+                replica,
+                addr,
+            } => reply.line(replace(&router, shard, replica, &addr)),
+            other => unreachable!("{} is not in {serves:?}", other.verb()),
+        }
     })
 }
 
@@ -696,8 +659,8 @@ pub fn start_with_admin(
             "admin listener must bind a loopback address, got {admin_addr}"
         )));
     }
-    let public = listen_surface(router.clone(), addr, "graphaug-router", false)?;
-    let admin = listen_surface(router.clone(), admin_addr, "graphaug-router-admin", true)?;
+    let public = listen_surface(router.clone(), addr, "graphaug-router", PUBLIC)?;
+    let admin = listen_surface(router.clone(), admin_addr, "graphaug-router-admin", ADMIN)?;
     let prober = spawn_prober(
         router.health.clone(),
         router.cfg.probe_period,
@@ -708,4 +671,64 @@ pub fn start_with_admin(
         admin,
         _prober: prober,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphaug_serve::net::{listen, Next};
+
+    /// A replica stand-in that answers every line with `line`.
+    fn fixed_stats_replica(line: &'static str) -> ListenerHandle {
+        listen("127.0.0.1:0", "fixed-replica", move || {
+            move |_: &str, reply: &mut Reply| {
+                reply.line(line);
+                Next::Continue
+            }
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn the_stats_line_is_byte_identical_to_the_hand_formatted_one() {
+        let a = fixed_stats_replica(
+            "STATS gen=7 users=60 items=45 requests=9 ann=on table_bytes=1234 ingested=9 \
+             log_offset=8 finetunes=2",
+        );
+        let b = fixed_stats_replica("STATS gen=6 users=1 items=1");
+        let c = fixed_stats_replica("STATS gen=1");
+        let d = fixed_stats_replica(
+            "STATS gen=5 users=61 items=40 table_bytes=99 ingested=12 log_offset=3 finetunes=4",
+        );
+        let router = Router::new(RouterConfig::from_sets(vec![
+            vec![a.addr().to_string(), b.addr().to_string()],
+            vec![c.addr().to_string(), d.addr().to_string()],
+            vec!["127.0.0.1:1".to_string()],
+        ]));
+        // Shard 0: primary ahead of a skewed secondary. Shard 1: primary
+        // down, the secondary serves (a failover). Shard 2: down.
+        let health = router.health();
+        health.report_generation(0, 0, 7);
+        health.report_generation(0, 1, 6);
+        health.force_down(1, 0);
+        health.report_generation(1, 1, 5);
+        health.force_down(2, 0);
+        router.requests.store(42, Ordering::Relaxed);
+        router.router_errors.store(3, Ordering::Relaxed);
+        router.deadline_errors.store(1, Ordering::Relaxed);
+        router.failovers.store(5, Ordering::Relaxed);
+        for (counter, n) in router.shard_requests.iter().zip([10, 20, 12]) {
+            counter.store(n, Ordering::Relaxed);
+        }
+        let mut down = Downstream::new(&router.cfg);
+        // The line the router rendered with one `format!` before the codec,
+        // for this board and these counters.
+        assert_eq!(
+            route_stats(&router, &mut down).to_string(),
+            "STATS gen=7 users=61 items=45 table_bytes=1234 ingested=12 log_offset=8 \
+             finetunes=4 shards=3 up=2 requests=42 errors=3 deadline_errors=1 failovers=6 \
+             serving=0,1,- replicas=up,up,down replica_states=up|degraded,down|up,down \
+             replica_gens=7|6,0|5,0 shard_requests=10,20,12"
+        );
+    }
 }

@@ -37,7 +37,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use graphaug_rng::StdRng;
-use graphaug_serve::{stats_field, ServeClient};
+use graphaug_serve::{field, Request, ServeClient};
 
 /// RNG stream tag for backoff jitter (see `graphaug-rng`'s stream-derivation
 /// convention: distinct tags give independent streams from one seed).
@@ -128,7 +128,7 @@ pub fn spawn_ready(
         for line in reader.lines() {
             let Ok(line) = line else { break };
             if !announced {
-                if let Some(addr) = stats_field(&line, "addr=") {
+                if let Some(addr) = field(&line, "addr") {
                     if line.starts_with("READY ") {
                         let _ = tx.send(addr.to_string());
                         announced = true;
@@ -420,7 +420,7 @@ impl Supervisor {
                     "RESPAWNED shard={shard} replica={replica} pid={pid} addr={addr}"
                 ));
                 if addr != old_addr {
-                    match replace_on_router(admin, shard, replica, &addr) {
+                    match admin_replace(admin, shard, replica, &addr) {
                         Ok(()) => {
                             self.stats.replaces.fetch_add(1, Ordering::Relaxed);
                             log(&format!(
@@ -461,13 +461,19 @@ fn ping_ok(addr: &str, timeout: Duration) -> bool {
         .unwrap_or(false)
 }
 
-/// Issues `REPLACE <shard> <replica> <addr>` on the router admin listener.
-fn replace_on_router(admin: &str, shard: usize, replica: usize, addr: &str) -> Result<(), String> {
+/// Issues `REPLACE <shard> <replica> <addr>` on the router admin listener
+/// at `admin`; anything but an `OK` reply is an error.
+pub fn admin_replace(admin: &str, shard: usize, replica: usize, addr: &str) -> Result<(), String> {
     let t = Duration::from_secs(2);
     let mut client =
         ServeClient::connect_with_timeouts(admin, t, Some(t)).map_err(|e| e.to_string())?;
+    let request = Request::Replace {
+        shard,
+        replica,
+        addr: addr.to_string(),
+    };
     let reply = client
-        .request_lines(&format!("REPLACE {shard} {replica} {addr}"), 1)
+        .request_lines(request, 1)
         .map_err(|e| e.to_string())?
         .remove(0);
     client.quit();

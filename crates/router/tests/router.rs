@@ -5,15 +5,17 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use graphaug_core::GraphAugConfig;
 use graphaug_data::{generate, SyntheticConfig};
 use graphaug_graph::InteractionGraph;
-use graphaug_router::{shard_of, start, Router, RouterConfig};
+use graphaug_ingest::{log_len, start_ingest, LogWriter};
+use graphaug_router::{shard_of, spawn_ready, start, Router, RouterConfig};
 use graphaug_runtime::{Runtime, RuntimeConfig};
-use graphaug_serve::{err_kind, serve, Engine, IvfParams, ModelSource, ServeClient};
+use graphaug_serve::proto::{Unserved, VERBS};
+use graphaug_serve::{err_kind, serve, Engine, IvfParams, ModelSource, Request, ServeClient, Verb};
 
 /// A unique, self-cleaning directory per test.
 struct TempDir(PathBuf);
@@ -146,7 +148,7 @@ fn routed_responses_survive_kill_and_rejoin_bit_identically() {
         .collect::<Vec<_>>()
         .join(",");
     let lines = via_router
-        .request_lines(&format!("REC {list} 7"), batch.len())
+        .request_lines(format!("REC {list} 7"), batch.len())
         .unwrap();
     for (&user, line) in batch.iter().zip(&lines) {
         let expect = direct[shard_of(user, 3)].rec_one(user, 7).unwrap();
@@ -166,7 +168,7 @@ fn routed_responses_survive_kill_and_rejoin_bit_identically() {
     // The merged line carries the replicas' resident table footprint (f32
     // tables here — no quantization — so it must still be present and
     // nonzero).
-    let table_bytes: u64 = graphaug_serve::stats_field(&stats, "table_bytes=")
+    let table_bytes: u64 = graphaug_serve::field(&stats, "table_bytes")
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| panic!("missing table_bytes in {stats:?}"));
     assert!(table_bytes > 0, "table_bytes must be nonzero in {stats:?}");
@@ -212,7 +214,7 @@ fn routed_responses_survive_kill_and_rejoin_bit_identically() {
         .collect::<Vec<_>>()
         .join(",");
     let lines = via_router
-        .request_lines(&format!("REC {list} 3"), 3)
+        .request_lines(format!("REC {list} 3"), 3)
         .unwrap();
     assert!(lines[0].starts_with("ERR "));
     assert!(lines[1].starts_with("OK "));
@@ -230,13 +232,13 @@ fn routed_responses_survive_kill_and_rejoin_bit_identically() {
     // surface can re-point shards; it lives on the loopback admin
     // listener only).
     let denied = via_router
-        .request_lines(&format!("REPLACE {victim} {new_addr}"), 1)
+        .request_lines(format!("REPLACE {victim} {new_addr}"), 1)
         .unwrap()
         .remove(0);
     assert_eq!(err_kind(&denied), Some("admin"), "got {denied:?}");
     let mut admin = ServeClient::connect(&handle.admin_addr().to_string()).unwrap();
     let reply = admin
-        .request_lines(&format!("REPLACE {victim} {new_addr}"), 1)
+        .request_lines(format!("REPLACE {victim} {new_addr}"), 1)
         .unwrap()
         .remove(0);
     assert_eq!(
@@ -428,6 +430,118 @@ fn router_protocol_surface_is_typed_and_never_panics() {
     replica.stop();
 }
 
+/// The admin listener matches `REPLACE` as a whole token: a verb that only
+/// starts with it is an unknown verb and re-points nothing.
+#[test]
+fn a_verb_that_merely_starts_with_replace_re_points_nothing() {
+    let router = Router::new(RouterConfig::from_sets(vec![vec![
+        "127.0.0.1:1".to_string(),
+        "127.0.0.1:2".to_string(),
+    ]]));
+    let handle = start(router.clone(), "127.0.0.1:0").unwrap();
+    let addrs = || [router.health().addr(0, 0), router.health().addr(0, 1)];
+    let before = addrs();
+    let mut admin = ServeClient::connect(&handle.admin_addr().to_string()).unwrap();
+    for req in [
+        "REPLACE0 1 127.0.0.1:1",
+        "REPLACEX 0 127.0.0.1:1",
+        "REPLACE_ 0 1 127.0.0.1:1",
+    ] {
+        let line = admin.request_lines(req, 1).unwrap().remove(0);
+        assert!(line.starts_with("ERR "), "{req:?} got {line:?}");
+        assert_eq!(addrs(), before, "{req:?} moved a replica address");
+    }
+    admin.quit();
+    handle.stop();
+}
+
+/// Every port answers its own verbs and refuses every other verb with the
+/// one shared refusal; a refused `PUT` logs nothing and a refused
+/// `REPLACE` re-points nothing.
+#[test]
+fn every_port_answers_its_own_verbs_and_refuses_the_rest_alike() {
+    let graph = toy_graph();
+    let dir = TempDir::new("matrix");
+    train_into(dir.path(), &graph);
+    let replica = boot_replica(&graph, dir.path());
+    let router = Router::new(RouterConfig::new(vec![replica.addr().to_string()]));
+    let routed = start(router.clone(), "127.0.0.1:0").unwrap();
+    let log_dir = TempDir::new("matrix-log");
+    let log = Arc::new(Mutex::new(LogWriter::open(log_dir.path(), 64).unwrap()));
+    let ingest = start_ingest(log, 60, 45, "127.0.0.1:0").unwrap();
+    let (_mock, mock_addr) = spawn_ready(
+        &[env!("CARGO_BIN_EXE_mock_replica").to_string()],
+        Duration::from_secs(30),
+    )
+    .unwrap();
+
+    use Verb::*;
+    let surfaces: [(&str, String, &[Verb]); 5] = [
+        ("serve", replica.addr().to_string(), &[Rec, RecX, Stats]),
+        (
+            "router public",
+            routed.addr().to_string(),
+            &[Rec, RecX, Stats],
+        ),
+        (
+            "router admin",
+            routed.admin_addr().to_string(),
+            &[Rec, RecX, Stats, Replace],
+        ),
+        ("ingest", ingest.addr().to_string(), &[Put, Stats]),
+        ("mock_replica", mock_addr, &[Rec, RecX, Stats]),
+    ];
+    // One well-formed request per verb and the reply a port that serves it
+    // starts with. The REPLACE names a shard the router does not have, so
+    // even the admin port that serves it re-points nothing.
+    let sample = |verb: Verb| match verb {
+        Rec | RecX => (
+            Request::Rec {
+                users: vec![3],
+                k: 5,
+                exact: verb == RecX,
+            },
+            "OK ",
+        ),
+        Stats => (Request::Stats, "STATS "),
+        Ping => (Request::Ping, "PONG"),
+        Quit => (Request::Quit, "BYE"),
+        Put => (Request::Put { user: 1, item: 2 }, "OK off="),
+        Replace => (
+            Request::Replace {
+                shard: 7,
+                replica: 0,
+                addr: "127.0.0.1:1".into(),
+            },
+            "ERR unknown shard 7",
+        ),
+    };
+    let replica_addr = || router.health().addr(0, 0);
+    let before = replica_addr();
+    for (name, addr, serves) in surfaces {
+        let mut client = ServeClient::connect(&addr).unwrap();
+        let log_before = log_len(log_dir.path()).unwrap();
+        for (verb, _) in VERBS {
+            let (request, served) = sample(verb);
+            let line = client.request_lines(&request, 1).unwrap().remove(0);
+            if serves.contains(&verb) || matches!(verb, Ping | Quit) {
+                assert!(line.starts_with(served), "{name}: {request} got {line:?}");
+            } else {
+                assert_eq!(line, format!("ERR {}", Unserved(verb)), "{name}: {request}");
+            }
+            if verb == Quit {
+                break;
+            }
+        }
+        let logged = log_len(log_dir.path()).unwrap() - log_before;
+        assert_eq!(logged, u64::from(serves.contains(&Put)), "{name}: PUT");
+        assert_eq!(replica_addr(), before, "{name}: REPLACE moved the replica");
+    }
+    routed.stop();
+    ingest.stop();
+    replica.stop();
+}
+
 /// The tentpole guarantee, end to end: two shards at replication factor 2
 /// over one checkpoint; the primary of shard 0 dies; **zero** user-visible
 /// errors — the secondary answers bit-identically *within the request*
@@ -499,7 +613,7 @@ fn failover_serves_the_secondary_bit_identically_with_zero_errors() {
     let stats = client.stats_line().unwrap();
     assert!(stats.contains("serving=1,0"), "got {stats:?}");
     assert!(
-        graphaug_serve::stats_field(&stats, "failovers=")
+        graphaug_serve::field(&stats, "failovers")
             .and_then(|v| v.parse::<u64>().ok())
             .unwrap_or(0)
             > 0,
@@ -515,7 +629,7 @@ fn failover_serves_the_secondary_bit_identically_with_zero_errors() {
     let new_addr = reborn.addr().to_string();
     let mut admin = ServeClient::connect(&handle.admin_addr().to_string()).unwrap();
     let reply = admin
-        .request_lines(&format!("REPLACE 0 0 {new_addr}"), 1)
+        .request_lines(format!("REPLACE 0 0 {new_addr}"), 1)
         .unwrap()
         .remove(0);
     assert_eq!(reply, format!("OK shard=0 replica=0 addr={new_addr}"));
@@ -623,7 +737,7 @@ fn mid_response_death_fails_over_instead_of_relaying_truncation() {
         let mut c = ServeClient::connect(&real_addr).unwrap();
         let stats = c.stats_line().unwrap();
         c.quit();
-        graphaug_serve::stats_field(&stats, "gen=")
+        graphaug_serve::field(&stats, "gen")
             .and_then(|v| v.parse().ok())
             .expect("replica reports gen")
     };

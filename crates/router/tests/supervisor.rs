@@ -214,7 +214,7 @@ fn respawn_backoff_follows_the_seeded_schedule() {
     let logged: Vec<u128> = log
         .iter()
         .filter(|l| l.starts_with("RESPAWN shard=0"))
-        .filter_map(|l| graphaug_serve::stats_field(l, "backoff_ms=").and_then(|v| v.parse().ok()))
+        .filter_map(|l| graphaug_serve::field(l, "backoff_ms").and_then(|v| v.parse().ok()))
         .collect();
     assert_eq!(
         logged, expected,

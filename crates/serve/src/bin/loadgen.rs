@@ -46,7 +46,7 @@ use graphaug_rng::StdRng;
 use graphaug_serve::args::{self, ArgError, Args, Fail};
 use graphaug_serve::client::{resolve_addr, ServeClient};
 use graphaug_serve::workload::{drive_load, Bad, LoadPhase};
-use graphaug_serve::{parse_ok_line, UserSampler};
+use graphaug_serve::{parse_ok_line, Request, UserSampler, Verb};
 
 const USAGE: &str = "usage: loadgen <addr> [--requests N] [--conns N] [--seed S] [--kmax K] \
      [--zipf S | --hot H:FRAC] [--exact] [--quant-parity N] \
@@ -180,14 +180,14 @@ fn quant_parity_sweep(
         let oracle = client
             .rec_one_mode(user, k, true)
             .map_err(|e| e.to_string())?;
-        let parse = |line: &str, verb: &str| {
+        let parse = |line: &str, verb: Verb| {
             parse_ok_line(line)
                 .filter(|ok| ok.user == user && ok.k == k && ok.items.len() <= k)
                 .map(|ok| ok.items.iter().map(|s| s.item).collect::<Vec<u32>>())
                 .ok_or_else(|| format!("bad response for {verb} {user} {k}: {line}"))
         };
-        let fast_items = parse(&fast, "REC")?;
-        let oracle_items = parse(&oracle, "RECX")?;
+        let fast_items = parse(&fast, Verb::Rec)?;
+        let oracle_items = parse(&oracle, Verb::RecX)?;
         let hits = overlap_count(&fast_items, &oracle_items);
         let ratio = if oracle_items.is_empty() {
             1.0
@@ -218,10 +218,10 @@ fn put_stream(addr: &str, n: usize, users: u32, items: u32, seed: u64) -> Result
     let mut rng = StdRng::stream(seed, 0);
     let mut last_off = 0u64;
     for i in 0..n {
-        let user = rng.bounded_u64(users as u64);
-        let item = rng.bounded_u64(items as u64);
+        let (user, item) = (rng.bounded_u64(users as u64), rng.bounded_u64(items as u64));
+        let request = Request::Put { user, item };
         let line = client
-            .request_lines(&format!("PUT {user} {item}"), 1)
+            .request_lines(&request, 1)
             .map_err(|e| e.to_string())?
             .pop()
             .expect("one reply per PUT");
@@ -230,7 +230,7 @@ fn put_stream(addr: &str, n: usize, users: u32, items: u32, seed: u64) -> Result
             .and_then(|v| v.parse::<u64>().ok())
         {
             Some(off) => last_off = off,
-            None => return Err(format!("PUT {user} {item} (record {i}) refused: {line}")),
+            None => return Err(format!("{request} (record {i}) refused: {line}")),
         }
     }
     client.quit();
@@ -247,7 +247,7 @@ fn dump_rankings(addr: &str, n: u32, k: usize) -> Result<(), String> {
         let line = client.rec_one(user, k).map_err(|e| e.to_string())?;
         parse_ok_line(&line)
             .filter(|ok| ok.user == user && ok.k == k && ok.items.len() <= k)
-            .ok_or_else(|| format!("bad response for REC {user} {k}: {line}"))?;
+            .ok_or_else(|| format!("bad response for {} {user} {k}: {line}", Verb::Rec))?;
         println!("{line}");
     }
     client.quit();

@@ -1,18 +1,22 @@
 //! A reusable blocking client for the serving wire protocol.
 //!
 //! Everything that used to live ad hoc inside `loadgen` — connect, write a
-//! request line, read response lines, pick fields out of a `STATS` line —
-//! is factored here so the load generator, the shard router's downstream
-//! connections, and the chaos scenario driver all speak the protocol
-//! through one code path. The client is deliberately dumb about *content*:
-//! `REC` responses come back as raw lines, so a proxy relaying them
-//! forwards the replica's bytes verbatim (which is what makes routed
+//! request line, read response lines — is factored here so the load
+//! generator, the shard router's downstream connections, and the chaos
+//! scenario driver all speak the protocol through one code path. Requests
+//! are [`Request`]s, spelled by the protocol module, and `STATS` fields
+//! are read with its [`field`]. The client is deliberately dumb about
+//! *content*: `REC` responses come back as raw lines, so a proxy relaying
+//! them forwards the replica's bytes verbatim (which is what makes routed
 //! responses bit-identical to direct ones — no reparse/rerender step can
 //! perturb a score's hex bit pattern).
 
+use std::fmt::Display;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+use crate::proto::{field, Request};
 
 /// Resolves `addr` to a socket address, rejecting malformed input with a
 /// readable message instead of a panic or a hang.
@@ -71,8 +75,8 @@ impl ServeClient {
         stream.set_write_timeout(io_timeout)
     }
 
-    /// Writes one request line and flushes it.
-    pub fn send_line(&mut self, line: &str) -> io::Result<()> {
+    /// Writes one request line (a [`Request`], or raw text) and flushes it.
+    pub fn send_line(&mut self, line: impl Display) -> io::Result<()> {
         writeln!(self.writer, "{line}")?;
         self.writer.flush()
     }
@@ -109,20 +113,9 @@ impl ServeClient {
     }
 
     /// Sends `line` and reads exactly `n` response lines.
-    pub fn request_lines(&mut self, line: &str, n: usize) -> io::Result<Vec<String>> {
+    pub fn request_lines(&mut self, line: impl Display, n: usize) -> io::Result<Vec<String>> {
         self.send_line(line)?;
         (0..n).map(|_| self.read_line()).collect()
-    }
-
-    /// `REC` for a batch of users: one raw response line per user, in
-    /// request order (each either `OK …` or `ERR …`).
-    pub fn rec_raw(&mut self, users: &[u32], k: usize) -> io::Result<Vec<String>> {
-        let list = users
-            .iter()
-            .map(|u| u.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        self.request_lines(&format!("REC {list} {k}"), users.len())
     }
 
     /// `REC` for one user: the raw response line.
@@ -133,14 +126,18 @@ impl ServeClient {
     /// `REC` or `RECX` (exact-parity oracle) for one user: the raw
     /// response line.
     pub fn rec_one_mode(&mut self, user: u32, k: usize, exact: bool) -> io::Result<String> {
-        let verb = if exact { "RECX" } else { "REC" };
-        self.send_line(&format!("{verb} {user} {k}"))?;
-        self.read_line()
+        let users = vec![user];
+        self.ask(Request::Rec { users, k, exact })
     }
 
     /// `STATS`: the raw response line.
     pub fn stats_line(&mut self) -> io::Result<String> {
-        self.send_line("STATS")?;
+        self.ask(Request::Stats)
+    }
+
+    /// Sends a one-line request and reads its one response line.
+    fn ask(&mut self, request: Request) -> io::Result<String> {
+        self.send_line(request)?;
         self.read_line()
     }
 
@@ -152,8 +149,8 @@ impl ServeClient {
         let mut client = ServeClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
         let line = client.stats_line().map_err(|e| format!("STATS: {e}"))?;
         client.quit();
-        let users = stats_field(&line, "users=").and_then(|v| v.parse::<u32>().ok());
-        let items = stats_field(&line, "items=").and_then(|v| v.parse::<usize>().ok());
+        let users = field(&line, "users").and_then(|v| v.parse::<u32>().ok());
+        let items = field(&line, "items").and_then(|v| v.parse::<usize>().ok());
         match (users, items) {
             (Some(0), _) => Err(format!("server reports zero users: {line}")),
             (Some(u), Some(i)) => Ok((u, i)),
@@ -163,21 +160,14 @@ impl ServeClient {
 
     /// `PING`: true iff the server answered `PONG`.
     pub fn ping(&mut self) -> io::Result<bool> {
-        self.send_line("PING")?;
-        Ok(self.read_line()? == "PONG")
+        Ok(self.ask(Request::Ping)? == "PONG")
     }
 
     /// Sends `QUIT` and drops the connection; errors are ignored (the
     /// server may already be gone).
     pub fn quit(mut self) {
-        let _ = self.send_line("QUIT");
+        let _ = self.send_line(Request::Quit);
     }
-}
-
-/// Picks a `key=value` field out of a `STATS`-style line.
-pub fn stats_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    line.split_ascii_whitespace()
-        .find_map(|tok| tok.strip_prefix(key))
 }
 
 /// Nearest-rank percentile over an ascending-sorted latency vector.
@@ -233,9 +223,20 @@ mod tests {
     #[test]
     fn stats_fields_parse_positionally_anywhere() {
         let line = "STATS gen=4 users=150 items=120 requests=9";
-        assert_eq!(stats_field(line, "users="), Some("150"));
-        assert_eq!(stats_field(line, "gen="), Some("4"));
-        assert_eq!(stats_field(line, "absent="), None);
+        assert_eq!(field(line, "users"), Some("150"));
+        assert_eq!(field(line, "gen"), Some("4"));
+        assert_eq!(field(line, "absent"), None);
+        // Whole keys only: a key that is a prefix of another, or of the
+        // line's head, reads nothing.
+        let line = "STATS gen=4 shard_requests=1,2 requests=9 items=";
+        assert_eq!(field(line, "requests"), Some("9"));
+        assert_eq!(field(line, "items"), Some(""));
+        assert_eq!(field(line, "ge"), None);
+        assert_eq!(field(line, "STATS"), None);
+        assert_eq!(
+            field("READY addr=127.0.0.1:5 gen=2", "addr"),
+            Some("127.0.0.1:5")
+        );
     }
 
     #[test]

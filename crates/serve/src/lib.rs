@@ -38,8 +38,9 @@
 //!    the request path, and atomically swaps them in without dropping or
 //!    tearing any in-flight request.
 //! 5. **Server** ([`proto`], [`server`]) — a dependency-free blocking TCP
-//!    server speaking a one-line-per-request text protocol (`REC` serves
-//!    the fast path, `RECX` pins the exact-parity oracle), plus the
+//!    server speaking the workspace's one line protocol
+//!    (`graphaug_ingest::proto`; `REC` serves the fast path, `RECX` pins the
+//!    exact-parity oracle), plus the
 //!    `serve_main` and `loadgen` binaries (demo service and latency/QPS
 //!    load generator).
 //!
@@ -85,12 +86,13 @@ pub use graphaug_ingest::{args, net};
 
 pub use ann::{IvfIndex, IvfParams};
 pub use cache::LruCache;
-pub use client::{percentile, resolve_addr, stats_field, LatencySummary, ServeClient};
+pub use client::{percentile, resolve_addr, LatencySummary, ServeClient};
 pub use engine::{
     spawn_watcher, Engine, EngineStats, Recommendation, Watcher, DEFAULT_CACHE_CAPACITY,
 };
 pub use proto::{
-    err_kind, ok_line, parse_ok_line, parse_request, OkLine, Request, MAX_K, MAX_REC_USERS,
+    err_kind, field, ok_line, parse_ok_line, parse_request, OkLine, Request, Stats, Verb, MAX_K,
+    MAX_REC_USERS,
 };
 pub use quant::{QuantIvf, QuantParams, QuantRows};
 pub use server::{serve, ServerHandle};

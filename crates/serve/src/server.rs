@@ -1,8 +1,10 @@
-//! The serving engine's TCP verbs, on the shared line-server scaffold
-//! ([`crate::net`]; DESIGN.md, "One line server"). Deliberately boring: the
-//! interesting guarantees (atomic table swaps, batch consistency, cache
-//! correctness) live in the [`crate::engine`] layer, and this layer only
-//! moves lines.
+//! The serving engine's TCP verbs — `REC`, `RECX` and `STATS` — on the
+//! shared line-server scaffold ([`crate::net`]; DESIGN.md, "One line
+//! server") and the one wire protocol's dispatcher ([`crate::proto::listen`]
+//! answers `PING`, `QUIT`, parse errors and every other verb; DESIGN.md,
+//! "One wire protocol"). Deliberately boring: the interesting guarantees
+//! (atomic table swaps, batch consistency, cache correctness) live in the
+//! [`crate::engine`] layer, and this layer only moves lines.
 //!
 //! A `REC` request with multiple users is served through
 //! [`crate::Engine::recommend_batch`], so the whole batch is answered from
@@ -10,10 +12,13 @@
 
 use std::sync::Arc;
 
-use crate::engine::Engine;
-use crate::net::{listen, ListenerHandle, Next, Reply};
-use crate::proto::{ok_line, parse_request, Request};
+use crate::engine::{Engine, EngineStats};
+use crate::net::{ListenerHandle, Reply};
+use crate::proto::{self, ok_line, Request, Stats, Verb};
 use crate::tables::ServeError;
+
+/// The verbs a replica serves besides `PING` and `QUIT`.
+const SERVES: &[Verb] = &[Verb::Rec, Verb::RecX, Verb::Stats];
 
 /// A running server; dropping (or calling `stop()`) shuts the accept loop
 /// down. Already-open connections finish on their own threads.
@@ -22,81 +27,115 @@ pub type ServerHandle = ListenerHandle;
 /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and serves
 /// `engine` until the handle is stopped.
 pub fn serve(engine: Arc<Engine>, addr: &str) -> Result<ServerHandle, ServeError> {
-    listen(addr, "graphaug-serve", move || {
+    proto::listen(addr, "graphaug-serve", SERVES, move || {
         let engine = engine.clone();
-        move |line: &str, reply: &mut Reply| respond(&engine, line, reply)
+        move |request: Request, reply: &mut Reply| match request {
+            Request::Rec { users, k, exact } => {
+                let requests: Vec<(u32, usize)> = users.into_iter().map(|u| (u, k)).collect();
+                for result in engine.recommend_batch_mode(&requests, exact) {
+                    match result {
+                        Ok(rec) => reply.line(ok_line(&rec)),
+                        Err(e) => reply.line(format_args!("ERR {e}")),
+                    }
+                }
+            }
+            Request::Stats => {
+                let tables = engine.tables();
+                reply.line(stats(&engine.stats(), tables.n_users(), tables.n_items()));
+            }
+            other => unreachable!("{} is not in SERVES", other.verb()),
+        }
     })
     .map_err(|e| ServeError::Io(e.to_string()))
 }
 
-/// Appends the response line(s) for one request.
-fn respond(engine: &Engine, line: &str, reply: &mut Reply) -> Next {
-    match parse_request(line) {
-        Ok(Request::Rec { users, k, exact }) => {
-            let requests: Vec<(u32, usize)> = users.into_iter().map(|u| (u, k)).collect();
-            for result in engine.recommend_batch_mode(&requests, exact) {
-                match result {
-                    Ok(rec) => reply.line(ok_line(&rec)),
-                    Err(e) => reply.line(format_args!("ERR {e}")),
-                }
-            }
-        }
-        Ok(Request::Stats) => {
-            let s = engine.stats();
-            let tables = engine.tables();
-            reply.line(format_args!(
-                "STATS gen={} users={} items={} requests={} cache_hits={} \
-                     cache_misses={} reloads={} reload_errors={} ann={} \
-                     ann_probes={} ann_cands={} exact_fallbacks={} recall_sampled={} \
-                     quant={} table_bytes={} quant_served={} drift_sampled={} \
-                     reload_skips={} ingested={} log_offset={} finetunes={}",
-                s.generation,
-                tables.n_users(),
-                tables.n_items(),
-                s.requests,
-                s.cache_hits,
-                s.cache_misses,
-                s.reloads,
-                s.reload_errors,
-                if s.ann_on { "on" } else { "off" },
-                s.ann_probes,
-                s.ann_cands,
-                s.exact_fallbacks,
-                // `-` until the self-audit has sampled anything, so the
-                // field is always present and splittable.
-                s.recall_sampled
-                    .map_or_else(|| "-".to_string(), |r| format!("{r:.4}")),
-                if s.quant_on { "on" } else { "off" },
-                s.table_bytes,
-                s.quant_served,
-                s.drift_sampled
-                    .map_or_else(|| "-".to_string(), |r| format!("{r:.4}")),
-                s.reload_skips,
-                s.ingested,
-                s.log_offset,
-                s.finetunes,
-            ));
-        }
-        Ok(Request::Ping) => reply.line("PONG"),
-        Ok(Request::Quit) => {
-            reply.line("BYE");
-            return Next::Close;
-        }
-        Err(msg) => reply.line(format_args!("ERR {msg}")),
-    }
-    Next::Continue
+/// The replica's `STATS` line: serving counters and table shape. A sampled
+/// rate reads `-` until the self-audit has sampled anything, so the field
+/// is always present and splittable.
+fn stats(s: &EngineStats, users: usize, items: usize) -> Stats {
+    let on_off = |on: bool| if on { "on" } else { "off" };
+    let rate = |r: Option<f64>| r.map_or_else(|| "-".to_string(), |r| format!("{r:.4}"));
+    Stats::default()
+        .with("gen", s.generation)
+        .with("users", users)
+        .with("items", items)
+        .with("requests", s.requests)
+        .with("cache_hits", s.cache_hits)
+        .with("cache_misses", s.cache_misses)
+        .with("reloads", s.reloads)
+        .with("reload_errors", s.reload_errors)
+        .with("ann", on_off(s.ann_on))
+        .with("ann_probes", s.ann_probes)
+        .with("ann_cands", s.ann_cands)
+        .with("exact_fallbacks", s.exact_fallbacks)
+        .with("recall_sampled", rate(s.recall_sampled))
+        .with("quant", on_off(s.quant_on))
+        .with("table_bytes", s.table_bytes)
+        .with("quant_served", s.quant_served)
+        .with("drift_sampled", rate(s.drift_sampled))
+        .with("reload_skips", s.reload_skips)
+        .with("ingested", s.ingested)
+        .with("log_offset", s.log_offset)
+        .with("finetunes", s.finetunes)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::stats;
+    use crate::engine::EngineStats;
     use crate::net::MAX_LINE_BYTES;
-    use crate::proto::{parse_request, MAX_K, MAX_REC_USERS};
+    use crate::proto::{parse_request, Request, MAX_K, MAX_REC_USERS};
 
     #[test]
     fn the_longest_legal_request_fits_under_the_line_cap() {
-        let users = vec![u32::MAX.to_string(); MAX_REC_USERS].join(",");
-        let line = format!("RECX {users} {MAX_K}");
+        let line = Request::Rec {
+            users: vec![u32::MAX; MAX_REC_USERS],
+            k: MAX_K,
+            exact: true,
+        }
+        .to_string();
         assert!(parse_request(&line).is_ok());
         assert!(line.len() < MAX_LINE_BYTES, "{} bytes", line.len());
+    }
+
+    #[test]
+    fn the_stats_line_is_byte_identical_to_the_hand_formatted_one() {
+        // Both lines as the replica rendered them with one `format!`
+        // before the codec.
+        assert_eq!(
+            stats(&EngineStats::default(), 150, 120).to_string(),
+            "STATS gen=0 users=150 items=120 requests=0 cache_hits=0 cache_misses=0 \
+             reloads=0 reload_errors=0 ann=off ann_probes=0 ann_cands=0 exact_fallbacks=0 \
+             recall_sampled=- quant=off table_bytes=0 quant_served=0 drift_sampled=- \
+             reload_skips=0 ingested=0 log_offset=0 finetunes=0"
+        );
+        let warm = EngineStats {
+            generation: 4,
+            requests: 1000,
+            cache_hits: 600,
+            cache_misses: 400,
+            reloads: 3,
+            reload_errors: 1,
+            reload_skips: 2,
+            ann_on: true,
+            ann_probes: 3200,
+            ann_cands: 51234,
+            exact_fallbacks: 7,
+            recall_sampled: Some(0.971_25),
+            quant_on: true,
+            table_bytes: 40960,
+            quant_served: 390,
+            drift_sampled: Some(2.0 / 3.0),
+            ingested: 77,
+            log_offset: 64,
+            finetunes: 5,
+        };
+        assert_eq!(
+            stats(&warm, 60, 45).to_string(),
+            "STATS gen=4 users=60 items=45 requests=1000 cache_hits=600 cache_misses=400 \
+             reloads=3 reload_errors=1 ann=on ann_probes=3200 ann_cands=51234 exact_fallbacks=7 \
+             recall_sampled=0.9712 quant=on table_bytes=40960 quant_served=390 \
+             drift_sampled=0.6667 reload_skips=2 ingested=77 log_offset=64 finetunes=5"
+        );
     }
 }

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use graphaug_rng::StdRng;
 
 use crate::client::{LatencySummary, ServeClient};
-use crate::proto::parse_ok_line;
+use crate::proto::{parse_ok_line, Verb};
 
 /// A seeded distribution over user ids `0..n_users`.
 #[derive(Clone, Debug)]
@@ -163,7 +163,7 @@ pub fn drive_load(
     classify: impl Fn(u32, &str) -> Bad + Sync,
 ) -> LoadReport {
     let who = phase.who;
-    let verb = if phase.exact { "RECX" } else { "REC" };
+    let verb = if phase.exact { Verb::RecX } else { Verb::Rec };
     let per_conn = phase.requests.div_ceil(phase.conns);
     let drive = |conn: usize| -> Result<(Vec<u64>, usize, usize), String> {
         let mut rng = StdRng::stream(phase.seed, phase.stream_base | conn as u64);
@@ -293,35 +293,34 @@ mod tests {
     /// answers `ERR`, for an even one a valid empty list. Every requested
     /// `(exact, user, k)` is recorded.
     fn fake_server(users: u32) -> (crate::net::ListenerHandle, Seen) {
-        use crate::net::{listen, Next, Reply};
-        use crate::proto::{parse_request, Request};
+        use crate::net::Reply;
+        use crate::proto::{listen, Request, Stats, Verb};
         let seen = Seen::default();
         let log = seen.clone();
-        let handle = listen("127.0.0.1:0", "fake-replica", move || {
+        const SERVES: &[Verb] = &[Verb::Rec, Verb::RecX, Verb::Stats];
+        let handle = listen("127.0.0.1:0", "fake-replica", SERVES, move || {
             let log = log.clone();
-            move |line: &str, reply: &mut Reply| {
-                match parse_request(line) {
-                    Ok(Request::Rec {
-                        users: us,
-                        k,
-                        exact,
-                    }) => {
-                        for u in us {
-                            log.lock().unwrap().push((exact, u, k));
-                            if u % 2 == 1 {
-                                reply.line("ERR down shard of an odd user");
-                            } else {
-                                reply.line(format_args!("OK gen=1 user={u} k={k} items= bits="));
-                            }
+            move |request: Request, reply: &mut Reply| match request {
+                Request::Rec {
+                    users: us,
+                    k,
+                    exact,
+                } => {
+                    for u in us {
+                        log.lock().unwrap().push((exact, u, k));
+                        if u % 2 == 1 {
+                            reply.line("ERR down shard of an odd user");
+                        } else {
+                            reply.line(format_args!("OK gen=1 user={u} k={k} items= bits="));
                         }
                     }
-                    Ok(Request::Stats) => {
-                        reply.line(format_args!("STATS gen=1 users={users} items=120"))
-                    }
-                    Ok(Request::Quit) => return Next::Close,
-                    _ => reply.line("ERR unexpected"),
                 }
-                Next::Continue
+                _ => reply.line(
+                    Stats::default()
+                        .with("gen", 1)
+                        .with("users", users)
+                        .with("items", 120),
+                ),
             }
         })
         .unwrap();

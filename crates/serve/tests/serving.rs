@@ -16,7 +16,7 @@ use graphaug_graph::{InteractionGraph, TrainTestSplit};
 use graphaug_runtime::checkpoint::{generation_path, list_generations};
 use graphaug_runtime::{Checkpointer, Runtime, RuntimeConfig};
 use graphaug_serve::{
-    parse_ok_line, serve, spawn_watcher, Engine, ModelSource, ModelTables, ScoredItem,
+    parse_ok_line, serve, spawn_watcher, Engine, ModelSource, ModelTables, Request, ScoredItem,
 };
 
 /// `set_thread_count` is process-global; serialize the tests that flip it.
@@ -480,10 +480,15 @@ fn batch64_round_trips(tag: &str, tries: usize) -> Vec<std::time::Duration> {
         "the batch reply must span several writes to mean anything ({reply_bytes} bytes)"
     );
 
+    let batch_request = Request::Rec {
+        users: users.clone(),
+        k: 20,
+        exact: false,
+    };
     let mut round_trips: Vec<_> = (0..tries)
         .map(|_| {
             let t = std::time::Instant::now();
-            let batch = client.rec_raw(&users, 20).unwrap();
+            let batch = client.request_lines(&batch_request, users.len()).unwrap();
             let took = t.elapsed();
             assert_eq!(batch, singles);
             took
