@@ -14,8 +14,9 @@
 #   static   cargo fmt --check, clippy -D warnings, one-listener grep,
 #            one-probe-loop guard, one-front-door guard, lockfile
 #            hermeticity, per-node-scorer guard, intrinsics only in
-#            par/src/simd.rs, one propagation operator, one epoch loop,
-#            one source of served tables, one experiment path
+#            par/src/simd.rs, one f32 row scorer, one propagation
+#            operator, one epoch loop, one source of served tables, one
+#            experiment path
 #   build    cargo build --release
 #   tests    full test suite at GRAPHAUG_THREADS={1,3,4} and GRAPHAUG_SIMD=0
 #   bench    kernel-bench smoke run (tiny budget) and the bench tools'
@@ -230,10 +231,11 @@ group_static() {
     echo "ok: the scorer projects nodes, not edges"
 
     stage "intrinsics: std::arch and _mm only in crates/par/src/simd.rs"
-    # The int8 row kernel is the workspace's one hand-written AVX2 build
-    # (DESIGN.md, "Lane kernels"); every other kernel is plain Rust that
-    # simd_dispatch! compiles twice. I8x32 fixed a reduction order exact
-    # integer sums never needed and compiled to the slow kernel it replaced.
+    # The two row scorers, score_rows_i8 and score_rows_f32, are the
+    # workspace's two hand-written AVX2 builds (DESIGN.md, "Lane kernels");
+    # every other kernel is plain Rust that simd_dispatch! compiles twice.
+    # I8x32 fixed a reduction order exact integer sums never needed and
+    # compiled to the slow kernel it replaced.
     if grep -rnE 'std::arch|_mm' crates/ | grep -v '^crates/par/src/simd.rs:'; then
         echo "ERROR: an intrinsic outside crates/par/src/simd.rs" >&2
         exit 1
@@ -243,6 +245,18 @@ group_static() {
         exit 1
     fi
     echo "ok: one audited file of intrinsics, no I8x32"
+
+    stage "one f32 row scorer: no item-row dot outside graphaug_par::score_rows_f32"
+    # Every full-catalog scan (evaluation, the exact serving tier, the f32
+    # IVF lists, the parity oracles) scores through score_rows_f32, whose
+    # portable build is the one ascending `.sum()` chain (DESIGN.md, "Lane
+    # kernels"); a restated chain is a scan the lane build never reaches.
+    if non_test_lines crates/eval/src/model.rs crates/eval/src/harness.rs crates/serve/src \
+        | grep -E 'a \* b\)\.sum'; then
+        echo "ERROR: an item-row dot outside score_rows_f32" >&2
+        exit 1
+    fi
+    echo "ok: one f32 row scorer"
 
     stage "one propagation operator: spmm_ew only in tensor, no *_ew functions"
     # Every graph encoder propagates through `Graph::propagate` over an `Adj`
@@ -340,15 +354,17 @@ group_bench() {
     # The training step is mostly `Graph::backward`, and for nine PRs no
     # recorded line timed any of it; a line that drops out of the recorder
     # is a kernel nobody may claim to have sped up (ROADMAP needle 1).
-    # The same holds for the int8 row kernel, a cold `REC`'s candidate scorer.
+    # The same holds for the two row kernels: int8, a cold `REC`'s candidate
+    # scorer, and f32, every full-catalog scan's.
     local line
-    for line in 'matmul_nt/' 'spmm_ew_dw' 'edge_mlp_forward_backward' 'quant/score_rows_i8_'; do
+    for line in 'matmul_nt/' 'spmm_ew_dw' 'edge_mlp_forward_backward' 'quant/score_rows_i8_' \
+        'topk_eval/score_rows_f32_'; do
         if ! grep -q "\"name\": \"$line" /tmp/graphaug_bench_smoke.json; then
             echo "ERROR: no '$line' line in the bench smoke report" >&2
             exit 1
         fi
     done
-    echo "ok: matmul_nt/, spmm_ew_dw, edge_mlp_forward_backward, quant/score_rows_i8_ recorded"
+    echo "ok: matmul_nt/, spmm_ew_dw, edge_mlp_forward_backward, quant/score_rows_i8_, topk_eval/score_rows_f32_ recorded"
 
     stage "bench smoke: no socket-level lines on the kernel ledger"
     # benchmark/ times serving, routing, ingestion and fine-tuning per layer

@@ -223,6 +223,22 @@ pub fn topk_eval(h: &mut Harness) {
         black_box(topk_indices(black_box(&scores), 40));
     });
 
+    // The f32 row kernel every full-catalog scan scores through, at a cold
+    // `RECX`'s shape (the benchmark's 16 384-item d32 catalog) and at the
+    // Gowalla preset's evaluation shape (898 items).
+    for n in [16_384usize, 898] {
+        let dim = 32usize;
+        let mut rows = vec![0f32; n * dim];
+        seeded_rng(23).fill_normal_f32(&mut rows, 1.0);
+        let user: Vec<f32> = rows[..dim].iter().map(|v| v * 0.5).collect();
+        let mut out = Vec::with_capacity(n);
+        h.bench(&format!("topk_eval/score_rows_f32_{n}x{dim}"), || {
+            out.clear();
+            graphaug_par::score_rows_f32(black_box(&rows), black_box(&user), &mut out);
+            black_box(&out);
+        });
+    }
+
     let g = generate(&SyntheticConfig::new(300, 250, 5000).seed(1));
     let split = split_graph(&g);
     let model = GraphAug::new(GraphAugConfig::new().seed(1), &split.train);

@@ -38,44 +38,31 @@ impl Ord for Worst {
 /// function, and the serving parity tests compare their outputs hex-exactly
 /// — any tie-break drift would surface as a cross-process mismatch, so the
 /// rule is locked by a regression proptest over duplicate-heavy score
-/// vectors.
+/// vectors. Panics on NaN.
 ///
-/// One pass over the scores with a bounded
-/// min-heap of size `k` — after warm-up almost every element is rejected by
-/// a single comparison against the current `k`-th best — then an
+/// This is [`topk_pairs`] over the dense slice with no mask: one pass with
+/// a bounded heap of size `k`, where after warm-up almost every element is
+/// rejected by a single comparison against the current `k`-th best, then an
 /// `O(k log k)` sort of the survivors.
 pub fn topk_indices(scores: &[f32], k: usize) -> Vec<u32> {
-    let k = k.min(scores.len());
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut heap = std::collections::BinaryHeap::with_capacity(k + 1);
-    for (i, &s) in scores.iter().enumerate() {
-        let cand = Worst(s, i as u32);
-        if heap.len() < k {
-            heap.push(cand);
-        } else if cand < *heap.peek().expect("heap holds k entries") {
-            heap.pop();
-            heap.push(cand);
-        }
-    }
-    let mut kept = heap.into_vec();
-    kept.sort_unstable();
-    kept.into_iter().map(|w| w.1).collect()
+    let dense = scores.iter().enumerate().map(|(i, &s)| (i as u32, s));
+    topk_pairs(dense, k, |_| false)
+        .into_iter()
+        .map(|(i, _)| i)
+        .collect()
 }
 
 /// Bounded-heap top-K over an arbitrary `(index, score)` candidate stream —
-/// the sparse-candidate sibling of [`topk_indices`], used by the IVF ANN
-/// search path in `graphaug-serve` where only the probed inverted lists'
-/// items are scored.
+/// the one selection loop: [`topk_indices`] runs it over a dense slice, and
+/// the IVF ANN search path in `graphaug-serve` over the probed inverted
+/// lists' items.
 ///
-/// The selection shares [`topk_indices`]'s comparator, so the **tie-break
-/// contract is identical**: equal scores rank the lower index first, both in
-/// the returned order and at the `k` cutoff. Because that comparator is a
-/// total order, the result does not depend on the order candidates arrive
-/// in — which is what lets a full-probe ANN search (`nprobe = nlists`, all
-/// items visited in cluster order) reproduce the dense exact ranking
-/// hex-exactly.
+/// The **tie-break contract** is [`topk_indices`]'s: equal scores rank the
+/// lower index first, both in the returned order and at the `k` cutoff.
+/// Because that comparator is a total order, the result does not depend on
+/// the order candidates arrive in — which is what lets a full-probe ANN
+/// search (`nprobe = nlists`, all items visited in cluster order) reproduce
+/// the dense exact ranking hex-exactly.
 ///
 /// A candidate for which `masked(index)` holds competes with score `-inf`
 /// (the dense path's seen-item mask), and the result is exactly that of
@@ -189,6 +176,13 @@ mod tests {
     fn topk_ties_break_by_index() {
         let scores = vec![0.5, 0.5, 0.5];
         assert_eq!(topk_indices(&scores, 2), vec![0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scores must not be NaN")]
+    fn topk_panics_on_nan() {
+        // After warm-up, where the one-compare reject must not skip it.
+        topk_indices(&[0.5, 0.25, 0.75, f32::NAN, 0.1], 2);
     }
 
     #[test]

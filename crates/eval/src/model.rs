@@ -8,7 +8,10 @@ use graphaug_tensor::Mat;
 /// Most models are embedding-dot-product scorers and should implement
 /// [`Recommender::embeddings`], inheriting the default `score_items`; models
 /// with non-factored scoring functions (NCF's MLP head, AutoRec's decoder)
-/// override `score_items` directly.
+/// override `score_items` directly and return `None` from `embeddings`.
+/// That split is a contract the serving tier relies on: whenever
+/// `embeddings` is `Some`, `score_items` is the default, so the exported
+/// tables score the same bits the model does.
 ///
 /// `Sync` is a supertrait because the evaluation harness scores users in
 /// parallel — `score_items` must be callable from worker threads through a
@@ -21,15 +24,21 @@ pub trait Recommender: Sync {
     /// dot-product scorer. Used for scoring, MAD, and uniformity statistics.
     fn embeddings(&self) -> Option<(&Mat, &Mat)>;
 
-    /// Preference scores for every item for `user`.
+    /// Preference scores for every item for `user`: the default is
+    /// [`graphaug_par::score_rows_f32`] over the item table, so item `v`
+    /// scores `Σ ie[v][d]·ue[user][d]` summed in ascending `d` from `-0.0`.
     fn score_items(&self, user: usize) -> Vec<f32> {
         let (ue, ie) = self
             .embeddings()
             .expect("models without embeddings must override score_items");
-        let urow = ue.row(user);
-        (0..ie.rows())
-            .map(|v| ie.row(v).iter().zip(urow).map(|(a, b)| a * b).sum())
-            .collect()
+        assert_eq!(
+            ue.cols(),
+            ie.cols(),
+            "user and item embeddings differ in width"
+        );
+        let mut scores = Vec::with_capacity(ie.rows());
+        graphaug_par::score_rows_f32(ie.as_slice(), ue.row(user), &mut scores);
+        scores
     }
 
     /// Concatenated user+item embedding matrix, when available (for the

@@ -8,10 +8,11 @@
 //! DESIGN.md ("One line server") has the rationale, and what the reply
 //! path still owes a multi-line reply.
 
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Longest request line accepted, terminator excluded. A peer that sends
 /// more without a newline is answered `ERR line too long …` and
@@ -49,13 +50,18 @@ impl Reply<'_> {
     }
 }
 
+/// The open connections of one listener: a clone of each socket, by
+/// connection number, so stopping the listener can close them.
+type OpenConns = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
 /// A running listener; dropping it (or calling [`ListenerHandle::stop`])
-/// shuts the accept loop down. Already-open connections finish on their
-/// own threads.
+/// shuts the accept loop down and closes every open connection, so a
+/// stopped listener answers nothing more, as an exited process would not.
 pub struct ListenerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
+    open: OpenConns,
 }
 
 impl ListenerHandle {
@@ -64,7 +70,8 @@ impl ListenerHandle {
         self.addr
     }
 
-    /// Stops accepting new connections and joins the accept loop.
+    /// Stops accepting new connections, joins the accept loop, and closes
+    /// the open connections.
     pub fn stop(self) {}
 }
 
@@ -75,6 +82,12 @@ impl Drop for ListenerHandle {
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
+        }
+        // Each connection's blocked read then returns, ending its thread.
+        if let Ok(open) = self.open.lock() {
+            for stream in open.values() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
         }
     }
 }
@@ -93,25 +106,39 @@ where
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = stop.clone();
+    let open = OpenConns::default();
+    let conns = open.clone();
     let conn_name = format!("{thread_name}-conn");
     let accept_thread = std::thread::Builder::new()
         .name(format!("{thread_name}-accept"))
         .spawn(move || {
-            for conn in listener.incoming() {
+            for (id, conn) in (0u64..).zip(listener.incoming()) {
                 if stop_flag.load(Ordering::Relaxed) {
                     break;
                 }
-                let Ok(stream) = conn else { continue };
+                let Ok((stream, kept)) = conn.and_then(|s| Ok((s.try_clone()?, s))) else {
+                    continue;
+                };
+                conns.lock().expect("open-connection lock").insert(id, kept);
                 let handler = make_handler();
-                let _ = std::thread::Builder::new()
-                    .name(conn_name.clone())
-                    .spawn(move || serve_connection(&stream, handler));
+                let live = conns.clone();
+                let spawned =
+                    std::thread::Builder::new()
+                        .name(conn_name.clone())
+                        .spawn(move || {
+                            serve_connection(&stream, handler);
+                            live.lock().expect("open-connection lock").remove(&id);
+                        });
+                if spawned.is_err() {
+                    conns.lock().expect("open-connection lock").remove(&id);
+                }
             }
         })?;
     Ok(ListenerHandle {
         addr,
         stop,
         accept_thread: Some(accept_thread),
+        open,
     })
 }
 
@@ -229,6 +256,23 @@ mod tests {
             handle.addr()
         };
         assert!(TcpStream::connect(addr).is_err(), "listener still bound");
+    }
+
+    #[test]
+    fn stop_closes_the_open_connections() {
+        let handle = counting_echo();
+        let mut quitter = Conn::open(&handle);
+        assert_eq!(quitter.ask("QUIT"), "BYE");
+        let mut idle = Conn::open(&handle);
+        assert_eq!(idle.ask("hi"), "1 hi");
+        // A closed connection leaves the table when its thread ends.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while handle.open.lock().unwrap().len() != 1 {
+            assert!(std::time::Instant::now() < deadline, "QUIT left its entry");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        handle.stop();
+        assert_eq!(idle.recv(), None, "a stopped listener still answers");
     }
 
     #[test]

@@ -42,7 +42,8 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 pub mod simd;
 
 pub use simd::{
-    dot8, dot8_i8, l2sq8, score_rows_i8, set_simd_enabled, simd_available, simd_enabled, F32x8,
+    dot8, dot8_i8, l2sq8, score_rows_f32, score_rows_i8, set_simd_enabled, simd_available,
+    simd_enabled, F32x8,
 };
 
 /// Hard cap on the worker budget (also the maximum chunk fan-out produced by

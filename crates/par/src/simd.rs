@@ -12,11 +12,14 @@
 //! baseline target) from one `#[inline(always)]` body and dispatching at
 //! runtime — see [`simd_dispatch!`](crate::simd_dispatch).
 //!
-//! The one exception is the int8 row scorer [`score_rows_i8`], whose AVX2
-//! build is written with `std::arch` intrinsics: its sums are exact
+//! The two row scorers are the exceptions: their AVX2 builds are written
+//! with `std::arch` intrinsics. The int8 one, [`score_rows_i8`], sums exact
 //! integers, so it needs no reduction-order discipline, and no plain-Rust
-//! form came close to `vpmovsxbw` + `vpmaddwd`. This file is the only place
-//! in the workspace that names an intrinsic.
+//! form came close to `vpmovsxbw` + `vpmaddwd`. The f32 one,
+//! [`score_rows_f32`], keeps each row's ascending `.sum()` chain in one
+//! lane of a register transposed from eight rows, which plain `F32x8` code
+//! lowers to `vinsertps` gathers. This file is the only place in the
+//! workspace that names an intrinsic.
 //!
 //! # Configuration
 //!
@@ -343,6 +346,118 @@ fn score_rows_i8_avx2(rows: &[i8], scales: &[f32], user: &[i8], user_scale: f32,
     );
 }
 
+/// Scores f32 rows against one user row: for each `user.len()`-wide row of
+/// `rows`, pushes `Σ row[d]·user[d]` onto `out`, summed as one chain in
+/// ascending `d` from `-0.0` — the bits of
+/// `row.iter().zip(user).map(|(a, b)| a * b).sum::<f32>()`, which is this
+/// function's portable build.
+///
+/// This is the one scorer of every full-catalog scan: the
+/// `Recommender::score_items` default (offline evaluation, the serving
+/// tier's exact `top_k`, the parity oracles) and the f32 IVF lists both call
+/// it, so an item scores the same bits wherever its row is scanned. The
+/// build is chosen once per call: with [`simd_enabled`], rows go eight at a
+/// time, each 8 × 4 block transposed in registers so that lane `i` carries
+/// row `i`'s chain, one multiply and one add per dimension (never fused);
+/// the last one to three dimensions continue the same chains, and
+/// the last one to seven rows take the portable chain. Each score is one
+/// chain of the same multiplies and adds in the same order in both builds,
+/// so both push identical bits for any row count and width.
+///
+/// Panics unless `user` is non-empty and `rows` holds whole rows.
+pub fn score_rows_f32(rows: &[f32], user: &[f32], out: &mut Vec<f32>) {
+    let dim = user.len();
+    assert!(
+        dim > 0 && rows.len().is_multiple_of(dim),
+        "{} weights are not whole rows of {dim}",
+        rows.len()
+    );
+    let start = out.len();
+    out.resize(start + rows.len() / dim, 0.0);
+    let out = &mut out[start..];
+    #[cfg(target_arch = "x86_64")]
+    if simd_enabled() {
+        // SAFETY: `simd_enabled` is true only when AVX2 was detected on the
+        // running CPU.
+        return unsafe { score_rows_f32_avx2(rows, user, out) };
+    }
+    score_rows_f32_scalar(rows, user, out);
+}
+
+/// [`score_rows_f32`]'s portable build: one ascending `.sum()` chain per
+/// row into `out`.
+#[inline(always)]
+fn score_rows_f32_scalar(rows: &[f32], user: &[f32], out: &mut [f32]) {
+    for (dst, row) in out.iter_mut().zip(rows.chunks_exact(user.len())) {
+        *dst = row.iter().zip(user).map(|(a, b)| a * b).sum();
+    }
+}
+
+/// [`score_rows_f32`]'s AVX2 build, one score per row into `out`. Written
+/// with intrinsics because plain `F32x8` code lowers the transpose to
+/// `vinsertps` gathers (DESIGN.md, "Lane kernels"). Each group of eight rows
+/// keeps one accumulator whose lane `i` is row `i`'s chain. A block of four
+/// dimensions is loaded as four halves, row `i` in the low half and row
+/// `i + 4` in the high one (`vinsertf128` from memory does the lane-crossing
+/// step of the transpose), then `unpacklo/hi` and `shuffle` turn them into
+/// four columns: dimension `k` of all eight rows.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn score_rows_f32_avx2(rows: &[f32], user: &[f32], out: &mut [f32]) {
+    use std::arch::x86_64::*;
+
+    /// Dimensions `k..k + 4` of row `i` in the low half, of row `i + 4` in
+    /// the high half.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn halves(group: &[f32], dim: usize, i: usize, k: usize) -> __m256 {
+        let (lo, hi) = (&group[i * dim + k..][..4], &group[(i + 4) * dim + k..][..4]);
+        // SAFETY: `lo` and `hi` are four `f32`s each, and `loadu` has no
+        // alignment requirement.
+        unsafe {
+            _mm256_insertf128_ps::<1>(
+                _mm256_castps128_ps256(_mm_loadu_ps(lo.as_ptr())),
+                _mm_loadu_ps(hi.as_ptr()),
+            )
+        }
+    }
+
+    let dim = user.len();
+    let body = dim - dim % 4;
+    let full = out.len() - out.len() % 8;
+    for (group, out) in rows[..full * dim]
+        .chunks_exact(8 * dim)
+        .zip(out.chunks_exact_mut(8))
+    {
+        let mut acc = _mm256_set1_ps(-0.0);
+        for k0 in (0..body).step_by(4) {
+            let [r0, r1, r2, r3] = [0, 1, 2, 3].map(|i| halves(group, dim, i, k0));
+            let (t0, t1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+            let (t2, t3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+            let columns = [
+                _mm256_shuffle_ps::<0x44>(t0, t2),
+                _mm256_shuffle_ps::<0xEE>(t0, t2),
+                _mm256_shuffle_ps::<0x44>(t1, t3),
+                _mm256_shuffle_ps::<0xEE>(t1, t3),
+            ];
+            for (column, &u) in columns.into_iter().zip(&user[k0..k0 + 4]) {
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(column, _mm256_set1_ps(u)));
+            }
+        }
+        for (k, &u) in user.iter().enumerate().skip(body) {
+            let column = [0, 1, 2, 3, 4, 5, 6, 7].map(|i| group[i * dim + k]);
+            // SAFETY: `column` is eight `f32`s, and `loadu` has no alignment
+            // requirement.
+            let column = unsafe { _mm256_loadu_ps(column.as_ptr()) };
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(column, _mm256_set1_ps(u)));
+        }
+        // SAFETY: `out` holds eight `f32`s, and `storeu` has no alignment
+        // requirement.
+        unsafe { _mm256_storeu_ps(out.as_mut_ptr(), acc) };
+    }
+    score_rows_f32_scalar(&rows[full * dim..], user, &mut out[full..]);
+}
+
 // ---------------------------------------------------------------------------
 // Runtime dispatch control
 // ---------------------------------------------------------------------------
@@ -563,6 +678,110 @@ mod tests {
             }
         }
         set_simd_enabled(was);
+    }
+
+    /// The chain [`score_rows_f32`] is specified as, one row at a time.
+    fn sum_chain(row: &[f32], user: &[f32]) -> f32 {
+        row.iter().zip(user).map(|(a, b)| a * b).sum()
+    }
+
+    /// A score's bits, with every NaN folded to one: NaN must stay NaN, but
+    /// which operand's payload a NaN carries is not part of the contract.
+    fn score_bits(s: f32) -> u32 {
+        if s.is_nan() {
+            u32::MAX
+        } else {
+            s.to_bits()
+        }
+    }
+
+    /// `n` seeded draws (splitmix64 over `state`), salted with the values a
+    /// chain treats specially: signed zeros, magnitudes whose products
+    /// underflow to subnormals or zero, subnormals, and — when `wild` —
+    /// infinities and NaN.
+    fn salted(state: &mut u64, n: usize, wild: bool) -> Vec<f32> {
+        let mut next = || {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        (0..n)
+            .map(|_| {
+                let r = next();
+                let sign = if r & 1 == 0 { 1.0f32 } else { -1.0 };
+                let unit = (r >> 40) as f32 / (1u64 << 24) as f32;
+                match (r >> 8) % 64 {
+                    0..=4 => sign * 0.0,
+                    5..=7 => sign * 1e-20 * (1.0 + unit),
+                    8..=9 => sign * f32::MIN_POSITIVE * unit,
+                    10 if wild => sign * f32::INFINITY,
+                    11 if wild => f32::NAN,
+                    _ => sign * 2.0 * unit,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn score_rows_f32_is_the_ascending_sum_chain_bit_for_bit() {
+        // Every row count up to 33 (each remainder mod 8, so every length
+        // of the portable tail), widths around the 4-wide blocks, and rows
+        // salted with ±0.0, subnormal products, ±inf and NaN. All-zero rows
+        // score `-0.0` against any user whose products are all `-0.0`,
+        // which a chain started from `+0.0` would not.
+        let mut state = 17u64;
+        for dim in [1usize, 7, 8, 15, 16, 31, 32, 33, 64] {
+            for n in 0..=33usize {
+                for wild in [false, true] {
+                    let mut rows = salted(&mut state, n * dim, wild);
+                    if n > 2 {
+                        rows[2 * dim..3 * dim].fill(0.0);
+                    }
+                    let users = [salted(&mut state, dim, wild), vec![-0.5; dim]];
+                    for user in users {
+                        let mut out = vec![1.5];
+                        score_rows_f32(&rows, &user, &mut out);
+                        assert_eq!(out[0], 1.5, "appends, never clears");
+                        let got: Vec<u32> = out[1..].iter().map(|&s| score_bits(s)).collect();
+                        let want: Vec<u32> = rows
+                            .chunks_exact(dim)
+                            .map(|row| score_bits(sum_chain(row, &user)))
+                            .collect();
+                        assert_eq!(got, want, "dim={dim} n={n} wild={wild}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn score_rows_f32_lane_build_matches_the_portable_one_bit_for_bit() {
+        // Row counts around the group of eight and widths around the block
+        // of four, against the portable build in the same process.
+        let was = simd_enabled();
+        let mut state = 29u64;
+        for dim in [1usize, 3, 4, 5, 8, 32, 33, 100] {
+            for n in [0usize, 7, 8, 9, 16, 23] {
+                let rows = salted(&mut state, n * dim, true);
+                let user = salted(&mut state, dim, true);
+                let [lanes, portable] = [true, false].map(|simd| {
+                    set_simd_enabled(simd);
+                    let mut out = Vec::new();
+                    score_rows_f32(&rows, &user, &mut out);
+                    out.into_iter().map(score_bits).collect::<Vec<_>>()
+                });
+                assert_eq!(lanes, portable, "dim={dim} n={n}");
+            }
+        }
+        set_simd_enabled(was);
+    }
+
+    #[test]
+    #[should_panic(expected = "not whole rows")]
+    fn score_rows_f32_refuses_a_partial_row() {
+        score_rows_f32(&[1.0; 7], &[1.0; 2], &mut Vec::new());
     }
 
     #[test]

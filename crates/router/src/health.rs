@@ -7,8 +7,8 @@
 //! * the **data path** reports connect/IO failures and successes as they
 //!   happen (so a dead replica is usually noticed by the first request
 //!   that hits it), and
-//! * the background **prober** opens a fresh connection each period and
-//!   asks every replica for `STATS` — which is what notices a replica
+//! * the background **prober** asks every replica for `STATS` each period,
+//!   over one kept connection per replica — which is what notices a replica
 //!   *coming back* (the data path never touches replicas it believes are
 //!   down), and what feeds each replica's **checkpoint generation** into
 //!   the board for skew detection.
@@ -44,11 +44,14 @@
 //! resets the failure counter and leaves the replica down until the
 //! prober confirms the new address actually answers.
 
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use graphaug_serve::{field, ServeClient};
+
+use crate::router::is_timeout;
 
 /// One replica's health snapshot, as the failover decision sees it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -320,21 +323,59 @@ impl HealthBoard {
 /// any failure feeds the down streak. Returns whether the replica
 /// answered.
 pub fn probe_once(board: &HealthBoard, shard: usize, replica: usize, timeout: Duration) -> bool {
+    probe(board, &mut None, shard, replica, timeout)
+}
+
+/// One kept probe connection and the address epoch it was opened for.
+type ProbeConn = Option<(u64, ServeClient)>;
+
+/// [`probe_once`] over `conn`: reuses it while its address epoch matches
+/// the board's (a `REPLACE` opens a new one, as the data path's
+/// connection cache does), and leaves the answering connection in it. A
+/// probe that fails on a kept connection — the replica restarted or
+/// closed it — retries once on a fresh one before it counts, so the down
+/// streak sees one result per probe, as with a fresh connection each
+/// time. A timeout is not retried: a hung replica costs one timeout per
+/// probe either way.
+fn probe(
+    board: &HealthBoard,
+    conn: &mut ProbeConn,
+    shard: usize,
+    replica: usize,
+    timeout: Duration,
+) -> bool {
+    fn stats(client: &mut ServeClient) -> io::Result<String> {
+        let line = client.stats_line()?;
+        if line.starts_with("STATS ") {
+            Ok(line)
+        } else {
+            Err(io::Error::other(format!("not a STATS line: {line}")))
+        }
+    }
     board.record_probe(shard, replica);
-    let (addr, _) = board.addr(shard, replica);
-    let line = ServeClient::connect_with_timeouts(&addr, timeout, Some(timeout))
-        .and_then(|mut c| c.stats_line())
-        .ok()
-        .filter(|l| l.starts_with("STATS "));
-    match line {
-        Some(line) => {
+    let (addr, epoch) = board.addr(shard, replica);
+    let fresh = || {
+        let mut client = ServeClient::connect_with_timeouts(&addr, timeout, Some(timeout))?;
+        stats(&mut client).map(|line| (client, line))
+    };
+    let answer = match conn.take() {
+        Some((kept_epoch, mut client)) if kept_epoch == epoch => match stats(&mut client) {
+            Ok(line) => Ok((client, line)),
+            Err(e) if is_timeout(&e) => Err(e),
+            Err(_) => fresh(),
+        },
+        _ => fresh(),
+    };
+    match answer {
+        Ok((client, line)) => {
+            *conn = Some((epoch, client));
             board.report_ok(shard, replica);
             if let Some(gen) = field(&line, "gen").and_then(|v| v.parse::<u64>().ok()) {
                 board.report_generation(shard, replica, gen);
             }
             true
         }
-        None => {
+        Err(_) => {
             board.report_failure(shard, replica);
             false
         }
@@ -369,23 +410,27 @@ impl Drop for Prober {
 }
 
 /// Spawns a thread that probes every replica of every shard each `period`
-/// (connect + `STATS` with `timeout`). This is the rejoin path — a down
-/// replica that starts answering again is marked up within one probe
-/// period, with no router restart — and the skew detector's sensor: each
-/// sweep refreshes every replica's known checkpoint generation.
+/// (`STATS` with `timeout`, over one kept connection per replica). This is
+/// the rejoin path — a down replica that starts answering again is marked
+/// up within one probe period, with no router restart — and the skew
+/// detector's sensor: each sweep refreshes every replica's known
+/// checkpoint generation.
 pub fn spawn_prober(board: Arc<HealthBoard>, period: Duration, timeout: Duration) -> Prober {
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = stop.clone();
     let handle = std::thread::Builder::new()
         .name("graphaug-router-prober".into())
         .spawn(move || {
+            let mut conns: Vec<Vec<ProbeConn>> = (0..board.n_shards())
+                .map(|shard| (0..board.n_replicas(shard)).map(|_| None).collect())
+                .collect();
             while !stop_flag.load(Ordering::Relaxed) {
-                for shard in 0..board.n_shards() {
-                    for replica in 0..board.n_replicas(shard) {
+                for (shard, conns) in conns.iter_mut().enumerate() {
+                    for (replica, conn) in conns.iter_mut().enumerate() {
                         if stop_flag.load(Ordering::Relaxed) {
                             return;
                         }
-                        probe_once(&board, shard, replica, timeout);
+                        probe(&board, conn, shard, replica, timeout);
                     }
                 }
                 // Sliced sleep so stop() never has to wait out a long
@@ -526,6 +571,71 @@ mod tests {
         assert_eq!(failover_order(&[Up, Degraded, Up]), vec![0, 2]);
         assert_eq!(failover_order(&[Down, Degraded, Down]), Vec::<usize>::new());
         assert_eq!(failover_order(&[]), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn the_prober_keeps_one_connection_per_replica() {
+        use graphaug_serve::net::{listen, Next, Reply};
+
+        fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while !cond() {
+                assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        // A stand-in replica that counts accepted connections and, when
+        // asked, closes one after its next answer (a forced reset).
+        let accepted = Arc::new(AtomicU64::new(0));
+        let reset = Arc::new(AtomicBool::new(false));
+        let (count, close) = (accepted.clone(), reset.clone());
+        let replica = listen("127.0.0.1:0", "stand-in", move || {
+            count.fetch_add(1, Ordering::SeqCst);
+            let close = close.clone();
+            move |line: &str, reply: &mut Reply| {
+                assert_eq!(line, "STATS");
+                reply.line("STATS gen=1");
+                if close.swap(false, Ordering::SeqCst) {
+                    Next::Close
+                } else {
+                    Next::Continue
+                }
+            }
+        })
+        .unwrap();
+        let addr = replica.addr().to_string();
+        let board = Arc::new(HealthBoard::new(&[vec![addr.clone()]], 1));
+        let prober = spawn_prober(
+            board.clone(),
+            Duration::from_millis(1),
+            Duration::from_secs(5),
+        );
+        let connections = || accepted.load(Ordering::SeqCst);
+
+        wait_until("20 probes", || board.probes(0, 0) >= 20);
+        assert_eq!(connections(), 1, "one connection for every probe");
+
+        // The replica closes the kept connection: the next probe retries on
+        // a fresh one, so no probe fails (`down_after` is 1 here).
+        reset.store(true, Ordering::SeqCst);
+        let probes = board.probes(0, 0);
+        wait_until("20 more probes", || board.probes(0, 0) >= probes + 20);
+        assert_eq!(connections(), 2, "one more per forced reset");
+        assert_eq!(board.transitions(0, 0), 0, "a reset is not a failure");
+
+        // A REPLACE bumps the address epoch (here to the same address): the
+        // prober opens a connection for it and the replica rejoins.
+        board.replace(0, 0, &addr);
+        let probes = board.probes(0, 0);
+        wait_until("20 probes after REPLACE", || {
+            board.probes(0, 0) >= probes + 20
+        });
+        assert!(board.is_up(0, 0));
+        assert_eq!(connections(), 3, "one more per address epoch");
+        assert_eq!(board.transitions(0, 0), 2, "down on REPLACE, up once");
+        prober.stop();
+        replica.stop();
     }
 
     #[test]

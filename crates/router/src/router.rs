@@ -321,7 +321,7 @@ impl Downstream {
 /// Is this I/O error a timeout (as opposed to a refused/reset/EOF class
 /// transient)? Timeouts abandon the replica immediately — a hung process
 /// does not get retried, it gets failed over.
-fn is_timeout(e: &io::Error) -> bool {
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock

@@ -294,10 +294,11 @@ pub trait IvfRows: Sized {
     fn scores_into<'a>(&'a self, lo: usize, hi: usize, query: Self::Query<'a>, out: &mut Vec<f32>);
 }
 
-/// Bit-exact f32 rows, scored with the exact scorer's summation
-/// (`Σ item[d]·user[d]` in ascending dimension order, the
-/// `Recommender::score_items` default) — **not** the SIMD dot — so
-/// full-probe output is bit-identical to the dense path.
+/// Bit-exact f32 rows, scored by the exact scorer's kernel
+/// ([`graphaug_par::score_rows_f32`], which the `Recommender::score_items`
+/// default also calls: `Σ item[d]·user[d]` in ascending dimension order) —
+/// **not** the `dot8` tree — so full-probe output is bit-identical to the
+/// dense path.
 impl IvfRows for Mat {
     type Query<'a> = &'a [f32];
 
@@ -315,11 +316,7 @@ impl IvfRows for Mat {
 
     fn scores_into<'a>(&'a self, lo: usize, hi: usize, query: &'a [f32], out: &mut Vec<f32>) {
         let dim = self.cols();
-        out.extend(
-            self.as_slice()[lo * dim..hi * dim]
-                .chunks_exact(dim)
-                .map(|row| row.iter().zip(query).map(|(a, b)| a * b).sum::<f32>()),
-        );
+        graphaug_par::score_rows_f32(&self.as_slice()[lo * dim..hi * dim], query, out);
     }
 }
 

@@ -566,11 +566,14 @@ impl ModelTables {
     /// ties broken toward the lower item id.
     ///
     /// This is, step for step, the offline evaluation ranking: the scores
-    /// come from the `Recommender::score_items` default implementation
-    /// (the same summation order the eval harness uses), seen items are
-    /// masked to `-inf` exactly like train-item masking, and the selection
-    /// is the shared bounded-heap [`topk_indices`]. Served output is
-    /// therefore bit-identical to `graphaug-eval` for the same checkpoint.
+    /// come from the `Recommender::score_items` default implementation,
+    /// i.e. [`graphaug_par::score_rows_f32`] — item `v` scores
+    /// `Σ item[v][d]·user[d]` as one chain in ascending `d` from `-0.0`,
+    /// the order the eval harness uses, eight items per AVX2 step or one at
+    /// a time, with the same bits either way. Seen items are masked to
+    /// `-inf` exactly like train-item masking, and the selection is the
+    /// shared bounded-heap [`topk_indices`]. Served output is therefore
+    /// bit-identical to `graphaug-eval` for the same checkpoint.
     pub fn top_k(&self, user: u32, k: usize) -> Result<Vec<ScoredItem>, ServeError> {
         self.check_user(user)?;
         Ok(self.rank_unseen(user, self.score_items(user as usize), k))
