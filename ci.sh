@@ -6,10 +6,11 @@
 # reintroduction of a registry dependency fails loudly at resolution time
 # instead of silently fetching.
 #
-# Usage: ./ci.sh [GROUP]
+# Usage: ./ci.sh [GROUP...]
 #
 # GROUP selects a stage group so the GitHub workflow can run (and time out)
-# each one as its own step; the default runs everything in order:
+# each one as its own step; several run in the order given, and the
+# default runs everything in order:
 #
 #   static   cargo fmt --check, clippy -D warnings, one-listener grep,
 #            one-probe-loop guard, one-front-door guard, lockfile
@@ -28,7 +29,7 @@
 #            chaos (SIGKILL a replicated primary under load), online
 #            ingestion (stream PUTs, fine-tune + hot reload, replay the
 #            log from scratch and require hex-identical rankings)
-#            (all boot real binaries)
+#            (all boot real binaries); then no new /tmp/graphaug_* left
 #   e2e      the end-to-end benchmark package (benchmark/): its unit
 #            tests, then `run.sh --quick` — every workload's output
 #            checks, un-gated timings — and a guard that neither left
@@ -68,22 +69,35 @@ cleanup() {
     for pid in "${CLEANUP_PIDS[@]:-}"; do
         [[ -n "$pid" ]] && wait "$pid" 2>/dev/null || true
     done
-    for dir in "${CLEANUP_DIRS[@]:-}"; do
-        [[ -n "$dir" ]] && rm -rf "$dir" || true
-    done
+    remove_registered_dirs
 }
 trap cleanup EXIT
 
 register_pid() { CLEANUP_PIDS+=("$1"); }
 register_dir() { CLEANUP_DIRS+=("$1"); }
 
-# tmp_dir TAG: a registered (auto-removed) temp directory.
-tmp_dir() {
+# remove_registered_dirs: removes every temp directory registered so far.
+remove_registered_dirs() {
     local dir
-    dir="$(mktemp -d "/tmp/graphaug_${1}.XXXXXX")"
-    register_dir "$dir"
-    printf '%s' "$dir"
+    for dir in "${CLEANUP_DIRS[@]:-}"; do
+        [[ -n "$dir" ]] && rm -rf "$dir" || true
+    done
+    CLEANUP_DIRS=()
 }
+
+# tmp_dir VAR TAG: makes a registered (auto-removed) temp directory and
+# stores its path in VAR. Call it as a command, never inside `$(…)`: a
+# substitution's subshell would register the directory in its own copy of
+# CLEANUP_DIRS, which the exit trap never sees.
+tmp_dir() {
+    local tmp_dir_made
+    tmp_dir_made="$(mktemp -d "/tmp/graphaug_${2}.XXXXXX")"
+    register_dir "$tmp_dir_made"
+    printf -v "$1" '%s' "$tmp_dir_made"
+}
+
+# graphaug_tmp_entries: the /tmp/graphaug_* entries that exist now, sorted.
+graphaug_tmp_entries() { find /tmp -maxdepth 1 -name 'graphaug_*' | sort; }
 
 # wait_for_line LOG PATTERN [PID]: polls LOG until PATTERN appears; fails
 # after ~60s, or as soon as PID (when given) exits without producing it.
@@ -231,9 +245,10 @@ group_static() {
     echo "ok: the scorer projects nodes, not edges"
 
     stage "intrinsics: std::arch and _mm only in crates/par/src/simd.rs"
-    # The two row scorers, score_rows_i8 and score_rows_f32, are the
-    # workspace's two hand-written AVX2 builds (DESIGN.md, "Lane kernels");
-    # every other kernel is plain Rust that simd_dispatch! compiles twice.
+    # The two row scorers, score_rows_i8 and score_rows_f32, and the IVF
+    # k-means assignment, CentroidBlocks::nearest, are the workspace's three
+    # hand-written AVX2 builds (DESIGN.md, "Lane kernels"); every other
+    # kernel is plain Rust that simd_dispatch! compiles twice.
     # I8x32 fixed a reduction order exact integer sums never needed and
     # compiled to the slow kernel it replaced.
     if grep -rnE 'std::arch|_mm' crates/ | grep -v '^crates/par/src/simd.rs:'; then
@@ -355,16 +370,17 @@ group_bench() {
     # recorded line timed any of it; a line that drops out of the recorder
     # is a kernel nobody may claim to have sped up (ROADMAP needle 1).
     # The same holds for the two row kernels: int8, a cold `REC`'s candidate
-    # scorer, and f32, every full-catalog scan's.
+    # scorer, and f32, every full-catalog scan's; and for the index builds
+    # every reload pays, both tiers' (the k-means assignment kernel).
     local line
     for line in 'matmul_nt/' 'spmm_ew_dw' 'edge_mlp_forward_backward' 'quant/score_rows_i8_' \
-        'topk_eval/score_rows_f32_'; do
+        'topk_eval/score_rows_f32_' 'ann_build_' 'quant_ivf_build'; do
         if ! grep -q "\"name\": \"$line" /tmp/graphaug_bench_smoke.json; then
             echo "ERROR: no '$line' line in the bench smoke report" >&2
             exit 1
         fi
     done
-    echo "ok: matmul_nt/, spmm_ew_dw, edge_mlp_forward_backward, quant/score_rows_i8_, topk_eval/score_rows_f32_ recorded"
+    echo "ok: matmul_nt/, spmm_ew_dw, edge_mlp_forward_backward, quant/score_rows_i8_, topk_eval/score_rows_f32_, ann_build_, quant_ivf_build recorded"
 
     stage "bench smoke: no socket-level lines on the kernel ledger"
     # benchmark/ times serving, routing, ingestion and fine-tuning per layer
@@ -407,7 +423,7 @@ stage_kill_resume() {
     local kill_resume=target/release/kill_resume
     local threads ckdir reference resumed
     for threads in 1 4; do
-        ckdir="$(tmp_dir kill_resume)"
+        tmp_dir ckdir kill_resume
         reference=$(GRAPHAUG_THREADS=$threads "$kill_resume" reference "$ckdir/ref")
 
         # Boot the victim and wait for it to be mid-run, then kill -9.
@@ -438,7 +454,7 @@ stage_serving() {
     # offline-vs-served parity self-check to pass, then drive it with the
     # seeded load generator — any ERR or malformed response fails the run.
     local serve_dir serve_addr
-    serve_dir="$(tmp_dir serve_smoke)"
+    tmp_dir serve_dir serve_smoke
     boot_bin "serve_main" "READY addr=" target/release/serve_main "$serve_dir/ck"
     if ! grep -q "PARITY ok" "$BOOT_LOG"; then
         echo "ERROR: serve_main parity self-check did not pass" >&2
@@ -501,7 +517,7 @@ stage_ann() {
     # in the thread count, so the gate outcome cannot flap between runs.
     local threads adir ann_addr
     for threads in 1 4; do
-        adir="$(tmp_dir ann_smoke)"
+        tmp_dir adir ann_smoke
         boot_bin "ann_serve_t$threads" "READY addr=" \
             env GRAPHAUG_THREADS=$threads target/release/serve_main "$adir/ck" \
             --ann --ann-nlists 6 --ann-nprobe 4
@@ -529,7 +545,7 @@ stage_quant() {
     # count or the scalar fallback build.
     local threads qdir quant_addr bad rc
     for threads in 1 4; do
-        qdir="$(tmp_dir quant_smoke)"
+        tmp_dir qdir quant_smoke
         boot_bin "quant_serve_t$threads" "READY addr=" \
             env GRAPHAUG_THREADS=$threads target/release/serve_main "$qdir/ck" \
             --quant --ann --ann-nlists 6 --ann-nprobe 4
@@ -572,7 +588,7 @@ stage_router() {
     # routed-vs-direct parity deviation (hex-exact, sampled users).
     local threads rdir r0_addr r1_addr r2_addr r1_pid router_addr admin_addr
     for threads in 1 4; do
-        rdir="$(tmp_dir router_smoke)"
+        tmp_dir rdir router_smoke
 
         # Replica 0 trains the shared demo checkpoint; 1 and 2 find it
         # already valid and boot straight into serving.
@@ -618,7 +634,7 @@ stage_supervisor() {
     # address back into the router (every replica up again).
     local threads sdir sup_addr sets victim_pid pid pat
     for threads in 1 4; do
-        sdir="$(tmp_dir supervisor_smoke)"
+        tmp_dir sdir supervisor_smoke
         boot_bin "supervisord_t$threads" "READY addr=" \
             env GRAPHAUG_THREADS=$threads target/release/supervisord \
             --shards 2 --replication 2 \
@@ -672,7 +688,7 @@ stage_online() {
     local threads odir ingest_addr serve_addr ingest_log serve_log
     local pre post stats live_fnv replay_fnv replay_dump _i
     for threads in 1 4; do
-        odir="$(tmp_dir online_smoke)"
+        tmp_dir odir online_smoke
 
         # ingestd trains the demo base model, then listens for PUTs and
         # polls the log for complete 32-record windows.
@@ -774,6 +790,8 @@ stage_experiment_row() {
 }
 
 group_process() {
+    local before leaked
+    before="$(graphaug_tmp_entries)"
     stage_experiment_row
     stage_kill_resume
     stage_serving
@@ -782,6 +800,18 @@ group_process() {
     stage_router
     stage_supervisor
     stage_online
+
+    stage "temp dirs: the process stages leave no new /tmp/graphaug_*"
+    # Every stage's directories come from tmp_dir, registered for removal;
+    # one made any other way (or registered in a subshell) is left behind.
+    remove_registered_dirs
+    leaked="$(comm -13 <(printf '%s\n' "$before") <(graphaug_tmp_entries))"
+    if [[ -n "$leaked" ]]; then
+        echo "ERROR: the process stages left temp entries behind:" >&2
+        echo "$leaked" >&2
+        exit 1
+    fi
+    echo "ok: no new /tmp/graphaug_* entries"
 }
 
 group_e2e() {
@@ -827,26 +857,36 @@ group_lines() {
 # Dispatch.
 # ---------------------------------------------------------------------------
 
-GROUP="${1:-all}"
-case "$GROUP" in
-    static) group_static ;;
-    build) group_build ;;
-    tests) group_tests ;;
-    bench) group_bench ;;
-    process) group_process ;;
-    e2e) group_e2e ;;
-    lines) group_lines ;;
-    all)
-        group_static
-        group_build
-        group_tests
-        group_bench
-        group_process
-        group_e2e
-        printf '\nCI gate passed.\n'
-        ;;
-    *)
-        echo "unknown stage group '$GROUP' (static|build|tests|bench|process|e2e|lines|all)" >&2
-        exit 2
-        ;;
-esac
+# Every named group is checked before the first one runs, so a misspelt
+# name fails at once rather than after the groups before it.
+GROUPS_TO_RUN=("${@:-all}")
+for group in "${GROUPS_TO_RUN[@]}"; do
+    case "$group" in
+        static | build | tests | bench | process | e2e | lines | all) ;;
+        *)
+            echo "unknown stage group '$group' (static|build|tests|bench|process|e2e|lines|all)" >&2
+            exit 2
+            ;;
+    esac
+done
+
+for group in "${GROUPS_TO_RUN[@]}"; do
+    case "$group" in
+        static) group_static ;;
+        build) group_build ;;
+        tests) group_tests ;;
+        bench) group_bench ;;
+        process) group_process ;;
+        e2e) group_e2e ;;
+        lines) group_lines ;;
+        all)
+            group_static
+            group_build
+            group_tests
+            group_bench
+            group_process
+            group_e2e
+            printf '\nCI gate passed.\n'
+            ;;
+    esac
+done

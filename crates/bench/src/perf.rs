@@ -363,11 +363,12 @@ pub fn augmentor(h: &mut Harness) {
 }
 
 /// IVF ANN benchmarks: index build (the cost a hot reload adds per
-/// generation swap) and ANN vs exact uncached top-20 at 10k- and 100k-item
-/// catalogs. The catalogs are clustered mixtures of Gaussians — the embedding geometry a
-/// trained recommender produces — and the build-time recall@20 estimate of
-/// each index is recorded as a `metric` line so the recorded point carries
-/// the quality alongside the speedup.
+/// generation swap) at 1k-, 10k- and 100k-item catalogs, and ANN vs exact
+/// uncached top-20 at the two larger ones. The catalogs are clustered
+/// mixtures of Gaussians — the embedding geometry a trained recommender
+/// produces — and the build-time recall@20 estimate of each index is
+/// recorded as a `metric` line so the recorded point carries the quality
+/// alongside the speedup.
 pub fn ann(h: &mut Harness) {
     /// `n` points around `k` shared Gaussian centers in `dim` dims.
     fn clustered(n: usize, k: usize, dim: usize, seed: u64) -> Mat {
@@ -381,6 +382,13 @@ pub fn ann(h: &mut Harness) {
 
     let n_users = 256usize;
     let d = 32usize;
+    // The online loop's catalog shape (1024 × 32, 32 lists): the build
+    // every publish → served reload pays twice, once per index tier.
+    let small = clustered(1024, 16, d, 11 + 1024);
+    h.bench("ann_build_1k_d32", || {
+        black_box(IvfIndex::build(black_box(&small), &IvfParams::new()).len());
+    });
+
     // nprobe per scale: 100k keeps the auto choice (39 of 316 lists,
     // recall@20 = 0.97 on this catalog); 10k needs 25 of 100 lists to clear
     // the 0.9 floor (the auto 12 lands at 0.89 — small catalogs fragment

@@ -43,7 +43,7 @@ pub mod simd;
 
 pub use simd::{
     dot8, dot8_i8, l2sq8, score_rows_f32, score_rows_i8, set_simd_enabled, simd_available,
-    simd_enabled, F32x8,
+    simd_enabled, CentroidBlocks, F32x8,
 };
 
 /// Hard cap on the worker budget (also the maximum chunk fan-out produced by

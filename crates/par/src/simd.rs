@@ -12,14 +12,17 @@
 //! baseline target) from one `#[inline(always)]` body and dispatching at
 //! runtime — see [`simd_dispatch!`](crate::simd_dispatch).
 //!
-//! The two row scorers are the exceptions: their AVX2 builds are written
-//! with `std::arch` intrinsics. The int8 one, [`score_rows_i8`], sums exact
-//! integers, so it needs no reduction-order discipline, and no plain-Rust
-//! form came close to `vpmovsxbw` + `vpmaddwd`. The f32 one,
-//! [`score_rows_f32`], keeps each row's ascending `.sum()` chain in one
-//! lane of a register transposed from eight rows, which plain `F32x8` code
-//! lowers to `vinsertps` gathers. This file is the only place in the
-//! workspace that names an intrinsic.
+//! The two row scorers and the centroid kernel are the exceptions: their
+//! AVX2 builds are written with `std::arch` intrinsics. The int8 scorer,
+//! [`score_rows_i8`], sums exact integers, so it needs no reduction-order
+//! discipline, and no plain-Rust form came close to `vpmovsxbw` +
+//! `vpmaddwd`. The f32 one, [`score_rows_f32`], keeps each row's ascending
+//! `.sum()` chain in one lane of a register transposed from eight rows,
+//! which plain `F32x8` code lowers to `vinsertps` gathers. The IVF k-means
+//! assignment, [`CentroidBlocks::nearest`], keeps each centroid's [`l2sq8`]
+//! in one lane of column-blocked centroids, where `l2sq8` itself vectorises
+//! within one centroid. This file is the only place in the workspace that
+//! names an intrinsic.
 //!
 //! # Configuration
 //!
@@ -180,9 +183,10 @@ pub fn dot8(a: &[f32], b: &[f32]) -> f32 {
 /// Squared Euclidean distance `Σ (a[i] − b[i])²` with the same fixed
 /// reduction shape as [`dot8`]: two independent 8-wide accumulators over
 /// even/odd 16-blocks, one 8-wide block, the [`F32x8::hsum`] tree, then an
-/// ascending scalar tail. The IVF coarse quantizer (`graphaug-serve`) runs
-/// its k-means assignment through this, so index builds are bit-identical
-/// between the lane and scalar builds and for any thread count.
+/// ascending scalar tail. The IVF coarse quantizer (`graphaug-serve`)
+/// assigns points to the argmin of this through [`CentroidBlocks`], so
+/// index builds are bit-identical between the lane and scalar builds and
+/// for any thread count.
 #[inline(always)]
 pub fn l2sq8(a: &[f32], b: &[f32]) -> f32 {
     let n = a.len().min(b.len());
@@ -456,6 +460,177 @@ fn score_rows_f32_avx2(rows: &[f32], user: &[f32], out: &mut [f32]) {
         unsafe { _mm256_storeu_ps(out.as_mut_ptr(), acc) };
     }
     score_rows_f32_scalar(&rows[full * dim..], user, &mut out[full..]);
+}
+
+/// `n` row-major centroids of width `dim`, and — when the lane build is
+/// enabled at [`CentroidBlocks::pack`] time — a copy packed in column
+/// blocks of eight for [`CentroidBlocks::nearest`].
+///
+/// This is the IVF coarse quantizer's one assignment kernel: k-means in
+/// `graphaug-serve` packs its centroids once per assignment pass and asks
+/// for each point's nearest one. The answer is exactly the first index
+/// reaching the smallest [`l2sq8`]`(point, centroid)` under `<` from `+∞`:
+/// ties go to the lower index, a NaN distance never wins, and a point with
+/// no distance below `+∞` gets centroid 0.
+pub struct CentroidBlocks<'a> {
+    rows: &'a [f32],
+    dim: usize,
+    /// Block `b` holds centroids `8b..8b + 8` column by column: entry
+    /// `k * 8 + lane` is dimension `k` of centroid `8b + lane`, zero past
+    /// the last centroid. `None` when the portable build runs.
+    blocks: Option<Vec<f32>>,
+}
+
+impl<'a> CentroidBlocks<'a> {
+    /// Borrows `rows` (whole rows of `dim`), packing the column blocks only
+    /// if [`simd_enabled`] — the build is chosen here, once per pass.
+    ///
+    /// Panics unless `dim > 0` and `rows` holds whole rows.
+    pub fn pack(rows: &'a [f32], dim: usize) -> CentroidBlocks<'a> {
+        assert!(
+            dim > 0 && rows.len().is_multiple_of(dim),
+            "{} weights are not whole centroids of {dim}",
+            rows.len()
+        );
+        let blocks = simd_enabled().then(|| {
+            let mut blocks = vec![0f32; (rows.len() / dim).div_ceil(LANES) * LANES * dim];
+            for (c, row) in rows.chunks_exact(dim).enumerate() {
+                let block = &mut blocks[c / LANES * LANES * dim..];
+                for (k, &x) in row.iter().enumerate() {
+                    block[k * LANES + c % LANES] = x;
+                }
+            }
+            blocks
+        });
+        CentroidBlocks { rows, dim, blocks }
+    }
+
+    /// The index of `point`'s nearest centroid (see the type's docs). With
+    /// packed blocks, eight centroids are scored per step, lane `i` running
+    /// [`l2sq8`]'s additions for centroid `8b + i` in its order; otherwise
+    /// each centroid runs [`l2sq8`]. Both builds compare the same bits in
+    /// ascending index order, so both return the same index.
+    ///
+    /// Panics unless `point` is `dim` wide.
+    pub fn nearest(&self, point: &[f32]) -> u32 {
+        assert_eq!(point.len(), self.dim, "point width");
+        #[cfg(target_arch = "x86_64")]
+        if let Some(blocks) = &self.blocks {
+            // SAFETY: blocks are packed only when `simd_enabled` was true,
+            // i.e. AVX2 was detected on the running CPU.
+            return unsafe { nearest_centroid_avx2(point, blocks, self.rows.len() / self.dim) };
+        }
+        let mut best = (0u32, f32::INFINITY);
+        for (c, centroid) in self.rows.chunks_exact(self.dim).enumerate() {
+            let d = l2sq8(point, centroid);
+            if d < best.1 {
+                best = (c as u32, d);
+            }
+        }
+        best.0
+    }
+}
+
+/// [`CentroidBlocks::nearest`]'s AVX2 build over the first `n` centroids of
+/// `blocks`. Written with intrinsics because [`l2sq8`] compiled under
+/// `simd_dispatch!` vectorises *within* one centroid and left the pass as
+/// slow as before (DESIGN.md, "Lane kernels"). Lane `i` of a block computes
+/// centroid `8b + i`'s [`l2sq8`]: its `acc0[j]` / `acc1[j]` is the chain
+/// over dimensions `j, j + 16, …` / `j + 8, j + 24, …` of the 16-blocks
+/// from `+0.0`, `acc0[j]` then takes dimension `j` of the 8-block if there
+/// is one; the eight sums `acc0[j] + acc1[j]` meet in the [`F32x8::hsum`]
+/// tree, and the tail chain from `+0.0` is added last. Separate multiplies
+/// and adds, never fused. Lanes past `n` are never compared.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn nearest_centroid_avx2(point: &[f32], blocks: &[f32], n: usize) -> u32 {
+    use std::arch::x86_64::*;
+
+    /// `(p − column)²` in each lane.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn square(p: f32, column: &[f32]) -> __m256 {
+        let column = &column[..LANES];
+        // SAFETY: `column` is eight `f32`s, and `loadu` has no alignment
+        // requirement.
+        let d = _mm256_sub_ps(_mm256_set1_ps(p), unsafe {
+            _mm256_loadu_ps(column.as_ptr())
+        });
+        _mm256_mul_ps(d, d)
+    }
+
+    /// `(s[j0] + s[j0 + 1]) + (s[j0 + 2] + s[j0 + 3])` of the tree, where
+    /// `s[j] = acc0[j] + acc1[j]`: four `acc0` and four `acc1` chains side
+    /// by side over the 16-blocks, then the 8-block into `acc0`. Not a
+    /// `target_feature` function, so that it can be `inline(always)`d
+    /// (twice) into the AVX2 build; a call measured 20 % slower there.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support AVX2; the AVX2 build is the only
+    /// caller.
+    #[inline(always)]
+    unsafe fn quarter(
+        j0: usize,
+        wide: &[[f32; 16]],
+        wide_columns: &[[f32; 16 * LANES]],
+        (eight, eight_columns): (&[f32], &[f32]),
+    ) -> __m256 {
+        let mut acc0 = [_mm256_setzero_ps(); 4];
+        let mut acc1 = [_mm256_setzero_ps(); 4];
+        for (p, columns) in wide.iter().zip(wide_columns) {
+            for i in 0..4 {
+                let (k0, k1) = (j0 + i, j0 + i + 8);
+                acc0[i] = _mm256_add_ps(acc0[i], square(p[k0], &columns[k0 * LANES..]));
+                acc1[i] = _mm256_add_ps(acc1[i], square(p[k1], &columns[k1 * LANES..]));
+            }
+        }
+        if !eight.is_empty() {
+            for (i, acc) in acc0.iter_mut().enumerate() {
+                let k = j0 + i;
+                *acc = _mm256_add_ps(*acc, square(eight[k], &eight_columns[k * LANES..]));
+            }
+        }
+        let s = [0, 1, 2, 3].map(|i| _mm256_add_ps(acc0[i], acc1[i]));
+        _mm256_add_ps(_mm256_add_ps(s[0], s[1]), _mm256_add_ps(s[2], s[3]))
+    }
+
+    let (wide, rest) = point.as_chunks::<16>();
+    let (eight, tail) = rest.split_at(if rest.len() >= LANES { LANES } else { 0 });
+    let mut best = (0u32, f32::INFINITY);
+    for (b, block) in blocks.chunks_exact(LANES * point.len()).enumerate() {
+        let (wide_columns, rest_columns) = block.as_chunks::<{ 16 * LANES }>();
+        let (eight_columns, tail_columns) = rest_columns.split_at(eight.len() * LANES);
+        let eight = (eight, eight_columns);
+        // SAFETY: this function runs only where AVX2 was detected.
+        let tree = unsafe {
+            _mm256_add_ps(
+                quarter(0, wide, wide_columns, eight),
+                quarter(4, wide, wide_columns, eight),
+            )
+        };
+        let mut tail_sum = _mm256_setzero_ps();
+        for (&p, column) in tail.iter().zip(tail_columns.chunks_exact(LANES)) {
+            tail_sum = _mm256_add_ps(tail_sum, square(p, column));
+        }
+        let dist = _mm256_add_ps(tree, tail_sum);
+        // Only a lane below the running best can move it: skip the block
+        // unless one is (an ordered `<`, false on NaN like the scalar one).
+        let valid = (n - b * LANES).min(LANES);
+        let below = _mm256_cmp_ps::<_CMP_LT_OQ>(dist, _mm256_set1_ps(best.1));
+        if _mm256_movemask_ps(below) & ((1 << valid) - 1) != 0 {
+            let mut lanes = [0f32; LANES];
+            // SAFETY: `lanes` holds eight `f32`s, and `storeu` has no
+            // alignment requirement.
+            unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), dist) };
+            for (lane, &d) in lanes[..valid].iter().enumerate() {
+                if d < best.1 {
+                    best = ((b * LANES + lane) as u32, d);
+                }
+            }
+        }
+    }
+    best.0
 }
 
 // ---------------------------------------------------------------------------
@@ -782,6 +957,107 @@ mod tests {
     #[should_panic(expected = "not whole rows")]
     fn score_rows_f32_refuses_a_partial_row() {
         score_rows_f32(&[1.0; 7], &[1.0; 2], &mut Vec::new());
+    }
+
+    /// The argmin [`CentroidBlocks::nearest`] is specified as: the first
+    /// index reaching the smallest `l2sq8` under `<` from `+∞`.
+    fn l2sq8_argmin(point: &[f32], centroids: &[f32]) -> u32 {
+        let mut best = (0u32, f32::INFINITY);
+        for (c, centroid) in centroids.chunks_exact(point.len()).enumerate() {
+            let d = l2sq8(point, centroid);
+            if d < best.1 {
+                best = (c as u32, d);
+            }
+        }
+        best.0
+    }
+
+    /// `nearest` in the lane build and in the portable one.
+    fn nearest_both_builds(point: &[f32], centroids: &[f32]) -> [u32; 2] {
+        let was = simd_enabled();
+        let got = [true, false].map(|simd| {
+            set_simd_enabled(simd);
+            CentroidBlocks::pack(centroids, point.len()).nearest(point)
+        });
+        set_simd_enabled(was);
+        got
+    }
+
+    #[test]
+    fn nearest_centroid_is_the_l2sq8_argmin_in_both_builds() {
+        // Every width through two 16-blocks, the optional 8-block and each
+        // tail length, every count through two whole blocks of eight and
+        // each partial one. Six point/centroid shapes per pair: seeded
+        // draws; the point duplicated at two indices (the lower one wins);
+        // differences of ~1e-19 whose squares are subnormal; ±inf and NaN
+        // salted in; an all-NaN point (no distance is below +inf, so
+        // centroid 0); and every centroid holding the same differences in
+        // its own order, so that only the summation order tells them apart.
+        let mut state = 41u64;
+        for dim in 1..=40usize {
+            for n in 1..=19usize {
+                for shape in 0..6 {
+                    let mut point = salted(&mut state, dim, shape == 3);
+                    let mut centroids = salted(&mut state, n * dim, shape == 3);
+                    match shape {
+                        1 if n > 2 => {
+                            for c in [n / 2, n - 1] {
+                                centroids[c * dim..(c + 1) * dim].copy_from_slice(&point);
+                            }
+                        }
+                        2 => {
+                            let tiny = salted(&mut state, n * dim, false);
+                            for (i, (x, t)) in centroids.iter_mut().zip(tiny).enumerate() {
+                                *x = point[i % dim] + 1e-19 * t;
+                            }
+                        }
+                        4 => point.fill(f32::NAN),
+                        5 => {
+                            point.fill(0.0);
+                            let deltas = salted(&mut state, dim, false);
+                            for centroid in centroids.chunks_exact_mut(dim) {
+                                let keys = salted(&mut state, dim, false);
+                                let mut order: Vec<usize> = (0..dim).collect();
+                                order.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]));
+                                for (x, &k) in centroid.iter_mut().zip(&order) {
+                                    *x = -deltas[k];
+                                }
+                            }
+                        }
+                        _ => {}
+                    }
+                    let want = l2sq8_argmin(&point, &centroids);
+                    if shape == 1 && n > 2 {
+                        assert!(want <= (n / 2) as u32, "a zero distance at n/2");
+                    }
+                    if shape == 4 {
+                        assert_eq!(want, 0);
+                    }
+                    let got = nearest_both_builds(&point, &centroids);
+                    assert_eq!(got, [want; 2], "dim={dim} n={n} shape={shape}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_centroid_never_picks_a_padding_lane() {
+        // The zero padding past the last centroid sits at distance 0 from
+        // the origin, nearer than every real centroid: a compared padding
+        // lane would return an index past `n`.
+        for dim in [1usize, 8, 17, 32] {
+            for n in [1usize, 7, 9, 15] {
+                let centroids: Vec<f32> = (0..n * dim).map(|i| 5.0 + (i / dim) as f32).collect();
+                let got = nearest_both_builds(&vec![0.0; dim], &centroids);
+                assert_eq!(got, [0, 0], "dim={dim} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not whole centroids")]
+    fn centroid_blocks_refuse_a_partial_centroid() {
+        CentroidBlocks::pack(&[1.0; 7], 2);
     }
 
     #[test]

@@ -471,15 +471,21 @@ pub fn load_latest_valid(dir: &Path) -> Option<(u64, TrainState)> {
 /// the loader for anything that compares or reports fingerprints (the
 /// serving hot-reload watcher, `ingestd`'s `FINETUNE` lines).
 pub fn load_latest_valid_with_fingerprint(dir: &Path) -> Option<(u64, TrainState, u64)> {
-    for g in list_generations(dir).into_iter().rev() {
-        if let Ok(bytes) = fs::read(generation_path(dir, g)) {
-            if let Ok(state) = TrainState::from_bytes(&bytes) {
-                let fingerprint = frame_fingerprint(&bytes).expect("decoded frame has a header");
-                return Some((g, state, fingerprint));
-            }
-        }
-    }
-    None
+    list_generations(dir).into_iter().rev().find_map(|g| {
+        load_generation(dir, g)
+            .ok()
+            .map(|(state, fp)| (g, state, fp))
+    })
+}
+
+/// Reads and decodes one generation of `dir` strictly, returning the state
+/// and its fingerprint read off the validated frame header.
+pub fn load_generation(dir: &Path, generation: u64) -> Result<(TrainState, u64), SnapshotError> {
+    let bytes =
+        fs::read(generation_path(dir, generation)).map_err(|e| SnapshotError::Io(e.to_string()))?;
+    let state = TrainState::from_bytes(&bytes)?;
+    let fingerprint = frame_fingerprint(&bytes).expect("decoded frame has a header");
+    Ok((state, fingerprint))
 }
 
 /// Decoded header facts of one valid checkpoint (see [`inspect_dir`]).

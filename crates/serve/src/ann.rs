@@ -20,11 +20,17 @@
 //! * centroid seeding and the training sample come from seeded
 //!   `graphaug-rng` streams (`StdRng::stream(seed, …)`);
 //! * the iteration count is fixed (no convergence-dependent early exit);
-//! * assignment runs through [`graphaug_par::l2sq8`] (fixed reduction
-//!   order, lane/scalar bit-identical) and parallelizes over items with
-//!   each item writing its own slot — no cross-thread reductions;
+//! * assignment is [`CentroidBlocks::nearest`]: exactly the argmin of
+//!   [`graphaug_par::l2sq8`] (fixed reduction order), ties to the lower
+//!   centroid index, whose AVX2 build scores eight centroids per step with
+//!   each lane in `l2sq8`'s order, so both builds pick the same centroid
+//!   bit for bit; it parallelizes over items with each item writing its
+//!   own slot — no cross-thread reductions;
 //! * centroid updates accumulate members in ascending item order on one
-//!   thread, and ties in the argmin go to the lower centroid index.
+//!   thread.
+//!
+//! `build_fingerprints_are_pinned` holds both tiers' fingerprints to values
+//! recorded before the centroid kernel existed.
 //!
 //! # Exact-parity contract
 //!
@@ -43,7 +49,7 @@
 use std::borrow::Cow;
 
 use graphaug_eval::topk_pairs;
-use graphaug_par::{dot8, l2sq8};
+use graphaug_par::{dot8, CentroidBlocks};
 use graphaug_rng::StdRng;
 use graphaug_tensor::Mat;
 
@@ -205,7 +211,7 @@ impl CoarsePartition {
         // ascending-order pass, so the reduction order never moves.
         let mut assign = vec![0u32; m];
         for _ in 0..KMEANS_ITERS {
-            assign_points(items, sample, &centroids, nlists, dim, &mut assign);
+            assign_points(items, sample, &centroids, &mut assign);
             let mut sums = vec![0f32; nlists * dim];
             let mut counts = vec![0u32; nlists];
             for (slot, &item) in sample.iter().enumerate() {
@@ -236,7 +242,7 @@ impl CoarsePartition {
         // lists in ascending item order.
         let all: Vec<u32> = (0..n as u32).collect();
         let mut final_assign = vec![0u32; n];
-        assign_points(items, &all, &centroids, nlists, dim, &mut final_assign);
+        assign_points(items, &all, &centroids, &mut final_assign);
         let mut counts = vec![0u32; nlists];
         for &c in &final_assign {
             counts[c as usize] += 1;
@@ -435,34 +441,20 @@ impl<R: IvfRows> Ivf<R> {
 }
 
 /// Assigns each of `points` (item ids into `items`) to its nearest centroid
-/// by squared L2 distance, writing `out[slot]`. Parallel over disjoint
-/// slots; argmin ties go to the lower centroid index.
-fn assign_points(
-    items: &Mat,
-    points: &[u32],
-    centroids: &[f32],
-    nlists: usize,
-    dim: usize,
-    out: &mut [u32],
-) {
+/// by squared L2 distance, writing `out[slot]`: the centroids are packed
+/// once per call into [`CentroidBlocks`], whose `nearest` is the exact
+/// [`l2sq8`](graphaug_par::l2sq8) argmin (ties to the lower index). Parallel
+/// over disjoint slots.
+fn assign_points(items: &Mat, points: &[u32], centroids: &[f32], out: &mut [u32]) {
     debug_assert_eq!(points.len(), out.len());
+    let centroids = CentroidBlocks::pack(centroids, items.cols());
     let base = graphaug_par::SendMutPtr::new(out);
     graphaug_par::parallel_spans(points.len(), |_, range| {
         // Safety: spans tile `0..points.len()` disjointly, so each slot has
         // exactly one writer.
         let slice = unsafe { base.slice_mut(range.start, range.end - range.start) };
         for (slot, &item) in slice.iter_mut().zip(&points[range]) {
-            let row = items.row(item as usize);
-            let mut best = 0u32;
-            let mut best_d = f32::INFINITY;
-            for c in 0..nlists {
-                let d = l2sq8(row, &centroids[c * dim..(c + 1) * dim]);
-                if d < best_d {
-                    best_d = d;
-                    best = c as u32;
-                }
-            }
-            *slot = best;
+            *slot = centroids.nearest(items.row(item as usize));
         }
     });
 }
@@ -554,16 +546,63 @@ mod tests {
 
     #[test]
     fn build_is_bit_identical_across_thread_counts() {
+        // Both tiers train the one coarse quantizer, so both must print the
+        // same at every thread count with the lane build on and off.
         let items = clustered(700, 9, 24, 11);
+        let quant = crate::QuantRows::quantize(&items);
         let params = IvfParams::new();
+        let was = graphaug_par::simd_enabled();
         let mut prints = Vec::new();
-        for threads in [1usize, 3, 4] {
-            graphaug_par::set_thread_count(threads);
-            prints.push(IvfIndex::build(&items, &params).fingerprint());
+        for simd in [true, false] {
+            graphaug_par::set_simd_enabled(simd);
+            for threads in [1usize, 3, 4] {
+                graphaug_par::set_thread_count(threads);
+                prints.push((
+                    simd,
+                    threads,
+                    IvfIndex::build(&items, &params).fingerprint(),
+                    crate::QuantIvf::build(&quant, &params).fingerprint(),
+                ));
+            }
         }
         graphaug_par::set_thread_count(1);
-        assert_eq!(prints[0], prints[1], "threads=1 vs 3");
-        assert_eq!(prints[0], prints[2], "threads=1 vs 4");
+        graphaug_par::set_simd_enabled(was);
+        for &(simd, threads, f32_print, quant_print) in &prints[1..] {
+            assert_eq!(
+                f32_print, prints[0].2,
+                "IvfIndex simd={simd} threads={threads}"
+            );
+            assert_eq!(
+                quant_print, prints[0].3,
+                "QuantIvf simd={simd} threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn build_fingerprints_are_pinned() {
+        // Recorded before assignment moved to `CentroidBlocks`, with the
+        // per-centroid `l2sq8` loop: the kernel may change speed, not bits.
+        // The catalogs have the online loop's shape (1024 × 32, 32 lists)
+        // and the cold benchmark's (16 384 × 32, 128 lists).
+        for (n, centers, seed, want_f32, want_quant) in [
+            (
+                1024usize,
+                16usize,
+                21u64,
+                0x8a42_3d08_fa35_796d_u64,
+                0xdc18_13b8_c7c9_c0c2_u64,
+            ),
+            (16_384, 64, 23, 0x91b8_59b1_87c1_4c22, 0x46b4_79b5_f426_ce38),
+        ] {
+            let items = clustered(n, centers, 32, seed);
+            let params = IvfParams::new();
+            let f32_index = IvfIndex::build(&items, &params);
+            assert_eq!(f32_index.nlists(), (n as f64).sqrt() as usize);
+            assert_eq!(f32_index.fingerprint(), want_f32, "IvfIndex n={n}");
+            let quant = crate::QuantIvf::build(&crate::QuantRows::quantize(&items), &params);
+            assert_eq!(quant.fingerprint(), want_quant, "QuantIvf n={n}");
+        }
     }
 
     #[test]

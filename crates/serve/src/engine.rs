@@ -47,11 +47,12 @@
 //! oracle the `RECX` verb pins. Both gates fail closed: a disabled build
 //! serves f32 bits.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, SystemTime};
 
-use graphaug_runtime::checkpoint;
+use graphaug_runtime::{checkpoint, TrainState};
 
 use crate::cache::LruCache;
 use crate::tables::{overlap, ModelSource, ModelTables, ScoredItem, ServeError};
@@ -221,8 +222,34 @@ pub struct Engine {
     /// Quantized-computed lists vs exact: [`EngineStats::drift_sampled`].
     drift: Audit,
     /// Serializes reloads so two watchers (or a watcher plus an explicit
-    /// reload call) never build the same generation twice concurrently.
-    reload_lock: Mutex<()>,
+    /// reload call) never build the same generation twice concurrently, and
+    /// holds the generations above the serving one that a reload refused.
+    refused: Mutex<Vec<Refused>>,
+}
+
+/// A checkpoint file a reload refused (it did not decode, or its tables
+/// did not build), known by its generation and what `stat` said of it just
+/// before the read. A poll skips it while it stays the same file, so a
+/// torn newest generation costs one decode, not one per poll; a file that
+/// changes (one still being written, or replaced) is read again.
+#[derive(PartialEq)]
+struct Refused {
+    generation: u64,
+    len: u64,
+    modified: SystemTime,
+}
+
+impl Refused {
+    /// The file of `generation` under `dir` as it is now, or `None` when it
+    /// cannot be stat'ed (such a file is read, and never remembered).
+    fn stat(dir: &Path, generation: u64) -> Option<Refused> {
+        let meta = std::fs::metadata(checkpoint::generation_path(dir, generation)).ok()?;
+        Some(Refused {
+            generation,
+            len: meta.len(),
+            modified: meta.modified().ok()?,
+        })
+    }
 }
 
 impl Engine {
@@ -275,7 +302,7 @@ impl Engine {
             quant_served: AtomicU64::new(0),
             recall: Audit::default(),
             drift: Audit::default(),
-            reload_lock: Mutex::new(()),
+            refused: Mutex::new(Vec::new()),
         })
     }
 
@@ -488,12 +515,14 @@ impl Engine {
     /// serving; if found (and it decodes to a valid, compatible state),
     /// rebuilds the tables **off the request path** and swaps them in.
     /// Returns `Ok(Some(new_generation))` after a swap, `Ok(None)` when
-    /// already current. On error the old tables keep serving untouched.
+    /// nothing newer loads. On error the old tables keep serving untouched.
     ///
-    /// Note the newest-*valid* semantics inherited from
-    /// `checkpoint::load_latest_valid`: a torn newest file is walked past,
-    /// and if the newest valid generation is not newer than the serving
-    /// one, the reload is a no-op rather than a downgrade.
+    /// Only generations above the serving one are read, newest first: a
+    /// torn newest file is walked past, and if nothing newer than the
+    /// serving generation decodes, the reload is a no-op rather than a
+    /// downgrade. A file that did not decode, or whose tables did not
+    /// build, is refused and not read again while it stays the same file,
+    /// so a torn newest generation costs one decode, not one per poll.
     pub fn reload_if_newer(&self) -> Result<Option<u64>, ServeError> {
         let serving = self.generation.load(Ordering::Relaxed);
         // Cheap poll: directory listing only.
@@ -501,17 +530,14 @@ impl Engine {
             Some(newest) if newest > serving => {}
             _ => return Ok(None),
         }
-        let _guard = self.reload_lock.lock().expect("reload lock");
+        let mut refused = self.refused.lock().expect("reload lock");
         // Re-check under the reload lock — another reloader may have won.
         let serving = self.generation.load(Ordering::Relaxed);
-        let Some((generation, state, fingerprint)) =
-            checkpoint::load_latest_valid_with_fingerprint(&self.source.checkpoint_dir)
+        refused.retain(|r| r.generation > serving);
+        let Some((generation, state, fingerprint, stat)) = self.load_newer(serving, &mut refused)
         else {
             return Ok(None);
         };
-        if generation <= serving {
-            return Ok(None);
-        }
         // Cheap hash compare before the expensive rebuild: an equal
         // fingerprint (read straight off the frame header — no re-encode)
         // means the checkpoint frame is byte-identical to the one serving,
@@ -528,6 +554,7 @@ impl Engine {
         let tables = match built {
             Ok(t) => Arc::new(t),
             Err(e) => {
+                refused.extend(stat);
                 self.reload_errors.fetch_add(1, Ordering::Relaxed);
                 return Err(e);
             }
@@ -538,6 +565,33 @@ impl Engine {
         self.fingerprint.store(fingerprint, Ordering::Relaxed);
         self.reloads.fetch_add(1, Ordering::Relaxed);
         Ok(Some(generation))
+    }
+
+    /// The newest generation above `serving` that decodes, with its state,
+    /// fingerprint and file stat. Files in `refused` are skipped, and each
+    /// one that does not decode is added to it.
+    fn load_newer(
+        &self,
+        serving: u64,
+        refused: &mut Vec<Refused>,
+    ) -> Option<(u64, TrainState, u64, Option<Refused>)> {
+        let dir = &self.source.checkpoint_dir;
+        for generation in checkpoint::list_generations(dir).into_iter().rev() {
+            if generation <= serving {
+                break;
+            }
+            // Stat before the read: a file that changes after it differs
+            // from what is remembered, and is read again.
+            let stat = Refused::stat(dir, generation);
+            if stat.as_ref().is_some_and(|s| refused.contains(s)) {
+                continue;
+            }
+            match checkpoint::load_generation(dir, generation) {
+                Ok((state, fingerprint)) => return Some((generation, state, fingerprint, stat)),
+                Err(_) => refused.extend(stat),
+            }
+        }
+        None
     }
 }
 

@@ -6,7 +6,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use graphaug_core::{GraphAug, GraphAugConfig};
@@ -26,12 +26,18 @@ fn lock() -> MutexGuard<'static, ()> {
     THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A unique, self-cleaning directory per test.
+/// A unique, self-cleaning directory per call: tests run in parallel, and
+/// `all_generations` stages under one tag for several of them at once.
 struct TempDir(PathBuf);
 
 impl TempDir {
     fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("graphaug-serve-{tag}-{}", std::process::id()));
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "graphaug-serve-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         TempDir(dir)
@@ -371,6 +377,55 @@ fn identical_checkpoint_under_a_newer_generation_is_rebadged_not_rebuilt() {
     let stats = engine.stats();
     assert_eq!(stats.reloads, 1);
     assert_eq!(stats.reload_skips, 1);
+}
+
+#[test]
+fn a_torn_newest_generation_is_decoded_once_not_on_every_poll() {
+    let graph = toy_graph();
+    let dir = TempDir::new("torn");
+    train_into(dir.path(), &graph);
+    let engine = Engine::open(ModelSource::new(toy_model(), graph, dir.path())).unwrap();
+    let serving = engine.stats().generation;
+
+    // The serving frame with one payload byte flipped, as the next
+    // generation: it fails its checksum, and the poll refuses it.
+    let bytes = fs::read(generation_path(dir.path(), serving)).unwrap();
+    let mut torn = bytes.clone();
+    torn[bytes.len() / 2] ^= 0xFF;
+    let path = generation_path(dir.path(), serving + 1);
+    fs::write(&path, &torn).unwrap();
+    let stamp = fs::metadata(&path).unwrap().modified().unwrap();
+    assert_eq!(engine.reload_if_newer().unwrap(), None);
+
+    // Mend the bytes in place but keep the file's length and mtime. A poll
+    // that read the file again would now decode it and rebadge; polls that
+    // read nothing stay where they are.
+    let set_mtime = |t| {
+        fs::File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(t)
+    };
+    fs::write(&path, &bytes).unwrap();
+    set_mtime(stamp).unwrap();
+    for _ in 0..3 {
+        assert_eq!(
+            engine.reload_if_newer().unwrap(),
+            None,
+            "a refused file was read again"
+        );
+    }
+    assert_eq!(engine.stats().generation, serving);
+
+    // A file that changes is read again.
+    set_mtime(stamp + std::time::Duration::from_secs(1)).unwrap();
+    assert_eq!(engine.reload_if_newer().unwrap(), Some(serving + 1));
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.reload_skips, stats.reloads, stats.reload_errors),
+        (1, 0, 0)
+    );
 }
 
 #[test]
